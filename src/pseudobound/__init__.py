@@ -44,7 +44,6 @@ from .config import (
 )
 from .discrepancy import (
     MEDIAN_HEURISTIC,
-    DiscrepancyReport,
     align_moments,
     h_delta_h_distance,
     ideal_joint,
@@ -57,12 +56,9 @@ from .domains import (
     TARGET,
     AffineMap,
     DomainSpec,
-    IdentitySample,
     PairSet,
     PairStrategy,
     SampleSet,
-    VerificationPair,
-    build_pairs,
     derive_seed,
     draw_pair_process,
     generate_domain,
@@ -124,7 +120,6 @@ from .risk import (
     RiskConfig,
     corrected_empirical_risk_target,
     empirical_disagreement,
-    empirical_risk_source,
     empirical_risk_true,
     expected_risk,
     fit_plain,

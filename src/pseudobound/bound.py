@@ -21,9 +21,16 @@ import numpy as np
 
 from .config import SYNTHETIC, ExperimentConfig
 from .discrepancy import h_delta_h_distance, ideal_joint
-from .domains import DomainSpec, PairSet, PairStrategy, derive_seed, draw_pair_process
+from .domains import (
+    DomainSpec,
+    PairSet,
+    PairStrategy,
+    derive_seed,
+    draw_pair_process,
+    similarity_from_members,
+)
 from .errors import ConfigurationError
-from .noise import NoiseModel, corrupt_labels
+from .noise import NO_NOISE, NoiseModel, corrupt_labels
 from .risk import (
     RiskConfig,
     empirical_risk_true,
@@ -32,6 +39,7 @@ from .risk import (
     fit_source_guided,
     source_guided_risk,
 )
+from .serial import Serializable
 from .stumps import HypothesisClassInfo
 
 SQUARED_COMPLEMENT = "squared_complement"      # source share (1 - alpha)^2
@@ -63,7 +71,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BoundInputs:
+class BoundInputs(Serializable):
     """Everything the right-hand side needs, validated on construction."""
 
     alpha: float
@@ -103,27 +111,6 @@ class BoundInputs:
     def rho_sum(self) -> float:
         return self.rho_neg + self.rho_pos
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "m": self.m, "d": self.d,
-            "delta": self.delta, "big_m": self.big_m,
-            "rho_neg": self.rho_neg, "rho_pos": self.rho_pos,
-            "h_delta_h": self.h_delta_h,
-            "ideal_joint_error": self.ideal_joint_error,
-            "epsilon_t_star": self.epsilon_t_star,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundInputs":
-        return BoundInputs(
-            alpha=float(d["alpha"]), beta=float(d["beta"]), m=int(d["m"]),
-            d=int(d["d"]), delta=float(d["delta"]), big_m=float(d["big_m"]),
-            rho_neg=float(d["rho_neg"]), rho_pos=float(d["rho_pos"]),
-            h_delta_h=float(d["h_delta_h"]),
-            ideal_joint_error=float(d["ideal_joint_error"]),
-            epsilon_t_star=float(d["epsilon_t_star"]),
-        )
-
 
 def noise_term(alpha: float, beta: float, denominator: float,
                convention: str = SQUARED_COMPLEMENT) -> float:
@@ -151,7 +138,7 @@ def dd_term(alpha: float, big_m: float, h_delta_h: float,
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Serializable):
     inputs: BoundInputs
     convention: str
     noise_term: float
@@ -161,19 +148,6 @@ class BoundReport:
     noise_term_alt: float
     rhs_alt: float
     convention_alt: str
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs.to_dict(),
-            "convention": self.convention,
-            "noise_term": self.noise_term,
-            "complexity_term": self.complexity_term,
-            "dd_term": self.dd_term,
-            "rhs": self.rhs,
-            "noise_term_alt": self.noise_term_alt,
-            "rhs_alt": self.rhs_alt,
-            "convention_alt": self.convention_alt,
-        }
 
 
 def assemble_bound(inputs: BoundInputs,
@@ -199,7 +173,7 @@ def assemble_bound(inputs: BoundInputs,
 
 
 @dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(Serializable):
     """|eps_alpha - eps_T| against (1-alpha)((M/2) d_hat + lambda_hat)."""
 
     lhs: float
@@ -210,14 +184,6 @@ class Lemma2Report:
     eps_target: float
     h_delta_h: float
     ideal_joint_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-            "slack": self.slack, "eps_source": self.eps_source,
-            "eps_target": self.eps_target, "h_delta_h": self.h_delta_h,
-            "ideal_joint_error": self.ideal_joint_error,
-        }
 
 
 def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
@@ -255,17 +221,11 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
 
 
 @dataclass(frozen=True)
-class ConcentrationRow:
+class ConcentrationRow(Serializable):
     mu: float
     empirical_prob: float
     hoeffding_rhs: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu, "empirical_prob": self.empirical_prob,
-            "hoeffding_rhs": self.hoeffding_rhs, "holds": self.holds,
-        }
 
 
 def default_mu_grid() -> np.ndarray:
@@ -336,7 +296,7 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
 
 
 @dataclass(frozen=True)
-class TheoremTrialRow:
+class TheoremTrialRow(Serializable):
     seed: int
     noise_term: float
     complexity_term: float
@@ -347,49 +307,59 @@ class TheoremTrialRow:
     rhs_alt: float
     violated_alt: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed, "noise_term": self.noise_term,
-            "complexity_term": self.complexity_term, "dd_term": self.dd_term,
-            "rhs": self.rhs, "eps_t_hat": self.eps_t_hat,
-            "violated": self.violated, "rhs_alt": self.rhs_alt,
-            "violated_alt": self.violated_alt,
-        }
-
 
 @dataclass(frozen=True)
-class TheoremValidation:
+class TheoremValidation(Serializable):
     violation_rate: float
     violation_rate_alt: float
-    rows: list
+    rows: list[TheoremTrialRow]
     report: BoundReport
 
-    def to_dict(self) -> dict:
-        return {
-            "violation_rate": self.violation_rate,
-            "violation_rate_alt": self.violation_rate_alt,
-            "rows": [r.to_dict() for r in self.rows],
-            "report": self.report.to_dict(),
-        }
+
+def _rebuild_pairs(pairs: PairSet, feats: np.ndarray) -> PairSet:
+    """The same pairs with similarities recomputed from new member features."""
+    return PairSet(
+        similarity_from_members(feats, pairs.member_indices),
+        pairs.true_labels,
+        pseudo_labels=pairs.pseudo_labels if pairs.has_pseudo else None,
+        member_indices=pairs.member_indices,
+    )
 
 
-def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int
+def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int, deployed=None
                         ) -> tuple[BoundInputs, PairSet]:
     """Estimate the bound's oracle quantities once for a configuration.
+
+    ``deployed`` supplies the member maps of the model the bound speaks
+    about (``transform_target_members``/``transform_source_members``, as on
+    a PipelineModel); pair similarities are formed after them, so eps*_T,
+    the class distance and the joint error live in the space that model
+    sees.  None means identity.  m and the noise rates come from the
+    configuration (zero rates without a synthetic model); callers with
+    their own replace them.
 
     Sub-seeds: 4 = target oracle pairs, 5 = source oracle pairs,
     6/7 = target/source class-distance draws.  Returns the inputs plus the
     target oracle pair set trials evaluate against.
     """
-    cfg, model = config.risk, config.noise.model
-    _, oracle_t = draw_pair_process(config.target, config.strategy,
-                                    config.oracle_pairs, derive_seed(rng_seed, 4))
-    _, oracle_s = draw_pair_process(config.source, config.strategy,
-                                    config.oracle_pairs, derive_seed(rng_seed, 5))
-    _, gap_t = draw_pair_process(config.target, config.strategy,
-                                 config.discrepancy_sample, derive_seed(rng_seed, 6))
-    _, gap_s = draw_pair_process(config.source, config.strategy,
-                                 config.discrepancy_sample, derive_seed(rng_seed, 7))
+    cfg = config.risk
+    model = NO_NOISE if config.noise.model is None else config.noise.model
+    to_t = to_s = None
+    if deployed is not None:
+        to_t = deployed.transform_target_members
+        to_s = deployed.transform_source_members
+
+    def draw(spec, transform, n, sub):
+        samples, pairs = draw_pair_process(spec, config.strategy, n,
+                                           derive_seed(rng_seed, sub))
+        if transform is None:
+            return pairs
+        return _rebuild_pairs(pairs, transform(samples.features))
+
+    oracle_t = draw(config.target, to_t, config.oracle_pairs, 4)
+    oracle_s = draw(config.source, to_s, config.oracle_pairs, 5)
+    gap_t = draw(config.target, to_t, config.discrepancy_sample, 6)
+    gap_s = draw(config.source, to_s, config.discrepancy_sample, 7)
     info = HypothesisClassInfo(oracle_t.feature_dim)
     _, eps_star = fit_plain(oracle_t, cfg.big_m)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity, info)

@@ -16,6 +16,7 @@ import sys
 
 from .bound import (
     BoundInputs,
+    _fmt,
     assemble_bound,
     check_lemma2,
     check_lemma3_concentration,
@@ -27,10 +28,6 @@ from .domains import derive_seed, draw_pair_process
 from .pipeline import run_ablation, run_self_learning
 from .risk import fit_plain
 from .stumps import random_stump
-
-
-def _fmt(x) -> str:
-    return f"{x:.9g}"
 
 
 def _load_config(path: str) -> ExperimentConfig:

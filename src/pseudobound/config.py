@@ -20,6 +20,7 @@ from .errors import ConfigurationError
 from .noise import NoiseModel
 from .practice import DbscanParams, LinearLearnerConfig
 from .risk import RiskConfig
+from .serial import Serializable
 
 OFFLINE = "offline"
 OFFLINE_PLUS_ONLINE = "offline_plus_online"
@@ -46,7 +47,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Toggles:
+class Toggles(Serializable):
     """Good-practice switches for the self-learning loop."""
 
     source_guided: bool = True
@@ -68,28 +69,9 @@ class Toggles:
     def all_off() -> "Toggles":
         return Toggles(False, False, False, FILTER_NONE, 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "source_guided": self.source_guided,
-            "domain_alignment": self.domain_alignment,
-            "bounded_loss": self.bounded_loss,
-            "outlier_filtering": self.outlier_filtering,
-            "weight_decay": self.weight_decay,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Toggles":
-        return Toggles(
-            bool(d.get("source_guided", True)),
-            bool(d.get("domain_alignment", True)),
-            bool(d.get("bounded_loss", True)),
-            str(d.get("outlier_filtering", OFFLINE_PLUS_ONLINE)),
-            float(d.get("weight_decay", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class NoiseMode:
+class NoiseMode(Serializable):
     """How pseudo-label noise arises.
 
     SYNTHETIC corrupts true pair labels with the given rates and bypasses
@@ -116,21 +98,9 @@ class NoiseMode:
     def from_clustering() -> "NoiseMode":
         return NoiseMode(FROM_CLUSTERING)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "model": None if self.model is None else self.model.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseMode":
-        model = d.get("model")
-        return NoiseMode(str(d["kind"]),
-                         None if model is None else NoiseModel.from_dict(model))
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Serializable):
     source: DomainSpec
     target: DomainSpec
     strategy: PairStrategy
@@ -174,56 +144,6 @@ class ExperimentConfig:
             raise ConfigurationError("discrepancy_sample must be >= 2")
         if not self.refine_scale > 0:
             raise ConfigurationError("refine_scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "strategy": self.strategy.to_dict(),
-            "risk": self.risk.to_dict(),
-            "noise": self.noise.to_dict(),
-            "dbscan_params": self.dbscan_params.to_dict(),
-            "toggles": self.toggles.to_dict(),
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "delta": self.delta,
-            "m_train": self.m_train,
-            "n_target_samples": self.n_target_samples,
-            "n_source_samples": self.n_source_samples,
-            "max_target_pairs": self.max_target_pairs,
-            "oracle_pairs": self.oracle_pairs,
-            "discrepancy_sample": self.discrepancy_sample,
-            "refine_scale": self.refine_scale,
-            "linear_probe": (None if self.linear_probe is None
-                             else self.linear_probe.to_dict()),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        probe = d.get("linear_probe")
-        return ExperimentConfig(
-            source=DomainSpec.from_dict(d["source"]),
-            target=DomainSpec.from_dict(d["target"]),
-            strategy=PairStrategy.from_dict(d["strategy"]),
-            risk=RiskConfig.from_dict(d["risk"]),
-            noise=NoiseMode.from_dict(d["noise"]),
-            dbscan_params=DbscanParams.from_dict(d["dbscan_params"]),
-            toggles=Toggles.from_dict(d["toggles"]),
-            iterations=int(d.get("iterations", 5)),
-            trials=int(d.get("trials", 20)),
-            master_seed=int(d.get("master_seed", 0)),
-            delta=float(d.get("delta", 0.1)),
-            m_train=int(d.get("m_train", 400)),
-            n_target_samples=int(d.get("n_target_samples", 120)),
-            n_source_samples=int(d.get("n_source_samples", 120)),
-            max_target_pairs=int(d.get("max_target_pairs", 600)),
-            oracle_pairs=int(d.get("oracle_pairs", 30_000)),
-            discrepancy_sample=int(d.get("discrepancy_sample", 256)),
-            refine_scale=float(d.get("refine_scale", 2.0)),
-            linear_probe=(None if probe is None
-                          else LinearLearnerConfig.from_dict(probe)),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

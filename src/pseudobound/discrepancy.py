@@ -11,7 +11,6 @@ probabilities, and everything stays in int64 until the final division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,41 +28,12 @@ MEDIAN_HEURISTIC = "median"
 
 __all__ = [
     "MEDIAN_HEURISTIC",
-    "DiscrepancyReport",
     "h_delta_h_distance",
     "ideal_joint",
     "median_heuristic_bandwidth",
     "mmd_squared",
     "align_moments",
 ]
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Measured gap quantities for one source/target configuration."""
-
-    h_delta_h: float
-    ideal_joint_error: float
-    ideal_joint_hypothesis: StumpHypothesis
-    mmd_squared_before: float
-    mmd_squared_after: float
-    kernel_bandwidth: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.h_delta_h <= 2.0:
-            raise ConfigurationError(f"h_delta_h must lie in [0, 2], got {self.h_delta_h}")
-        if self.ideal_joint_error < 0:
-            raise ConfigurationError("ideal_joint_error must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "h_delta_h": self.h_delta_h,
-            "ideal_joint_error": self.ideal_joint_error,
-            "ideal_joint_hypothesis": self.ideal_joint_hypothesis.to_dict(),
-            "mmd_squared_before": self.mmd_squared_before,
-            "mmd_squared_after": self.mmd_squared_after,
-            "kernel_bandwidth": self.kernel_bandwidth,
-        }
 
 
 def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:

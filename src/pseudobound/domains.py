@@ -8,12 +8,12 @@ members share an identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
+from .serial import Serializable
 
 SOURCE = "source"
 TARGET = "target"
@@ -37,7 +37,7 @@ def derive_seed(*entropy) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineMap:
+class AffineMap(Serializable):
     """x -> matrix @ x + offset, applied row-wise to (n, q) arrays."""
 
     matrix: np.ndarray
@@ -69,16 +69,9 @@ class AffineMap:
     def identity(dim: int) -> "AffineMap":
         return AffineMap(np.eye(dim), np.zeros(dim))
 
-    def to_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist(), "offset": self.offset.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "AffineMap":
-        return AffineMap(np.asarray(d["matrix"], float), np.asarray(d["offset"], float))
-
 
 @dataclass(frozen=True, eq=False)
-class DomainSpec:
+class DomainSpec(Serializable):
     """Full generative description of one domain.
 
     ``seed`` is the domain's own entropy; every sampling routine mixes it with
@@ -140,44 +133,9 @@ class DomainSpec:
                      self.within_identity_stddev, self.domain_transform,
                      self.seed))
 
-    def to_dict(self) -> dict:
-        return {
-            "num_identities": self.num_identities,
-            "feature_dim": self.feature_dim,
-            "identity_centers": self.identity_centers.tolist(),
-            "within_identity_stddev": self.within_identity_stddev,
-            "domain_transform": self.domain_transform.to_dict(),
-            "seed": int(self.seed),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DomainSpec":
-        return DomainSpec(
-            num_identities=int(d["num_identities"]),
-            feature_dim=int(d["feature_dim"]),
-            identity_centers=np.asarray(d["identity_centers"], float),
-            within_identity_stddev=float(d["within_identity_stddev"]),
-            domain_transform=AffineMap.from_dict(d["domain_transform"]),
-            seed=int(d["seed"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "DomainSpec":
-        return DomainSpec.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True, eq=False)
-class IdentitySample:
-    features: np.ndarray
-    identity: int
-    domain_tag: str
-
 
 class SampleSet:
-    """Column-oriented batch of identity samples (sequence of IdentitySample)."""
+    """Column-oriented batch of identity samples."""
 
     def __init__(self, features, identities, domain_tag: str):
         self.features = np.asarray(features, dtype=float)
@@ -191,13 +149,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __getitem__(self, i: int) -> IdentitySample:
-        return IdentitySample(self.features[i], int(self.identities[i]), self.domain_tag)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
@@ -207,12 +158,12 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
-class PairStrategy:
-    """How verification pairs are assembled from samples.
+class PairStrategy(Serializable):
+    """Which identity pairs the pair process draws.
 
-    ``all``       every unordered pair.
-    ``balanced``  every positive pair plus k_neg_per_pos sampled negatives
-                  per positive (sampled with replacement).
+    ``all``       both identities uniform and independent.
+    ``balanced``  positive with probability 1/(1 + k_neg_per_pos); negatives
+                  draw two distinct uniform identities.
     """
 
     kind: str
@@ -238,24 +189,12 @@ class PairStrategy:
             d["k_neg_per_pos"] = self.k_neg_per_pos
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "PairStrategy":
-        return PairStrategy(d["kind"], int(d.get("k_neg_per_pos", 3)))
-
-
-@dataclass(frozen=True, eq=False)
-class VerificationPair:
-    similarity_features: np.ndarray
-    true_label: int
-    pseudo_label: int | None
-    member_indices: tuple[int, int]
 
 
 class PairSet:
     """Column-oriented batch of verification pairs.
 
-    ``pseudo_labels`` stores ABSENT (0) until labels are assigned; views as
-    VerificationPair report those entries as None.
+    ``pseudo_labels`` stores ABSENT (0) until labels are assigned.
     """
 
     def __init__(self, similarity, true_labels, pseudo_labels=None, member_indices=None):
@@ -276,19 +215,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return len(self.similarity)
-
-    def __getitem__(self, i: int) -> VerificationPair:
-        p = int(self.pseudo_labels[i])
-        return VerificationPair(
-            self.similarity[i],
-            int(self.true_labels[i]),
-            None if p == ABSENT else p,
-            (int(self.member_indices[i, 0]), int(self.member_indices[i, 1])),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def feature_dim(self) -> int:
@@ -330,69 +256,6 @@ def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) ->
     feats = np.asarray(features, float)
     idx = np.asarray(member_indices, np.int64)
     return np.abs(feats[idx[:, 0]] - feats[idx[:, 1]])
-
-
-def _pair_indices(group_labels: np.ndarray, strategy: PairStrategy,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered index pairs per strategy; positivity judged by group_labels."""
-    n = len(group_labels)
-    if strategy.kind == "all":
-        return np.triu_indices(n, k=1)
-
-    order = np.argsort(group_labels, kind="stable")
-    sorted_lab = group_labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_lab[1:] != sorted_lab[:-1]])
-    ends = np.r_[starts[1:], n]
-    pos_i, pos_j = [], []
-    for a, b in zip(starts, ends):
-        members = order[a:b]
-        if len(members) < 2:
-            continue
-        members = np.sort(members)
-        ii, jj = np.triu_indices(len(members), k=1)
-        pos_i.append(members[ii])
-        pos_j.append(members[jj])
-    if not pos_i:
-        raise DegenerateInputError("no positive pairs available")
-    pos_i = np.concatenate(pos_i)
-    pos_j = np.concatenate(pos_j)
-
-    if len(np.unique(group_labels)) < 2:
-        raise DegenerateInputError("no negative pairs available")
-    need = strategy.k_neg_per_pos * len(pos_i)
-    neg_a = np.empty(need, np.int64)
-    neg_b = np.empty(need, np.int64)
-    got = 0
-    while got < need:
-        m = max(2 * (need - got), 16)
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        ok = group_labels[a] != group_labels[b]
-        a, b = a[ok], b[ok]
-        take = min(len(a), need - got)
-        neg_a[got:got + take] = a[:take]
-        neg_b[got:got + take] = b[:take]
-        got += take
-    i = np.concatenate([pos_i, neg_a])
-    j = np.concatenate([pos_j, neg_b])
-    return i, j
-
-
-def build_pairs(samples: SampleSet, strategy: PairStrategy, rng_seed: int = 0) -> PairSet:
-    """Assemble verification pairs from a sample batch.
-
-    true_label is +1 iff the members share an identity; pseudo_labels start
-    ABSENT.  The balanced strategy consumes rng_seed for negative sampling;
-    the all strategy is fully deterministic.
-    """
-    if len(samples) < 2:
-        raise EmptyInputError("build_pairs needs at least two samples")
-    rng = make_rng(rng_seed)
-    i, j = _pair_indices(samples.identities, strategy, rng)
-    sim = np.abs(samples.features[i] - samples.features[j])
-    labels = np.where(samples.identities[i] == samples.identities[j], 1, -1)
-    member = np.stack([i, j], axis=1)
-    return PairSet(sim, labels, member_indices=member)
 
 
 def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,

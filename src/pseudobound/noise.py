@@ -16,11 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import PairSet, make_rng
-from .errors import EmptyInputError, InvalidNoiseError, UndefinedRateError
+from .errors import (
+    DegenerateInputError,
+    EmptyInputError,
+    InvalidNoiseError,
+    UndefinedRateError,
+)
+from .serial import Serializable
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Serializable):
     """Validated pair of class-conditional flip rates."""
 
     rho_neg: float
@@ -38,13 +44,6 @@ class NoiseModel:
     @property
     def denominator(self) -> float:
         return 1.0 - self.rho_pos - self.rho_neg
-
-    def to_dict(self) -> dict:
-        return {"rho_neg": self.rho_neg, "rho_pos": self.rho_pos}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseModel":
-        return NoiseModel(float(d["rho_neg"]), float(d["rho_pos"]))
 
 
 NO_NOISE = NoiseModel(0.0, 0.0)
@@ -106,7 +105,7 @@ def zero_m_costs(labels, big_m: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class NoiseEstimate:
+class NoiseEstimate(Serializable):
     """Empirical flip rates with a degeneracy marker.
 
     degenerate is True when rho_neg + rho_pos >= 1; the corrected loss is
@@ -130,13 +129,7 @@ class NoiseEstimate:
         return NoiseModel(self.rho_neg, self.rho_pos)
 
     def to_dict(self) -> dict:
-        return {
-            "rho_neg": self.rho_neg,
-            "rho_pos": self.rho_pos,
-            "n_neg": self.n_neg,
-            "n_pos": self.n_pos,
-            "degenerate": self.degenerate,
-        }
+        return {**super().to_dict(), "degenerate": self.degenerate}
 
 
 def estimate_noise_rates(pairs: PairSet) -> NoiseEstimate:
@@ -144,7 +137,8 @@ def estimate_noise_rates(pairs: PairSet) -> NoiseEstimate:
     if len(pairs) == 0:
         raise EmptyInputError("estimate_noise_rates needs at least one pair")
     if not pairs.has_pseudo:
-        raise ValueError("estimate_noise_rates needs pseudo labels on every pair")
+        raise DegenerateInputError(
+            "estimate_noise_rates needs pseudo labels on every pair")
     y = pairs.true_labels
     yp = pairs.pseudo_labels
     n_neg = int((y == -1).sum())

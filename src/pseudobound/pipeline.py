@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bound import (
-    BoundInputs,
     BoundReport,
     _draw_training,
+    _rebuild_pairs,
     assemble_bound,
     oracle_bound_inputs,
 )
@@ -31,7 +31,7 @@ from .config import (
     ExperimentConfig,
     Toggles,
 )
-from .discrepancy import align_moments, h_delta_h_distance, ideal_joint, mmd_squared
+from .discrepancy import align_moments, mmd_squared
 from .domains import (
     SOURCE,
     TARGET,
@@ -58,8 +58,9 @@ from .practice import (
     train_linear,
     tukey_fence,
 )
-from .risk import fit_plain, fit_source_guided, fit_target_corrected
-from .stumps import HypothesisClassInfo, StumpHypothesis
+from .risk import fit_source_guided, fit_target_corrected
+from .serial import Serializable
+from .stumps import StumpHypothesis
 
 __all__ = [
     "PipelineModel",
@@ -75,7 +76,7 @@ _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
 
 
 @dataclass(frozen=True)
-class PipelineModel:
+class PipelineModel(Serializable):
     """Deployed predictor: optional alignment, optional member
     normalization, then a stump on pair similarity features."""
 
@@ -98,7 +99,7 @@ class PipelineModel:
 
 
 @dataclass
-class IterationRecord:
+class IterationRecord(Serializable):
     index: int
     hypothesis: StumpHypothesis
     model_used: NoiseModel
@@ -114,30 +115,11 @@ class IterationRecord:
     mmd_sim_before: float | None = None
     mmd_sim_after: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "hypothesis": self.hypothesis.to_dict(),
-            "model_used": self.model_used.to_dict(),
-            "target_oracle_risk": self.target_oracle_risk,
-            "rho_before": None if self.rho_before is None else self.rho_before.to_dict(),
-            "rho_after": None if self.rho_after is None else self.rho_after.to_dict(),
-            "filter_report": (None if self.filter_report is None
-                              else self.filter_report.to_dict()),
-            "n_target_pairs": self.n_target_pairs,
-            "n_clusters": self.n_clusters,
-            "n_noise_points": self.n_noise_points,
-            "mmd_sample_before": self.mmd_sample_before,
-            "mmd_sample_after": self.mmd_sample_after,
-            "mmd_sim_before": self.mmd_sim_before,
-            "mmd_sim_after": self.mmd_sim_after,
-        }
-
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(Serializable):
     config_fingerprint: str
-    iterations: list
+    iterations: list[IterationRecord]
     final_model: PipelineModel
     final_report: BoundReport
     wall_time: float
@@ -146,21 +128,6 @@ class ExperimentResult:
     @property
     def final_risk(self) -> float:
         return self.iterations[-1].target_oracle_risk
-
-    def to_dict(self) -> dict:
-        return {
-            "config_fingerprint": self.config_fingerprint,
-            "iterations": [r.to_dict() for r in self.iterations],
-            "final_model": {
-                "stump": self.final_model.stump.to_dict(),
-                "align_map": (None if self.final_model.align_map is None
-                              else self.final_model.align_map.to_dict()),
-                "normalize": self.final_model.normalize,
-            },
-            "final_report": self.final_report.to_dict(),
-            "wall_time": self.wall_time,
-            "linear_probe": self.linear_probe,
-        }
 
 
 def _fingerprint(config: ExperimentConfig) -> str:
@@ -174,15 +141,6 @@ def _hinge_losses(stump: StumpHypothesis, pairs: PairSet) -> np.ndarray:
     margin = pairs.pseudo_labels * stump.sign * (
         pairs.similarity[:, stump.coordinate] - stump.threshold)
     return np.maximum(0.0, -margin)
-
-
-def _rebuild_pairs(pairs: PairSet, feats: np.ndarray) -> PairSet:
-    return PairSet(
-        similarity_from_members(feats, pairs.member_indices),
-        pairs.true_labels,
-        pseudo_labels=pairs.pseudo_labels if pairs.has_pseudo else None,
-        member_indices=pairs.member_indices,
-    )
 
 
 def _fit(source_pairs, target_pairs, config: ExperimentConfig, model: NoiseModel):
@@ -238,8 +196,7 @@ def _run_synthetic(config: ExperimentConfig, started: float) -> ExperimentResult
     seed = config.master_seed
     model = config.noise.model
     trial_entropy = derive_seed(seed, 0)
-    _, oracle_pairs = draw_pair_process(config.target, config.strategy,
-                                        config.oracle_pairs, derive_seed(seed, 4))
+    inputs, oracle_pairs = oracle_bound_inputs(config, seed)
     online = config.toggles.outlier_filtering == OFFLINE_PLUS_ONLINE
     records = []
     h_final = None
@@ -262,7 +219,6 @@ def _run_synthetic(config: ExperimentConfig, started: float) -> ExperimentResult
             n_target_pairs=len(kept),
         ))
         h_final = h0
-    inputs, _ = oracle_bound_inputs(config, config.master_seed)
     result_model = PipelineModel(h_final, None, False)
     return ExperimentResult(
         config_fingerprint=_fingerprint(config),
@@ -363,8 +319,12 @@ def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResul
         weights = np.ones(config.target.feature_dim)
         weights[h0.coordinate] = config.refine_scale
 
-    final_report = _practice_bound_report(config, pipe_model, model_final,
-                                          kept_final, source_pairs)
+    # The practice bound speaks about the deployed model: oracle quantities
+    # in its feature space, m and noise rates from its own training data.
+    inputs, _ = oracle_bound_inputs(config, seed, pipe_model)
+    m = len(kept_final) + (len(source_pairs) if toggles.source_guided else 0)
+    final_report = assemble_bound(replace(
+        inputs, m=m, rho_neg=model_final.rho_neg, rho_pos=model_final.rho_pos))
     probe = _linear_probe(config, kept_final) if config.linear_probe else None
     return ExperimentResult(
         config_fingerprint=_fingerprint(config),
@@ -393,49 +353,6 @@ def _log_similarity_mmd(record, source_pairs, target_pairs, target_pool,
         pass  # degenerate bandwidth on a collapsed draw; leave unlogged
 
 
-def _practice_bound_report(config, pipe_model, model_final, kept_final,
-                           source_pairs) -> BoundReport:
-    """Bound assembly in the space the deployed model actually sees."""
-    seed = config.master_seed
-    cfg = config.risk
-    _, gap_t_raw = _transformed_target_pairs(config, pipe_model,
-                                             config.discrepancy_sample,
-                                             derive_seed(seed, 6))
-    _, gap_s_raw = _transformed_source_pairs(config, pipe_model,
-                                             config.discrepancy_sample,
-                                             derive_seed(seed, 7))
-    _, oracle_t = _transformed_target_pairs(config, pipe_model,
-                                            config.oracle_pairs,
-                                            derive_seed(seed, 4))
-    _, oracle_s = _transformed_source_pairs(config, pipe_model,
-                                            config.oracle_pairs,
-                                            derive_seed(seed, 5))
-    info = HypothesisClassInfo(oracle_t.feature_dim)
-    _, eps_star = fit_plain(oracle_t, cfg.big_m)
-    d_hat = h_delta_h_distance(gap_s_raw.similarity, gap_t_raw.similarity, info)
-    _, lam = ideal_joint(oracle_s, oracle_t, cfg.big_m)
-    m = len(kept_final) + (len(source_pairs) if config.toggles.source_guided else 0)
-    inputs = BoundInputs(
-        alpha=cfg.alpha, beta=cfg.beta, m=m, d=info.vc_dimension,
-        delta=config.delta, big_m=cfg.big_m,
-        rho_neg=model_final.rho_neg, rho_pos=model_final.rho_pos,
-        h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
-    )
-    return assemble_bound(inputs)
-
-
-def _transformed_target_pairs(config, pipe_model, n, rng_seed):
-    samples, pairs = draw_pair_process(config.target, config.strategy, n, rng_seed)
-    feats = pipe_model.transform_target_members(samples.features)
-    return samples, _rebuild_pairs(pairs, feats)
-
-
-def _transformed_source_pairs(config, pipe_model, n, rng_seed):
-    samples, pairs = draw_pair_process(config.source, config.strategy, n, rng_seed)
-    feats = pipe_model.transform_source_members(samples.features)
-    return samples, _rebuild_pairs(pairs, feats)
-
-
 def _linear_probe(config: ExperimentConfig, pairs: PairSet) -> dict:
     """Gradient-learner pass over the final kept pairs, wired to the same
     toggles: bounded loss swaps logistic for MAE, online filtering adds the
@@ -460,37 +377,23 @@ def _linear_probe(config: ExperimentConfig, pairs: PairSet) -> dict:
 
 
 @dataclass
-class AblationCell:
+class AblationCell(Serializable):
     toggles: Toggles
-    final_risks: list
-    failures: list
+    final_risks: list[float]
+    failures: list[dict]
     mean_final_risk: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "toggles": self.toggles.to_dict(),
-            "final_risks": self.final_risks,
-            "failures": self.failures,
-            "mean_final_risk": self.mean_final_risk,
-        }
 
 
 @dataclass
-class AblationTable:
-    cells: list
-    trial_seeds: list
+class AblationTable(Serializable):
+    cells: list[AblationCell]
+    trial_seeds: list[int]
 
     def cell(self, toggles: Toggles) -> AblationCell:
         for c in self.cells:
             if c.toggles == toggles:
                 return c
         raise KeyError(f"no ablation cell for {toggles}")
-
-    def to_dict(self) -> dict:
-        return {
-            "cells": [c.to_dict() for c in self.cells],
-            "trial_seeds": list(self.trial_seeds),
-        }
 
 
 def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:

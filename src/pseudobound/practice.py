@@ -24,6 +24,7 @@ from .errors import (
     PseudoboundError,
 )
 from .noise import NoiseEstimate, estimate_noise_rates
+from .serial import Serializable
 
 NOISE = -1
 
@@ -53,7 +54,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DbscanParams:
+class DbscanParams(Serializable):
     eps: float
     min_pts: int
 
@@ -62,13 +63,6 @@ class DbscanParams:
             raise ConfigurationError(f"eps must be positive, got {self.eps}")
         if self.min_pts < 1:
             raise ConfigurationError(f"min_pts must be >= 1, got {self.min_pts}")
-
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "min_pts": self.min_pts}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DbscanParams":
-        return DbscanParams(float(d["eps"]), int(d["min_pts"]))
 
 
 def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
@@ -199,7 +193,7 @@ class FilterRule:
 
 
 @dataclass
-class FilterReport:
+class FilterReport(Serializable):
     """Outcome of loss-based filtering on one training set."""
 
     kept: int
@@ -207,27 +201,11 @@ class FilterReport:
     fence: float | None
     estimated_rho_before: NoiseEstimate | None = None
     estimated_rho_after: NoiseEstimate | None = None
-    per_epoch_dropped: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "fence": self.fence,
-            "estimated_rho_before": (
-                None if self.estimated_rho_before is None
-                else self.estimated_rho_before.to_dict()
-            ),
-            "estimated_rho_after": (
-                None if self.estimated_rho_after is None
-                else self.estimated_rho_after.to_dict()
-            ),
-            "per_epoch_dropped": list(self.per_epoch_dropped),
-        }
+    per_epoch_dropped: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class LinearLearnerConfig:
+class LinearLearnerConfig(Serializable):
     loss_kind: str = LOGISTIC
     learning_rate: float = 0.1
     epochs: int = 200
@@ -245,25 +223,6 @@ class LinearLearnerConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.l2_penalty < 0:
             raise ConfigurationError("l2_penalty must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2_penalty": self.l2_penalty,
-            "recompute_fence_each_epoch": self.recompute_fence_each_epoch,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LinearLearnerConfig":
-        return LinearLearnerConfig(
-            str(d.get("loss_kind", LOGISTIC)),
-            float(d.get("learning_rate", 0.1)),
-            int(d.get("epochs", 200)),
-            float(d.get("l2_penalty", 0.0)),
-            bool(d.get("recompute_fence_each_epoch", True)),
-        )
 
 
 @dataclass(frozen=True)

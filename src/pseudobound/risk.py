@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, PairSet, PairStrategy, draw_pair_process
-from .errors import ConfigurationError, EmptyInputError
+from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
 from .noise import NoiseModel, corrected_costs, zero_m_costs, zero_m_loss
+from .serial import Serializable
 from .stumps import StumpHypothesis, erm
 
 __all__ = [
     "RiskConfig",
     "zero_m_loss",
     "empirical_risk_true",
-    "empirical_risk_source",
     "corrected_empirical_risk_target",
     "source_guided_risk",
     "empirical_disagreement",
@@ -35,7 +35,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RiskConfig:
+class RiskConfig(Serializable):
     """Loss bound M plus the alpha/beta mixing knobs.
 
     alpha mixes corrected-target against source risk; beta is the fraction
@@ -62,13 +62,6 @@ class RiskConfig:
             raise ConfigurationError(f"m={m} leaves an empty split at beta={self.beta}")
         return m_target, m_source
 
-    def to_dict(self) -> dict:
-        return {"big_m": self.big_m, "alpha": self.alpha, "beta": self.beta}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RiskConfig":
-        return RiskConfig(float(d["big_m"]), float(d["alpha"]), float(d["beta"]))
-
 
 def empirical_risk_true(hypothesis, pairs: PairSet, big_m: float) -> float:
     """Mean 0-M loss against true labels; exact (M * miss count / n)."""
@@ -79,18 +72,13 @@ def empirical_risk_true(hypothesis, pairs: PairSet, big_m: float) -> float:
     return big_m * misses / len(pairs)
 
 
-# The source empirical risk is the plain true-label risk; the same function
-# serves oracle target sets, which also carry true labels.
-empirical_risk_source = empirical_risk_true
-
-
 def corrected_empirical_risk_target(hypothesis, pairs: PairSet, big_m: float,
                                     model: NoiseModel) -> float:
     """Mean corrected loss against pseudo-labels; may be negative."""
     if len(pairs) == 0:
         raise EmptyInputError("corrected risk needs at least one pair")
     if not pairs.has_pseudo:
-        raise ValueError("corrected risk needs pseudo labels on every pair")
+        raise DegenerateInputError("corrected risk needs pseudo labels on every pair")
     pred = hypothesis.predict(pairs.similarity)
     cost_pos, cost_neg = corrected_costs(pairs.pseudo_labels, big_m, model)
     losses = np.where(pred == 1, cost_pos, cost_neg)
@@ -101,7 +89,7 @@ def source_guided_risk(hypothesis, source_pairs: PairSet, target_pairs: PairSet,
                        cfg: RiskConfig, model: NoiseModel) -> float:
     """alpha * corrected target risk + (1 - alpha) * source risk."""
     target = corrected_empirical_risk_target(hypothesis, target_pairs, cfg.big_m, model)
-    source = empirical_risk_source(hypothesis, source_pairs, cfg.big_m)
+    source = empirical_risk_true(hypothesis, source_pairs, cfg.big_m)
     return cfg.alpha * target + (1.0 - cfg.alpha) * source
 
 
@@ -150,7 +138,7 @@ def fit_target_corrected(pairs: PairSet, big_m: float, model: NoiseModel
     if len(pairs) == 0:
         raise EmptyInputError("fit_target_corrected needs at least one pair")
     if not pairs.has_pseudo:
-        raise ValueError("fit_target_corrected needs pseudo labels")
+        raise DegenerateInputError("fit_target_corrected needs pseudo labels")
     cost_pos, cost_neg = corrected_costs(pairs.pseudo_labels, big_m, model)
     h, total = erm(pairs.similarity, cost_pos, cost_neg)
     return h, total / len(pairs)
@@ -167,6 +155,8 @@ def fit_source_guided(source_pairs: PairSet, target_pairs: PairSet,
     """
     if len(source_pairs) == 0 or len(target_pairs) == 0:
         raise EmptyInputError("fit_source_guided needs pairs from both domains")
+    if not target_pairs.has_pseudo:
+        raise DegenerateInputError("fit_source_guided needs pseudo labels on target pairs")
     if source_pairs.feature_dim != target_pairs.feature_dim:
         raise ConfigurationError("source and target pairs disagree on feature_dim")
     t_pos, t_neg = corrected_costs(target_pairs.pseudo_labels, cfg.big_m, model)

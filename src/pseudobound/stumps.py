@@ -15,10 +15,11 @@ import numpy as np
 
 from .domains import make_rng
 from .errors import ConfigurationError, EmptyInputError
+from .serial import Serializable
 
 
 @dataclass(frozen=True)
-class StumpHypothesis:
+class StumpHypothesis(Serializable):
     coordinate: int
     threshold: float
     sign: int
@@ -38,17 +39,6 @@ class StumpHypothesis:
 
     def flipped(self) -> "StumpHypothesis":
         return StumpHypothesis(self.coordinate, self.threshold, -self.sign)
-
-    def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "threshold": self.threshold,
-            "sign": self.sign,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "StumpHypothesis":
-        return StumpHypothesis(int(d["coordinate"]), float(d["threshold"]), int(d["sign"]))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import csv
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pseudobound as pb
-from pseudobound.cli import main
+from pseudobound.cli import build_parser, main
 from pseudobound.config import default_centers
 
 
@@ -47,10 +49,15 @@ def test_default_config_kinds():
         pb.default_experiment_config("bogus")
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def test_shipped_config_files_match_defaults():
     for kind in ("clean", "noisy", "shifted", "practice"):
-        loaded = pb.ExperimentConfig.load(f"configs/{kind}.json")
+        path = REPO / "configs" / f"{kind}.json"
+        loaded = pb.ExperimentConfig.load(path)
         assert loaded == pb.default_experiment_config(kind)
+        assert loaded.to_json() + "\n" == path.read_text()
 
 
 def test_config_json_round_trip_preserves_everything():
@@ -204,3 +211,28 @@ def test_cli_bound_prints_report(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rhs"] == pytest.approx(1.657301, abs=1e-5)
     assert payload["rhs_alt"] > payload["rhs"]
+
+
+def _readme_blocks(lang):
+    text = (REPO / "README.md").read_text()
+    return [block.split("\n", 1)[1] for block in text.split("```")[1::2]
+            if block.startswith(lang + "\n")]
+
+
+def test_readme_command_lines_parse():
+    commands = []
+    for block in _readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pseudobound "):
+                commands.append(shlex.split(line)[1:])
+    assert len(commands) == 5
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+
+
+def test_readme_bound_inputs_example_loads():
+    (block,) = _readme_blocks("json")
+    report = pb.assemble_bound(pb.BoundInputs.from_dict(json.loads(block)))
+    assert report.rhs == pytest.approx(1.657301, abs=1e-5)

@@ -191,11 +191,3 @@ def test_align_moments_needs_enough_points():
         pb.align_moments(src, tiny)
     with pytest.raises(pb.InsufficientDataError):
         pb.align_moments(tiny, src)
-
-
-def test_discrepancy_report_validation():
-    h = pb.StumpHypothesis(0, 0.0, 1)
-    with pytest.raises(pb.ConfigurationError):
-        pb.DiscrepancyReport(3.0, 0.1, h, 0.1, 0.05, 1.0)
-    r = pb.DiscrepancyReport(0.5, 0.1, h, 0.1, 0.05, 1.0)
-    assert r.to_dict()["h_delta_h"] == 0.5

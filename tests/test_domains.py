@@ -52,54 +52,6 @@ def test_generate_domain_applies_transform():
     assert np.allclose(moved.features, amap.apply(plain.features))
 
 
-def test_build_pairs_all_counts_and_labels():
-    spec = small_spec()
-    samples = pb.generate_domain(spec, 12, 2, pb.SOURCE)
-    pairs = pb.build_pairs(samples, pb.PairStrategy.all_pairs())
-    assert len(pairs) == 12 * 11 // 2
-    same = samples.identities[pairs.member_indices[:, 0]] == \
-        samples.identities[pairs.member_indices[:, 1]]
-    assert np.array_equal(pairs.true_labels, np.where(same, 1, -1))
-    assert (pairs.similarity >= 0).all()
-
-
-def test_build_pairs_two_by_two_example():
-    feats = np.array([[0.0, 0], [0.1, 0], [5.0, 0], [5.1, 0]])
-    samples = pb.SampleSet(feats, np.array([0, 0, 1, 1]), pb.SOURCE)
-    pairs = pb.build_pairs(samples, pb.PairStrategy.all_pairs())
-    assert len(pairs) == 6
-    assert int((pairs.true_labels == 1).sum()) == 2
-    assert int((pairs.true_labels == -1).sum()) == 4
-
-
-def test_build_pairs_single_same_identity_pair():
-    samples = pb.SampleSet(np.array([[1.0], [2.0]]), np.array([4, 4]), pb.TARGET)
-    pairs = pb.build_pairs(samples, pb.PairStrategy.all_pairs())
-    assert len(pairs) == 1
-    assert pairs.true_labels[0] == 1
-    assert pairs.similarity[0, 0] == 1.0
-
-
-def test_build_pairs_balanced_ratio():
-    spec = small_spec()
-    samples = pb.generate_domain(spec, 40, 6, pb.SOURCE)
-    pairs = pb.build_pairs(samples, pb.PairStrategy.balanced(3), rng_seed=1)
-    n_pos = int((pairs.true_labels == 1).sum())
-    n_neg = int((pairs.true_labels == -1).sum())
-    assert n_pos > 0
-    assert n_neg == 3 * n_pos
-
-
-def test_build_pairs_errors():
-    one = pb.SampleSet(np.array([[0.0]]), np.array([0]), pb.SOURCE)
-    with pytest.raises(pb.EmptyInputError):
-        pb.build_pairs(one, pb.PairStrategy.all_pairs())
-    # two distinct identities only -> no positive pair to balance against
-    two = pb.SampleSet(np.array([[0.0], [1.0]]), np.array([0, 1]), pb.SOURCE)
-    with pytest.raises(pb.DegenerateInputError):
-        pb.build_pairs(two, pb.PairStrategy.balanced(2), rng_seed=0)
-
-
 def test_similarity_from_members_is_absolute_difference():
     feats = np.array([[1.0, -2.0], [4.0, 1.0], [0.0, 0.0]])
     members = np.array([[0, 1], [1, 2]])
@@ -162,10 +114,10 @@ def test_affine_map_round_trip_and_identity():
 
 def test_domain_spec_json_round_trip():
     spec = small_spec()
-    back = pb.DomainSpec.from_json(spec.to_json())
-    assert back == spec
+    text = json.dumps(spec.to_dict())
+    assert pb.DomainSpec.from_dict(json.loads(text)) == spec
     # JSON itself must be valid and carry row-major nested arrays
-    doc = json.loads(spec.to_json())
+    doc = json.loads(text)
     assert doc["identity_centers"][1] == [3.0, 0.0]
 
 

@@ -134,7 +134,7 @@ def test_estimate_noise_rates_errors():
     with pytest.raises(pb.EmptyInputError):
         pb.estimate_noise_rates(empty)
     no_pseudo = pb.PairSet(np.zeros((2, 1)), np.array([1, -1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(pb.DegenerateInputError):
         pb.estimate_noise_rates(no_pseudo)
     only_pos = pb.PairSet(np.zeros((2, 1)), np.array([1, 1]),
                           pseudo_labels=np.array([1, 1]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pseudobound as pb
+from pseudobound.bound import oracle_bound_inputs
 
 
 def synthetic_guided_toggles(filtering=pb.FILTER_NONE):
@@ -24,6 +25,43 @@ def test_synthetic_single_iteration_equals_theorem_trial():
     assert result.iterations[0].target_oracle_risk == row.eps_t_hat
     assert result.final_report.rhs == row.rhs
     assert result.final_report.rhs == validation.report.rhs
+
+
+def test_synthetic_run_reports_the_oracle_bound_inputs():
+    cfg = pb.default_experiment_config("noisy")
+    result = pb.run_self_learning(cfg)
+    assert result.final_report.inputs == oracle_bound_inputs(cfg, cfg.master_seed)[0]
+
+
+def test_identity_member_maps_leave_oracle_inputs_unchanged():
+    cfg = pb.default_experiment_config("shifted")
+    identity = pb.PipelineModel(pb.StumpHypothesis(0, 0.0, 1), None, False)
+    plain, oracle_t = oracle_bound_inputs(cfg, 5)
+    mapped, mapped_t = oracle_bound_inputs(cfg, 5, identity)
+    assert mapped == plain
+    assert np.array_equal(mapped_t.similarity, oracle_t.similarity)
+
+
+def test_practice_default_report_is_pinned():
+    """The default practice run's bound, pinned bit for bit: changes to the
+    bound-input path must not move it."""
+    result = pb.run_self_learning(pb.default_experiment_config("practice"))
+    assert result.final_report.to_dict() == {
+        "inputs": {
+            "alpha": 0.5, "beta": 0.5, "m": 1169, "d": 4, "delta": 0.1,
+            "big_m": 1.0, "rho_neg": 0.017278617710583154, "rho_pos": 0.0,
+            "h_delta_h": 0.421875, "ideal_joint_error": 0.07726666666666666,
+            "epsilon_t_star": 0.0349,
+        },
+        "convention": "squared_complement",
+        "noise_term": 1.6034175853924502,
+        "complexity_term": 0.2461461779524175,
+        "dd_term": 0.14410208333333333,
+        "rhs": 1.901804607890849,
+        "noise_term_alt": 1.8896952011225925,
+        "rhs_alt": 2.183669171672071,
+        "convention_alt": "complement_of_square",
+    }
 
 
 def test_synthetic_iterations_are_independent_corruption_redraws():

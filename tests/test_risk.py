@@ -28,7 +28,22 @@ def test_empirical_risk_true_counting():
     pairs = pb.PairSet(feats, labels)
     h = pb.StumpHypothesis(0, 6.5, 1)
     assert pb.empirical_risk_true(h, pairs, 2.0) == 0.6
-    assert pb.empirical_risk_source(h, pairs, 2.0) == 0.6
+
+
+def test_missing_pseudo_labels_raise_typed_errors():
+    no_pseudo = pb.PairSet(np.array([[0.0], [1.0]]), np.array([-1, 1]))
+    empty = pb.PairSet(np.zeros((0, 1)), np.zeros(0, dtype=int))
+    h = pb.StumpHypothesis(0, 0.5, 1)
+    with pytest.raises(pb.DegenerateInputError):
+        pb.corrected_empirical_risk_target(h, no_pseudo, 1.0, pb.NO_NOISE)
+    with pytest.raises(pb.DegenerateInputError):
+        pb.fit_target_corrected(no_pseudo, 1.0, pb.NO_NOISE)
+    with pytest.raises(pb.DegenerateInputError):
+        pb.fit_source_guided(no_pseudo, no_pseudo, pb.RiskConfig(1.0), pb.NO_NOISE)
+    with pytest.raises(pb.EmptyInputError):
+        pb.corrected_empirical_risk_target(h, empty, 1.0, pb.NO_NOISE)
+    with pytest.raises(pb.EmptyInputError):
+        pb.fit_target_corrected(empty, 1.0, pb.NO_NOISE)
 
 
 def test_empirical_risk_perfect_and_total():
@@ -68,7 +83,7 @@ def test_source_guided_risk_endpoints_and_mix():
     h = pb.random_stump(1, 4)
 
     corrected = pb.corrected_empirical_risk_target(h, tgt, 1.0, model)
-    source = pb.empirical_risk_source(h, src, 1.0)
+    source = pb.empirical_risk_true(h, src, 1.0)
     at_1 = pb.source_guided_risk(h, src, tgt, pb.RiskConfig(1.0, 1.0, 0.5), model)
     at_0 = pb.source_guided_risk(h, src, tgt, pb.RiskConfig(1.0, 0.0, 0.5), model)
     mid = pb.source_guided_risk(h, src, tgt, pb.RiskConfig(1.0, 0.5, 0.5), model)

@@ -1,0 +1,155 @@
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import pseudobound as pb
+from pseudobound.cli import main
+from pseudobound.pipeline import PipelineModel
+from pseudobound.serial import Serializable
+
+
+def _bound_inputs():
+    return pb.BoundInputs(alpha=0.5, beta=0.5, m=1000, d=2, delta=0.1,
+                          big_m=1.0, rho_neg=0.1, rho_pos=0.1, h_delta_h=0.2,
+                          ideal_joint_error=0.05, epsilon_t_star=0.0)
+
+
+def _samples():
+    """One instance of every serializable type, most taken from real runs."""
+    practice = replace(pb.default_experiment_config("practice"), iterations=1)
+    run = pb.run_self_learning(practice)
+    rec = run.iterations[0]
+    noisy = pb.default_experiment_config("noisy")
+    report = pb.assemble_bound(_bound_inputs())
+    row = pb.TheoremTrialRow(seed=2 ** 63 + 5, noise_term=1.5, complexity_term=0.2,
+                             dd_term=0.07, rhs=1.3, eps_t_hat=0.125,
+                             violated=False, rhs_alt=1.4, violated_alt=False)
+    cell = pb.AblationCell(pb.Toggles(), [0.1, 0.25],
+                           [{"trial": 2, "error": "no positives"}], 0.175)
+    filtered = pb.FilterReport(kept=7, dropped=1, fence=0.5,
+                               estimated_rho_before=rec.rho_before,
+                               per_epoch_dropped=[1, 0, 1])
+    return [
+        pb.AffineMap(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([0.5, -0.5])),
+        practice.target,
+        pb.PairStrategy.balanced(2),
+        pb.PairStrategy.all_pairs(),
+        pb.NoiseModel(0.1, 0.2),
+        rec.rho_before,
+        pb.StumpHypothesis(1, -0.25, -1),
+        pb.RiskConfig(2.0, 0.3, 0.6),
+        pb.DbscanParams(0.55, 4),
+        filtered,
+        pb.FilterReport(kept=3, dropped=0, fence=None),
+        pb.LinearLearnerConfig(loss_kind=pb.MAE, learning_rate=0.05, epochs=77,
+                               l2_penalty=0.5, recompute_fence_each_epoch=False),
+        pb.Toggles(True, False, True, pb.OFFLINE, 0.01),
+        pb.NoiseMode.synthetic(pb.NoiseModel(0.2, 0.1)),
+        pb.NoiseMode.from_clustering(),
+        practice,
+        noisy,
+        _bound_inputs(),
+        report,
+        pb.Lemma2Report(lhs=0.01, rhs=0.2, holds=True, slack=0.003,
+                        eps_source=0.1, eps_target=0.12, h_delta_h=0.4,
+                        ideal_joint_error=0.05),
+        pb.ConcentrationRow(0.02, 0.5, 1.9, True),
+        row,
+        pb.TheoremValidation(0.0, 0.5, [row, replace(row, violated_alt=True)], report),
+        run.final_model,
+        PipelineModel(pb.StumpHypothesis(0, 0.5, 1), None, False),
+        rec,
+        run,
+        cell,
+        pb.AblationTable([cell, replace(cell, failures=[], mean_final_risk=None)],
+                         [3, 4]),
+    ]
+
+
+SAMPLES = _samples()
+
+
+def test_samples_cover_every_serializable_type():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert {type(s) for s in SAMPLES} == set(subclasses(Serializable))
+
+
+@pytest.mark.parametrize("obj", SAMPLES,
+                         ids=[f"{type(s).__name__}-{i}" for i, s in enumerate(SAMPLES)])
+def test_json_round_trip_is_exact_and_byte_stable(obj):
+    text = json.dumps(obj.to_dict(), indent=2)
+    back = type(obj).from_dict(json.loads(text))
+    assert back == obj
+    assert json.dumps(back.to_dict(), indent=2) == text
+
+
+def test_pair_strategy_all_omits_negative_ratio():
+    assert pb.PairStrategy.all_pairs().to_dict() == {"kind": "all"}
+    assert pb.PairStrategy.balanced(2).to_dict() == {"kind": "balanced",
+                                                     "k_neg_per_pos": 2}
+
+
+def test_noise_estimate_reports_degenerate_and_recomputes_it():
+    est = pb.NoiseEstimate(0.6, 0.5, 10, 4)
+    d = est.to_dict()
+    assert d["degenerate"] is True
+    assert pb.NoiseEstimate.from_dict({**d, "degenerate": False}) == est
+
+
+def test_numpy_scalars_serialize_as_python_scalars():
+    spec = replace(pb.default_experiment_config("clean").source, seed=np.int64(11))
+    assert json.dumps(spec.to_dict()) == json.dumps(
+        pb.default_experiment_config("clean").source.to_dict())
+
+
+def test_missing_keys_fall_back_to_field_defaults():
+    assert pb.Toggles.from_dict({}) == pb.Toggles()
+    assert pb.PairStrategy.from_dict({"kind": "balanced"}) == pb.PairStrategy.balanced(3)
+
+
+def test_unknown_key_is_rejected_by_name():
+    with pytest.raises(pb.ConfigurationError, match="'source_guide'"):
+        pb.Toggles.from_dict({"source_guide": False})
+
+
+def test_missing_required_key_is_rejected_by_name():
+    partial = _bound_inputs().to_dict()
+    del partial["epsilon_t_star"]
+    with pytest.raises(pb.ConfigurationError, match="'epsilon_t_star'"):
+        pb.BoundInputs.from_dict(partial)
+
+
+def test_nested_errors_and_bad_values_are_typed():
+    doc = pb.default_experiment_config("noisy").to_dict()
+    doc["risk"]["gamma"] = 1.0
+    with pytest.raises(pb.ConfigurationError, match="'gamma'"):
+        pb.ExperimentConfig.from_dict(doc)
+    with pytest.raises(pb.ConfigurationError, match="RiskConfig.big_m"):
+        pb.RiskConfig.from_dict({"big_m": "heavy"})
+    with pytest.raises(pb.ConfigurationError, match="Toggles.source_guided"):
+        pb.Toggles.from_dict({"source_guided": "false"})
+    with pytest.raises(pb.ConfigurationError, match="JSON object"):
+        pb.Toggles.from_dict([True, True])
+
+
+def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    replace(pb.default_experiment_config("noisy"), trials=1).save(cfg_path)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([{"source_guide": False}]))
+    with pytest.raises(pb.ConfigurationError, match="'source_guide'"):
+        main(["ablate", "--config", str(cfg_path), "--grid", str(grid_path),
+              "--out", str(tmp_path / "table.csv")])
+
+
+def test_cli_bound_rejects_partial_inputs(tmp_path):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"alpha": 0.5, "beta": 0.5}))
+    with pytest.raises(pb.ConfigurationError, match="'m'"):
+        main(["bound", "--inputs", str(path)])
