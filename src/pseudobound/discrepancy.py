@@ -5,7 +5,10 @@ exactly: every stump-pair disagreement region is either a coordinate slab or
 an axis-aligned XOR of two half-spaces, so the supremum reduces to integer
 prefix-sum scans.  Source points carry weight +n_T and target points -n_S;
 a region's score is then n_S*n_T times the difference of its two empirical
-probabilities, and everything stays in int64 until the final division.
+probabilities, and everything stays in int64 until the final division.  The
+XOR scan sweeps each coordinate pair's prefix-sum grid in blocks of
+_ROW_BLOCK rows, so it takes O(k1*k2) time but only O(_ROW_BLOCK*k2) memory
+for k1, k2 distinct values per coordinate.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .noise import zero_m_costs
 from .stumps import HypothesisClassInfo, StumpHypothesis, erm
 
 MEDIAN_HEURISTIC = "median"
+_ROW_BLOCK = 64   # grid rows per sweep step; 32-256 time about the same
 
 __all__ = [
     "MEDIAN_HEURISTIC",
@@ -51,7 +55,7 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     ])
     n, q = pooled.shape
 
-    cut_sums = []    # per coordinate: signed weight below each distinct-value cut
+    orders = []      # per coordinate: stable value order of the points
     ranks = []       # per coordinate: distinct-value rank of every point
     best = 0
     for j in range(q):
@@ -61,22 +65,55 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
         interior = np.flatnonzero(xs[1:] > xs[:-1]) + 1
         cuts = np.concatenate(([0], interior, [n]))
         sums = prefix[cuts]
-        cut_sums.append(sums)
+        orders.append(order)
         uniq, rank = np.unique(pooled[:, j], return_inverse=True)
         ranks.append(rank)
         best = max(best, int(sums.max() - sums.min()))
 
     for j1 in range(q):
         for j2 in range(j1 + 1, q):
-            k1 = len(cut_sums[j1]) - 1
-            k2 = len(cut_sums[j2]) - 1
-            grid = np.zeros((k1 + 1, k2 + 1), dtype=np.int64)
-            np.add.at(grid, (ranks[j1] + 1, ranks[j2] + 1), weights)
-            grid = grid.cumsum(axis=0).cumsum(axis=1)
-            # weight(below_a XOR below_b) = row(a) + col(b) - 2*grid[a, b]
-            xor = grid[:, -1][:, None] + grid[-1, :][None, :] - 2 * grid
-            best = max(best, int(np.abs(xor).max()))
+            order = orders[j1]
+            best = max(best, _xor_best(ranks[j1][order], ranks[j2][order],
+                                       weights[order]))
     return best
+
+
+def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
+    """max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|, rank1 sorted.
+
+    With G[a, b] the signed weight below both cuts, the XOR region weighs
+    G[a, -1] + G[-1, b] - 2 G[a, b].  G is built _ROW_BLOCK rows at a time:
+    each block's points are scattered into a reused buffer, prefix-summed
+    along both axes, offset by the previous block's last row and scored in
+    place, so memory stays O(_ROW_BLOCK * k2) instead of O(k1 * k2).
+    """
+    k1 = int(rank1[-1]) + 1
+    k2 = int(rank2.max()) + 1
+    b_idx = rank2 + 1
+    col = np.zeros(k2 + 1, dtype=np.int64)      # G[-1, b]
+    np.add.at(col, b_idx, weights)
+    np.cumsum(col, out=col)
+    hi, lo = int(col.max()), int(col.min())     # row a = 0, where G = 0
+    carry = np.zeros(k2 + 1, dtype=np.int64)    # G row above the block
+    buf = np.empty((_ROW_BLOCK, k2 + 1), dtype=np.int64)
+    firsts = range(0, k1, _ROW_BLOCK)
+    bounds = np.searchsorted(rank1, [*firsts, k1])   # each block's points
+    for i, first in enumerate(firsts):
+        block = buf[:min(_ROW_BLOCK, k1 - first)]
+        block.fill(0)
+        pts = slice(bounds[i], bounds[i + 1])
+        np.add.at(block, (rank1[pts] - first, b_idx[pts]), weights[pts])
+        np.cumsum(block, axis=1, out=block)
+        np.cumsum(block, axis=0, out=block)
+        block += carry
+        carry[:] = block[-1]
+        row = block[:, -1:].copy()              # G[a, -1]
+        block *= -2
+        block += col
+        block += row
+        hi = max(hi, int(block.max()))
+        lo = min(lo, int(block.min()))
+    return max(hi, -lo)
 
 
 def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
@@ -85,7 +122,9 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
 
     Candidate thresholds are midpoints of consecutive distinct pooled values
     plus +-inf, where the empirical supremum is attained; the value is exact
-    for the two empirical distributions.
+    for the two empirical distributions.  For n pooled points in q
+    coordinates it takes O(q^2 n^2) time and O(n) memory per coordinate
+    pair (a _ROW_BLOCK x n buffer), never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)
@@ -119,12 +158,15 @@ def ideal_joint(source_pairs, target_pairs, big_m: float
 def median_heuristic_bandwidth(pooled_feats: np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct index pairs."""
     x = np.atleast_2d(np.asarray(pooled_feats, float))
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise InsufficientDataError("median heuristic needs at least two points")
-    sq = np.maximum(_cross_sq_dists(x, x), 0.0)
-    iu = np.triu_indices(n, k=1)
-    return float(np.median(np.sqrt(sq[iu])))
+    return _median_distance(_cross_sq_dists(x, x))
+
+
+def _median_distance(sq: np.ndarray) -> float:
+    """Median of sqrt over the strict upper triangle of a squared-distance matrix."""
+    upper = sq[np.triu_indices(len(sq), k=1)]
+    return float(np.median(np.sqrt(np.maximum(upper, 0.0))))
 
 
 def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,9 +178,11 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
                 bandwidth=MEDIAN_HEURISTIC) -> float:
     """Biased V-statistic MMD^2 with a Gaussian kernel.
 
-    Kernel sums are accumulated with fsum, so multiset-equal inputs give
-    exactly 0.0 regardless of row order; tiny negative results from the
-    final subtraction are clamped to zero.
+    The pooled squared distances are computed once; the median bandwidth
+    and all three kernel blocks are read from them.  Kernel sums are
+    accumulated with fsum, so multiset-equal inputs give exactly 0.0
+    regardless of row order; tiny negative results from the final
+    subtraction are clamped to zero.
     """
     x = np.atleast_2d(np.asarray(x_feats, float))
     y = np.atleast_2d(np.asarray(y_feats, float))
@@ -146,20 +190,30 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
         raise EmptyInputError("mmd_squared needs nonempty feature sets")
     if x.shape[1] != y.shape[1]:
         raise ConfigurationError("feature sets must share a dimension")
+    pooled = np.vstack([x, y])
+    sq = _cross_sq_dists(pooled, pooled)
     if bandwidth == MEDIAN_HEURISTIC:
-        sigma = median_heuristic_bandwidth(np.vstack([x, y]))
+        sigma = _median_distance(sq)
     else:
         sigma = float(bandwidth)
     if not sigma > 0:
         raise ConfigurationError(f"kernel bandwidth must be positive, got {sigma}")
-    scale = -0.5 / (sigma * sigma)
-
-    def mean_kernel(a, b):
-        k = np.exp(scale * _cross_sq_dists(a, b))
-        return math.fsum(k.ravel().tolist()) / (len(a) * len(b))
-
-    value = mean_kernel(x, x) + mean_kernel(y, y) - 2.0 * mean_kernel(x, y)
+    k = np.exp((-0.5 / (sigma * sigma)) * sq)
+    nx = len(x)
+    value = (_symmetric_mean(k[:nx, :nx]) + _symmetric_mean(k[nx:, nx:])
+             - 2.0 * math.fsum(k[:nx, nx:].ravel().tolist()) / (nx * len(y)))
     return max(value, 0.0)
+
+
+def _symmetric_mean(block: np.ndarray) -> float:
+    """Mean of a square block that equals its transpose bit for bit.
+
+    Twice each strict-upper entry plus the diagonal is exactly the full
+    block's sum, so fsum rounds it to the same value from half the terms.
+    """
+    terms = np.concatenate([2.0 * block[np.triu_indices(len(block), k=1)],
+                            np.diagonal(block)])
+    return math.fsum(terms.tolist()) / block.size
 
 
 def align_moments(source_samples: SampleSet, target_samples: SampleSet

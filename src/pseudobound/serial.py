@@ -5,6 +5,9 @@ dataclasses recurse, arrays become nested lists, numpy scalars become
 Python scalars, lists and dicts are walked element by element.
 ``from_dict`` reverses it by each field's resolved type hint and rejects
 unknown or missing required keys with a ConfigurationError naming the key.
+Scalars are not converted between kinds: an int field takes only an
+integer, a float field an integer or a float, a str field only a string,
+and only a bool field takes true or false.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def _plain(value):
     return value
 
 
+# scalar hint -> the JSON values it takes; bool is an int subclass, so it is
+# matched separately
+_JSON_KINDS = {bool: bool, int: int, float: (int, float), str: str}
+
+
 def _coerce(hint, value):
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -41,9 +49,10 @@ def _coerce(hint, value):
         return [_coerce(args[0], v) for v in value]
     if hint is np.ndarray:
         return np.asarray(value, float)
-    if hint is bool and not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    if hint in (int, float, bool, str):
+    if hint in _JSON_KINDS:
+        if (isinstance(value, bool) != (hint is bool)
+                or not isinstance(value, _JSON_KINDS[hint])):
+            raise TypeError(f"expected a JSON {hint.__name__}, got {value!r}")
         return hint(value)
     if isinstance(hint, type) and issubclass(hint, Serializable):
         return hint.from_dict(value)

@@ -69,6 +69,52 @@ def h_delta_h_oracle(source_feats: np.ndarray,
     return 2.0 * int(gap.max()) / (n_s * n_t)
 
 
+def h_delta_h_grid_oracle(source_feats: np.ndarray,
+                          target_feats: np.ndarray) -> int:
+    """max over stump pairs of |n_T*(#S in region) - n_S*(#T in region)|.
+
+    Same-coordinate pairs disagree on a value slab, cross-coordinate pairs
+    on a half-space XOR; complements score identically because the total
+    signed weight is zero, so slabs and XORs cover every case.  Each
+    coordinate pair materializes its whole (k1+1) x (k2+1) prefix-sum grid,
+    the direct form of the row-blocked sweep in discrepancy.py.
+    """
+    n_s, n_t = len(source_feats), len(target_feats)
+    pooled = np.vstack([source_feats, target_feats])
+    weights = np.concatenate([
+        np.full(n_s, n_t, dtype=np.int64),
+        np.full(n_t, -n_s, dtype=np.int64),
+    ])
+    n, q = pooled.shape
+
+    cut_sums = []    # per coordinate: signed weight below each distinct-value cut
+    ranks = []       # per coordinate: distinct-value rank of every point
+    best = 0
+    for j in range(q):
+        order = np.argsort(pooled[:, j], kind="stable")
+        xs = pooled[order, j]
+        prefix = np.concatenate(([0], np.cumsum(weights[order])))
+        interior = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+        cuts = np.concatenate(([0], interior, [n]))
+        sums = prefix[cuts]
+        cut_sums.append(sums)
+        uniq, rank = np.unique(pooled[:, j], return_inverse=True)
+        ranks.append(rank)
+        best = max(best, int(sums.max() - sums.min()))
+
+    for j1 in range(q):
+        for j2 in range(j1 + 1, q):
+            k1 = len(cut_sums[j1]) - 1
+            k2 = len(cut_sums[j2]) - 1
+            grid = np.zeros((k1 + 1, k2 + 1), dtype=np.int64)
+            np.add.at(grid, (ranks[j1] + 1, ranks[j2] + 1), weights)
+            grid = grid.cumsum(axis=0).cumsum(axis=1)
+            # weight(below_a XOR below_b) = row(a) + col(b) - 2*grid[a, b]
+            xor = grid[:, -1][:, None] + grid[-1, :][None, :] - 2 * grid
+            best = max(best, int(np.abs(xor).max()))
+    return best
+
+
 def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density-connectivity closure, written set-theoretically.
 

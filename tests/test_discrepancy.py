@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pseudobound as pb
-from oracles import h_delta_h_oracle, mmd_oracle
+from oracles import h_delta_h_grid_oracle, h_delta_h_oracle, mmd_oracle
+from pseudobound.discrepancy import _ROW_BLOCK, _h_delta_h_best
 
 
 INFO2 = pb.HypothesisClassInfo(2)
@@ -48,6 +51,43 @@ def test_h_delta_h_matches_pair_enumeration_oracle():
             b = np.round(b, 1)
         d_fast = pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(q))
         assert d_fast == h_delta_h_oracle(a, b)
+
+
+@pytest.mark.parametrize("q", [1, 4])
+@pytest.mark.parametrize("pooled", [2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                    2 * _ROW_BLOCK + 3])
+def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
+    """Row counts straddling the block size; 2 points is the smallest valid
+    pool.  For q > 1 the last two coordinates of the source agree in sign
+    and those of the target differ, so the best region is a
+    cross-coordinate XOR rather than a slab.  Rounding creates ties and a
+    constant first coordinate leaves a single cut."""
+    rng = np.random.default_rng(pooled * 10 + q)
+    n_s = max(1, pooled // 3)
+    pool = rng.standard_normal((pooled, q))
+    sign = np.where(np.arange(pooled) < n_s, 1.0, -1.0)
+    if q > 1:
+        pool[:, -1] = np.abs(pool[:, -1]) * np.sign(pool[:, -2]) * sign
+    constant = pool.copy()
+    constant[:, 0] = 0.25
+    for feats in (pool, np.round(pool, 1), constant):
+        x, y = feats[:n_s], feats[n_s:]
+        assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
+        assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
+
+
+def test_h_delta_h_memory_stays_linear():
+    """At 2048 pairs per side one (n+1)^2 int64 grid alone is 134 MB."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2048, 4))
+    b = rng.standard_normal((2048, 4)) + 0.3
+    tracemalloc.start()
+    try:
+        pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_h_delta_h_validation():

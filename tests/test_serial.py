@@ -138,6 +138,29 @@ def test_nested_errors_and_bad_values_are_typed():
         pb.Toggles.from_dict([True, True])
 
 
+@pytest.mark.parametrize("value", [2.5, "3", True])
+def test_int_field_takes_only_a_json_integer(value):
+    doc = pb.default_experiment_config("practice").to_dict()
+    doc["iterations"] = value
+    with pytest.raises(pb.ConfigurationError, match="ExperimentConfig.iterations"):
+        pb.ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["0.1", False])
+def test_float_field_takes_only_a_json_number(value):
+    with pytest.raises(pb.ConfigurationError, match="NoiseModel.rho_pos"):
+        pb.NoiseModel.from_dict({"rho_neg": 0.1, "rho_pos": value})
+    assert pb.NoiseModel.from_dict({"rho_neg": 0, "rho_pos": 0.25}) == \
+        pb.NoiseModel(0.0, 0.25)
+
+
+def test_str_field_takes_only_a_json_string():
+    doc = pb.assemble_bound(_bound_inputs()).to_dict()
+    doc["convention"] = 12.5
+    with pytest.raises(pb.ConfigurationError, match="BoundReport.convention"):
+        pb.BoundReport.from_dict(doc)
+
+
 def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path):
     cfg_path = tmp_path / "config.json"
     replace(pb.default_experiment_config("noisy"), trials=1).save(cfg_path)
