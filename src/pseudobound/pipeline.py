@@ -209,9 +209,8 @@ def _run_synthetic(config: ExperimentConfig, started: float) -> ExperimentResult
         if online:
             h0, kept, rho_after, filter_report = _online_filter(
                 h0, target_pairs, source_pairs, config, model)
-        eps = config.risk.big_m * int(np.count_nonzero(
-            h0.predict(oracle_pairs.similarity) != oracle_pairs.true_labels
-        )) / len(oracle_pairs)
+        eps = config.risk.big_m * h0.misses(
+            oracle_pairs.similarity, oracle_pairs.true_labels) / len(oracle_pairs)
         records.append(IterationRecord(
             index=it, hypothesis=h0, model_used=model, target_oracle_risk=eps,
             rho_before=estimate_noise_rates(target_pairs),
@@ -257,9 +256,6 @@ def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResul
                  else src_samples.features)
     source_pairs = _rebuild_pairs(src_raw, src_feats)
 
-    oracle_samples, oracle_raw = draw_pair_process(
-        config.target, config.strategy, config.oracle_pairs, derive_seed(seed, 4))
-
     online = toggles.outlier_filtering == OFFLINE_PLUS_ONLINE
     keep_noise = toggles.outlier_filtering == FILTER_NONE
     weights = np.ones(config.target.feature_dim)
@@ -267,6 +263,7 @@ def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResul
     model_final = None
     pipe_model = None
     kept_final = None
+    oracle_t = None
     for it in range(config.iterations):
         try:
             cluster_labels = dbscan(aligned_pool.features * weights,
@@ -298,10 +295,12 @@ def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResul
                        if rho_after is not None and not rho_after.degenerate
                        else model)
         pipe_model = PipelineModel(h0, align_map, normalize)
-        oracle_pred = pipe_model.predict_members(oracle_samples.features,
-                                                 oracle_raw.member_indices)
-        eps = config.risk.big_m * int(np.count_nonzero(
-            oracle_pred != oracle_raw.true_labels)) / len(oracle_raw)
+        if oracle_t is None:
+            # The member maps are fixed for the run, so the deployed model's
+            # oracle quantities and target oracle pairs (seed 4) are too.
+            inputs, oracle_t = oracle_bound_inputs(config, seed, pipe_model)
+        eps = config.risk.big_m * h0.misses(
+            oracle_t.similarity, oracle_t.true_labels) / len(oracle_t)
         n_clusters = int(len(set(cluster_labels.tolist()) - {NOISE}))
         record = IterationRecord(
             index=it, hypothesis=h0, model_used=model_final,
@@ -321,7 +320,6 @@ def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResul
 
     # The practice bound speaks about the deployed model: oracle quantities
     # in its feature space, m and noise rates from its own training data.
-    inputs, _ = oracle_bound_inputs(config, seed, pipe_model)
     m = len(kept_final) + (len(source_pairs) if toggles.source_guided else 0)
     final_report = assemble_bound(replace(
         inputs, m=m, rho_neg=model_final.rho_neg, rho_pos=model_final.rho_pos))

@@ -67,9 +67,7 @@ def empirical_risk_true(hypothesis, pairs: PairSet, big_m: float) -> float:
     """Mean 0-M loss against true labels; exact (M * miss count / n)."""
     if len(pairs) == 0:
         raise EmptyInputError("empirical risk needs at least one pair")
-    pred = hypothesis.predict(pairs.similarity)
-    misses = int(np.count_nonzero(pred != pairs.true_labels))
-    return big_m * misses / len(pairs)
+    return big_m * hypothesis.misses(pairs.similarity, pairs.true_labels) / len(pairs)
 
 
 def corrected_empirical_risk_target(hypothesis, pairs: PairSet, big_m: float,
@@ -115,8 +113,7 @@ def expected_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     if oracle_n < 10_000:
         raise ConfigurationError(f"oracle_n must be at least 10000, got {oracle_n}")
     _, pairs = draw_pair_process(spec, strategy, oracle_n, rng_seed)
-    pred = hypothesis.predict(pairs.similarity)
-    misses = int(np.count_nonzero(pred != pairs.true_labels))
+    misses = hypothesis.misses(pairs.similarity, pairs.true_labels)
     p_hat = misses / oracle_n
     estimate = big_m * misses / oracle_n
     stderr = big_m * math.sqrt(p_hat * (1.0 - p_hat) / (oracle_n - 1))
@@ -153,6 +150,13 @@ def fit_source_guided(source_pairs: PairSet, target_pairs: PairSet,
     (1-alpha)/n_S (plain, source) so the summed ERM objective equals the
     source-guided empirical risk.
     """
+    return erm(*_source_guided_problem(source_pairs, target_pairs, cfg, model))
+
+
+def _source_guided_problem(source_pairs: PairSet, target_pairs: PairSet,
+                           cfg: RiskConfig, model: NoiseModel
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feats, cost_pos, cost_neg) of the alpha-weighted ERM, target first."""
     if len(source_pairs) == 0 or len(target_pairs) == 0:
         raise EmptyInputError("fit_source_guided needs pairs from both domains")
     if not target_pairs.has_pseudo:
@@ -166,4 +170,4 @@ def fit_source_guided(source_pairs: PairSet, target_pairs: PairSet,
     feats = np.vstack([target_pairs.similarity, source_pairs.similarity])
     cost_pos = np.concatenate([w_t * t_pos, w_s * s_pos])
     cost_neg = np.concatenate([w_t * t_neg, w_s * s_neg])
-    return erm(feats, cost_pos, cost_neg)
+    return feats, cost_pos, cost_neg

@@ -4,6 +4,12 @@ A stump (j, t, s) predicts s when x[j] > t and -s otherwise; sign(0) never
 arises because the comparison is strictly greater.  ERM takes per-point
 (cost if predicted +1, cost if predicted -1) pairs, so the same scan serves
 plain, corrected, and alpha-weighted risks.
+
+The scan is batched: ``erm_batch`` fits b problems of equal size with one
+sort and one prefix sum per coordinate, and ``erm`` is its b = 1 case.  An
+interior threshold is the midpoint of the two values around the cut, or
+the lower value where the midpoint rounds up to the upper one or overflows,
+so the returned stump always realizes the cut it was scored on.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ class StumpHypothesis(Serializable):
             return self.sign if x[self.coordinate] > self.threshold else -self.sign
         return np.where(x[:, self.coordinate] > self.threshold, self.sign, -self.sign)
 
+    def misses(self, feats: np.ndarray, labels: np.ndarray) -> int:
+        """Count of (n, q) rows whose prediction differs from a +-1 label.
+
+        Predicting s exactly when x[j] > t matches label y iff the
+        comparison agrees with y == s, so no prediction array is built.
+        """
+        above = np.asarray(feats, float)[:, self.coordinate] > self.threshold
+        return int(np.count_nonzero(above != (np.asarray(labels) == self.sign)))
+
     def flipped(self) -> "StumpHypothesis":
         return StumpHypothesis(self.coordinate, self.threshold, -self.sign)
 
@@ -57,72 +72,105 @@ class HypothesisClassInfo:
         return 2 if q == 1 else int(math.floor(math.log2(q))) + 2
 
 
-def _candidate_cuts(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Realizable cut positions of a sorted column and their thresholds.
-
-    Cut k splits the sorted points into [0, k) below and [k, n) above; only
-    cuts between distinct values (plus both ends) are realizable by a real
-    threshold.  Interior thresholds sit at midpoints, the ends at -inf/+inf.
-    """
-    n = len(xs)
-    interior = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-    cuts = np.concatenate(([0], interior, [n]))
-    thresholds = np.empty(len(cuts))
-    thresholds[0] = -np.inf
-    thresholds[-1] = np.inf
-    if len(interior):
-        thresholds[1:-1] = 0.5 * (xs[interior - 1] + xs[interior])
-    return cuts, thresholds
-
-
 def erm(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         ) -> tuple[StumpHypothesis, float]:
     """Exact empirical risk minimization over all stumps.
 
-    Scans each coordinate once over sorted order (O(q n log n)); candidate
-    thresholds are midpoints of consecutive distinct values plus +-inf.  Ties
-    break toward the smallest coordinate, then the smallest threshold, then
-    sign +1.  The winning cost is re-accumulated with exact summation so the
-    reported value does not depend on scan order.
+    Scans each coordinate once over sorted order (O(q n log n)), as the
+    b = 1 case of ``erm_batch``.  Candidate cuts lie between consecutive
+    distinct values, plus both ends at -inf/+inf; an interior threshold is
+    the midpoint of its two values, or the lower value where the midpoint
+    rounds up to the upper one or overflows.  Ties break toward the
+    smallest coordinate, then the smallest threshold, then sign +1.  The
+    winning cost is re-accumulated with exact summation so the reported
+    value does not depend on scan order.
+    """
+    x = np.asarray(feats, float)
+    if x.ndim != 2:
+        raise ConfigurationError("feats must be a (n, q) array")
+    return erm_batch(x[None], np.asarray(cost_pos, float)[None],
+                     np.asarray(cost_neg, float)[None])[0]
+
+
+def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
+              ) -> list[tuple[StumpHypothesis, float]]:
+    """``erm`` on b problems of equal size in one scan.
+
+    feats is (b, n, q), the costs (b, n).  Each coordinate is sorted once for
+    all b problems (O(b q n log n)); cumsum accumulates every row in order,
+    so each problem's prefix sums, and hence its stump and cost, are
+    bit-identical to fitting it alone.
     """
     x = np.asarray(feats, float)
     cp = np.asarray(cost_pos, float)
     cn = np.asarray(cost_neg, float)
-    if x.ndim != 2:
-        raise ConfigurationError("feats must be a (n, q) array")
-    n, q = x.shape
+    if x.ndim != 3:
+        raise ConfigurationError("feats must be a (b, n, q) array")
+    b, n, q = x.shape
     if n == 0:
         raise EmptyInputError("erm needs at least one point")
-    if cp.shape != (n,) or cn.shape != (n,):
+    if cp.shape != (b, n) or cn.shape != (b, n):
         raise ConfigurationError("cost arrays must match the number of points")
     if not (np.isfinite(cp).all() and np.isfinite(cn).all() and np.isfinite(x).all()):
         raise ConfigurationError("erm inputs must be finite")
 
-    best_cost = np.inf
-    best = None
+    rows = np.arange(b)
+    by_row = rows[:, None]
+    # Cut k puts the sorted points [0, k) below the threshold and [k, n)
+    # above; prefix and suffix sums of cp and cn price either side.
+    pre_cp = np.zeros((b, n + 1))
+    pre_cn = np.zeros((b, n + 1))
+    suf_cp = np.zeros((b, n + 1))
+    suf_cn = np.zeros((b, n + 1))
+    # (cut, sign) costs interleaved with sign +1 first, so argmin's first
+    # occurrence realizes the threshold-then-sign tie-break.
+    costs = np.empty((b, n + 1, 2))
+    flat = costs.reshape(b, 2 * (n + 1))
+    best_cost = np.full(b, np.inf)
+    best_j = np.zeros(b, dtype=int)
+    best_k = np.zeros(b, dtype=int)
+    best_lo = np.zeros(b)
+    best_hi = np.zeros(b)
     for j in range(q):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        cpj = cp[order]
-        cnj = cn[order]
-        pre_cp = np.concatenate(([0.0], np.cumsum(cpj)))
-        pre_cn = np.concatenate(([0.0], np.cumsum(cnj)))
-        suf_cp = np.concatenate((np.cumsum(cpj[::-1])[::-1], [0.0]))
-        suf_cn = np.concatenate((np.cumsum(cnj[::-1])[::-1], [0.0]))
-        cuts, thresholds = _candidate_cuts(xs)
+        order = np.argsort(x[:, :, j], axis=1, kind="stable")
+        xs = x[by_row, order, j]
+        cpj = cp[by_row, order]
+        cnj = cn[by_row, order]
+        np.cumsum(cpj, axis=1, out=pre_cp[:, 1:])
+        np.cumsum(cnj, axis=1, out=pre_cn[:, 1:])
+        np.cumsum(cpj[:, ::-1], axis=1, out=suf_cp[:, n - 1::-1])
+        np.cumsum(cnj[:, ::-1], axis=1, out=suf_cn[:, n - 1::-1])
         # sign +1: below the cut predicts -1 (pays cn), above predicts +1.
-        cost_plus = pre_cn[cuts] + suf_cp[cuts]
-        cost_minus = pre_cp[cuts] + suf_cn[cuts]
-        # Flattened in (threshold, sign +1 first) order; argmin returns the
-        # first occurrence, which realizes the tie-break.
-        stacked = np.stack([cost_plus, cost_minus], axis=1).ravel()
-        k = int(np.argmin(stacked))
-        if stacked[k] < best_cost:
-            best_cost = stacked[k]
-            best = StumpHypothesis(j, float(thresholds[k // 2]), 1 if k % 2 == 0 else -1)
-    pred = best.predict(x)
-    exact = math.fsum(np.where(pred == 1, cp, cn).tolist())
-    return best, exact
+        np.add(pre_cn, suf_cp, out=costs[:, :, 0])
+        np.add(pre_cp, suf_cn, out=costs[:, :, 1])
+        # A cut between equal values is not realizable by any threshold.
+        costs[:, 1:n][xs[:, 1:] <= xs[:, :-1]] = np.inf
+        k = np.argmin(flat, axis=1)
+        cost_j = flat[rows, k]
+        better = cost_j < best_cost
+        if better.any():
+            cut = k[better] // 2
+            best_cost[better] = cost_j[better]
+            best_j[better] = j
+            best_k[better] = k[better]
+            best_lo[better] = xs[better, np.maximum(cut - 1, 0)]
+            best_hi[better] = xs[better, np.minimum(cut, n - 1)]
+
+    cut = best_k // 2
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (best_lo + best_hi)
+    # The midpoint can round up to hi or overflow; lo then still splits.
+    thresholds = np.where((best_lo <= mid) & (mid < best_hi), mid, best_lo)
+    thresholds[cut == 0] = -np.inf
+    thresholds[cut == n] = np.inf
+    signs = np.where(best_k % 2 == 0, 1, -1)
+    above = x[rows, :, best_j] > thresholds[:, None]
+    chosen = np.where(above == (signs == 1)[:, None], cp, cn)
+    return [
+        (StumpHypothesis(j, t, s), math.fsum(row))
+        for j, t, s, row in zip(best_j.tolist(), thresholds.tolist(),
+                                signs.tolist(), chosen.tolist())
+    ]
 
 
 def random_stump(rng_seed: int, feature_dim: int,

@@ -16,9 +16,16 @@ from pseudobound import StumpHypothesis
 
 
 def candidate_thresholds(xs: np.ndarray) -> np.ndarray:
-    """Midpoints of consecutive distinct sorted values plus both infinities."""
+    """Midpoints of consecutive distinct sorted values plus both infinities.
+
+    Where a midpoint rounds up to the upper value or overflows, the lower
+    value stands in: any t with lo <= t < hi splits the two.
+    """
     vals = np.unique(xs)
-    mids = 0.5 * (vals[:-1] + vals[1:])
+    lo, hi = vals[:-1], vals[1:]
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (lo + hi)
+    mids = np.where((lo <= mids) & (mids < hi), mids, lo)
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 

@@ -171,6 +171,29 @@ def test_validate_theorem_structure_and_determinism():
         assert r.violated == (r.eps_t_hat > r.rhs)
 
 
+def test_validate_theorem_blocks_equal_trial_by_trial_fits():
+    """Blocked trials (two full blocks and a short one) match fitting each
+    trial alone with fit_source_guided, row for row."""
+    from pseudobound.bound import _BLOCK_POINTS, _draw_training, oracle_bound_inputs
+
+    cfg = pb.default_experiment_config("noisy")
+    block = _BLOCK_POINTS // cfg.m_train
+    assert block > 1
+    trials = 2 * block + 3
+    res = pb.validate_theorem(cfg, trials=trials, rng_seed=5)
+    _, oracle_t = oracle_bound_inputs(cfg, 5)
+    assert len(res.rows) == trials
+    for t, row in enumerate(res.rows):
+        seed = pb.derive_seed(5, t)
+        src, tgt = _draw_training(cfg, seed)
+        h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
+        eps = pb.empirical_risk_true(h, oracle_t, cfg.risk.big_m)
+        assert row.seed == seed
+        assert row.eps_t_hat == eps
+        assert row.violated == (eps > res.report.rhs)
+        assert row.violated_alt == (eps > res.report.rhs_alt)
+
+
 def test_validate_theorem_requires_synthetic():
     with pytest.raises(pb.ConfigurationError):
         pb.validate_theorem(pb.default_experiment_config("practice"), trials=1)

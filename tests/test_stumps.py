@@ -3,6 +3,7 @@ import pytest
 
 import pseudobound as pb
 from oracles import erm_grid_oracle
+from pseudobound.stumps import erm_batch
 
 
 def test_predict_conventions():
@@ -21,6 +22,15 @@ def test_predict_vectorized_matches_scalar():
     assert batch.shape == (30,)
     for i in range(30):
         assert batch[i] == h.predict(x[i])
+
+
+def test_misses_counts_wrong_predictions():
+    rng = np.random.default_rng(3)
+    feats = np.round(rng.standard_normal((50, 3)), 1)
+    labels = rng.choice([-1, 1], size=50).astype(np.int8)
+    for h in (pb.StumpHypothesis(1, 0.1, 1), pb.StumpHypothesis(2, 0.0, -1),
+              pb.StumpHypothesis(0, -np.inf, 1)):
+        assert h.misses(feats, labels) == np.count_nonzero(h.predict(feats) != labels)
 
 
 def test_stump_validation_and_round_trip():
@@ -102,6 +112,17 @@ def test_erm_tie_break_is_deterministic():
         assert again[0] == first[0] and again[1] == first[1]
 
 
+def test_erm_tie_break_prefers_first_coordinate_threshold_and_sign():
+    # identical columns tie across coordinates: the first one wins
+    feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    cp = np.array([1.0, 0.0, 0.0])
+    h, cost = pb.erm(feats, cp, 1.0 - cp)
+    assert (h, cost) == (pb.StumpHypothesis(0, 0.5, 1), 0.0)
+    # every stump ties: the first cut (-inf) with sign +1 wins
+    h, cost = pb.erm(feats, np.zeros(3), np.zeros(3))
+    assert (h, cost) == (pb.StumpHypothesis(0, -np.inf, 1), 0.0)
+
+
 def test_erm_input_validation():
     with pytest.raises(pb.EmptyInputError):
         pb.erm(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
@@ -118,3 +139,73 @@ def test_random_stump_is_seeded_and_in_range():
     assert -3.0 <= h.threshold <= 3.0
     seen_signs = {pb.random_stump(s, 2).sign for s in range(20)}
     assert seen_signs == {-1, 1}
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+    (1.7e308, 1.75e308),
+    (-1.75e308, -1.7e308),
+])
+def test_erm_threshold_splits_where_midpoint_rounds_or_overflows(lo, hi):
+    # The midpoint of lo and hi rounds up to hi (first case) or overflows to
+    # +-inf (the others); the stump must still put hi above the threshold.
+    feats = np.array([[lo], [hi]])
+    cp = np.array([1.0, 0.0])
+    cn = np.array([0.0, 1.0])
+    h, cost = pb.erm(feats, cp, cn)
+    assert cost == 0.0
+    assert h.predict(feats).tolist() == [-1, 1]
+    assert erm_grid_oracle(feats, cp, cn) == 0.0
+
+
+def _batch_problems(rng, b, n, q, kind):
+    feats = rng.standard_normal((b, n, q))
+    if kind == "rounded":
+        feats = np.round(feats, 1)  # ties within and across coordinates
+    elif kind == "constant":
+        feats[:, :, 0] = 0.25
+    cp = rng.choice([0.0, 0.25, 1.0, -1 / 3], size=(b, n))
+    cn = rng.choice([0.0, 0.5, 1.0], size=(b, n))
+    return feats, cp, cn
+
+
+@pytest.mark.parametrize("b, n, q, kind", [
+    (1, 40, 3, "raw"),
+    (7, 40, 3, "raw"),
+    (5, 25, 3, "rounded"),
+    (4, 30, 2, "constant"),
+    (6, 1, 2, "raw"),
+    (3, 2, 1, "rounded"),
+])
+def test_erm_batch_equals_erm_problem_by_problem(b, n, q, kind):
+    rng = np.random.default_rng(b * 100 + n)
+    feats, cp, cn = _batch_problems(rng, b, n, q, kind)
+    fits = erm_batch(feats, cp, cn)
+    assert len(fits) == b
+    for i, (h, cost) in enumerate(fits):
+        alone = pb.erm(feats[i], cp[i], cn[i])
+        assert h == alone[0] and cost == alone[1]
+        assert cost == erm_grid_oracle(feats[i], cp[i], cn[i])
+
+
+def test_erm_batch_input_validation():
+    ok = np.zeros((2, 3, 1))
+    with pytest.raises(pb.ConfigurationError):
+        erm_batch(np.zeros((3, 1)), np.zeros(3), np.zeros(3))
+    with pytest.raises(pb.EmptyInputError):
+        erm_batch(np.zeros((2, 0, 1)), np.zeros((2, 0)), np.zeros((2, 0)))
+    with pytest.raises(pb.ConfigurationError):
+        erm_batch(ok, np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(pb.ConfigurationError):
+        erm_batch(ok, np.zeros((2, 3)), np.zeros((1, 3)))
+    for bad in (np.nan, np.inf):
+        feats = ok.copy()
+        feats[1, 2, 0] = bad
+        with pytest.raises(pb.ConfigurationError):
+            erm_batch(feats, np.zeros((2, 3)), np.zeros((2, 3)))
+        costs = np.zeros((2, 3))
+        costs[0, 1] = bad
+        with pytest.raises(pb.ConfigurationError):
+            erm_batch(ok, costs, np.zeros((2, 3)))
+        with pytest.raises(pb.ConfigurationError):
+            erm_batch(ok, np.zeros((2, 3)), costs)
