@@ -13,8 +13,8 @@ import pseudobound as pb
 
 cfg = pb.default_experiment_config("shifted")
 
-source = pb.generate_domain(cfg.source, 500, 1, pb.SOURCE)
-target = pb.generate_domain(cfg.target, 500, 2, pb.TARGET)
+source = pb.generate_domain(cfg.source, 500, 1)
+target = pb.generate_domain(cfg.target, 500, 2)
 print(f"source: {source.features.shape[0]} samples, "
       f"{cfg.source.num_identities} identities, "
       f"feature mean {source.features.mean(axis=0).round(3)}")

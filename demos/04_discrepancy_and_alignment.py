@@ -14,8 +14,8 @@ import numpy as np
 import pseudobound as pb
 
 cfg = pb.default_experiment_config("shifted")
-source = pb.generate_domain(cfg.source, 400, 41, pb.SOURCE)
-target = pb.generate_domain(cfg.target, 400, 42, pb.TARGET)
+source = pb.generate_domain(cfg.source, 400, 41)
+target = pb.generate_domain(cfg.target, 400, 42)
 
 # One pooled bandwidth so before/after numbers are comparable.
 bandwidth = pb.median_heuristic_bandwidth(
@@ -40,7 +40,7 @@ print(f"two unit-separated points: {closed:.6f} "
 
 # The class distance looks at similarity features, where stumps live.
 _, src_pairs = pb.draw_pair_process(cfg.source, cfg.strategy, 256, 44)
-_, tgt_pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 256, 45, pb.TARGET)
+_, tgt_pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 256, 45)
 info = pb.HypothesisClassInfo(src_pairs.feature_dim)
 d_hat = pb.h_delta_h_distance(src_pairs.similarity, tgt_pairs.similarity, info)
 print(f"estimated class distance between pair samples: {d_hat:.4f}")

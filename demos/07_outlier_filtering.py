@@ -23,7 +23,7 @@ print("top-25% flags:", pb.filter_top_p(losses, 0.25).tolist())
 # Now the real use: train on noisy pseudo labels with and without the
 # offline+online filter and compare the measured flip rates.
 cfg = pb.default_experiment_config("practice")
-_, pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 3000, 71, pb.TARGET)
+_, pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 3000, 71)
 model = pb.NoiseModel(0.12, 0.18)
 noisy = pb.corrupt_labels(pairs, model, 72)
 

@@ -41,7 +41,7 @@ if result.linear_probe is not None:
 
 # The returned model bundles the stump with the fitted alignment map, so
 # it can score raw member pairs from the target domain.
-members = pb.generate_domain(cfg.target, 6, 81, pb.TARGET)
+members = pb.generate_domain(cfg.target, 6, 81)
 pairs_idx = np.array([[0, 1], [2, 3], [4, 5]])
 preds = result.final_model.predict_members(members.features, pairs_idx)
 same_id = members.identities[pairs_idx[:, 0]] == members.identities[pairs_idx[:, 1]]

@@ -40,7 +40,6 @@ from .config import (
     Toggles,
     default_experiment_config,
     default_toggle_grid,
-    with_toggles,
 )
 from .discrepancy import (
     MEDIAN_HEURISTIC,
@@ -52,8 +51,6 @@ from .discrepancy import (
 )
 from .domains import (
     ABSENT,
-    SOURCE,
-    TARGET,
     AffineMap,
     DomainSpec,
     PairSet,
@@ -83,7 +80,6 @@ from .noise import (
     NoiseModel,
     corrected_costs,
     corrected_loss,
-    corrected_loss_range,
     corrupt_labels,
     estimate_noise_rates,
     zero_m_costs,

@@ -22,11 +22,13 @@ import numpy as np
 from .config import SYNTHETIC, ExperimentConfig
 from .discrepancy import h_delta_h_distance, ideal_joint
 from .domains import (
+    AffineMap,
     DomainSpec,
     PairSet,
     PairStrategy,
     derive_seed,
     draw_pair_process,
+    map_members,
     similarity_from_members,
 )
 from .errors import ConfigurationError
@@ -157,25 +159,20 @@ class BoundReport(Serializable):
     convention_alt: str
 
 
-def assemble_bound(inputs: BoundInputs,
-                   convention: str = SQUARED_COMPLEMENT) -> BoundReport:
+def assemble_bound(inputs: BoundInputs) -> BoundReport:
     """rhs = eps*_T + 4 M N C + 2 DD, with both N conventions reported."""
-    if convention not in _CONVENTIONS:
-        raise ConfigurationError(f"unknown noise-term convention {convention!r}")
-    other = (COMPLEMENT_OF_SQUARE if convention == SQUARED_COMPLEMENT
-             else SQUARED_COMPLEMENT)
     denom = NoiseModel(inputs.rho_neg, inputs.rho_pos).denominator
-    n_main = noise_term(inputs.alpha, inputs.beta, denom, convention)
-    n_alt = noise_term(inputs.alpha, inputs.beta, denom, other)
+    n_main = noise_term(inputs.alpha, inputs.beta, denom, SQUARED_COMPLEMENT)
+    n_alt = noise_term(inputs.alpha, inputs.beta, denom, COMPLEMENT_OF_SQUARE)
     c = complexity_term(inputs.m, inputs.d, inputs.delta)
     dd = dd_term(inputs.alpha, inputs.big_m, inputs.h_delta_h,
                  inputs.ideal_joint_error)
     rhs = inputs.epsilon_t_star + 4.0 * inputs.big_m * n_main * c + 2.0 * dd
     rhs_alt = inputs.epsilon_t_star + 4.0 * inputs.big_m * n_alt * c + 2.0 * dd
     return BoundReport(
-        inputs=inputs, convention=convention, noise_term=n_main,
-        complexity_term=c, dd_term=dd, rhs=rhs,
-        noise_term_alt=n_alt, rhs_alt=rhs_alt, convention_alt=other,
+        inputs=inputs, convention=SQUARED_COMPLEMENT, noise_term=n_main,
+        complexity_term=c, dd_term=dd, rhs=rhs, noise_term_alt=n_alt,
+        rhs_alt=rhs_alt, convention_alt=COMPLEMENT_OF_SQUARE,
     )
 
 
@@ -333,17 +330,17 @@ def _rebuild_pairs(pairs: PairSet, feats: np.ndarray) -> PairSet:
     )
 
 
-def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int, deployed=None
-                        ) -> tuple[BoundInputs, PairSet]:
+def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
+                        align_map: AffineMap | None = None,
+                        normalize: bool = False) -> tuple[BoundInputs, PairSet]:
     """Estimate the bound's oracle quantities once for a configuration.
 
-    ``deployed`` supplies the member maps of the model the bound speaks
-    about (``transform_target_members``/``transform_source_members``, as on
-    a PipelineModel); pair similarities are formed after them, so eps*_T,
-    the class distance and the joint error live in the space that model
-    sees.  None means identity.  m and the noise rates come from the
-    configuration (zero rates without a synthetic model); callers with
-    their own replace them.
+    ``align_map`` and ``normalize`` are the member maps of the model the
+    bound speaks about (see ``map_members``); pair similarities are formed
+    after them, so eps*_T, the class distance and the joint error live in
+    the space that model sees.  Without maps the drawn pairs are used as
+    they are.  m and the noise rates come from the configuration (zero rates
+    without a synthetic model); callers with their own replace them.
 
     Sub-seeds: 4 = target oracle pairs, 5 = source oracle pairs,
     6/7 = target/source class-distance draws.  Returns the inputs plus the
@@ -351,22 +348,19 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int, deployed=None
     """
     cfg = config.risk
     model = NO_NOISE if config.noise.model is None else config.noise.model
-    to_t = to_s = None
-    if deployed is not None:
-        to_t = deployed.transform_target_members
-        to_s = deployed.transform_source_members
+    mapped = align_map is not None or normalize
 
-    def draw(spec, transform, n, sub):
+    def draw(spec, amap, n, sub):
         samples, pairs = draw_pair_process(spec, config.strategy, n,
                                            derive_seed(rng_seed, sub))
-        if transform is None:
+        if not mapped:
             return pairs
-        return _rebuild_pairs(pairs, transform(samples.features))
+        return _rebuild_pairs(pairs, map_members(samples.features, amap, normalize))
 
-    oracle_t = draw(config.target, to_t, config.oracle_pairs, 4)
-    oracle_s = draw(config.source, to_s, config.oracle_pairs, 5)
-    gap_t = draw(config.target, to_t, config.discrepancy_sample, 6)
-    gap_s = draw(config.source, to_s, config.discrepancy_sample, 7)
+    oracle_t = draw(config.target, align_map, config.oracle_pairs, 4)
+    oracle_s = draw(config.source, None, config.oracle_pairs, 5)
+    gap_t = draw(config.target, align_map, config.discrepancy_sample, 6)
+    gap_s = draw(config.source, None, config.discrepancy_sample, 7)
     info = HypothesisClassInfo(oracle_t.feature_dim)
     _, eps_star = fit_plain(oracle_t, cfg.big_m)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity, info)
@@ -381,8 +375,7 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int, deployed=None
 
 
 def validate_theorem(config: ExperimentConfig, trials: int = 500,
-                     rng_seed: int = 0,
-                     convention: str = SQUARED_COMPLEMENT) -> TheoremValidation:
+                     rng_seed: int = 0) -> TheoremValidation:
     """Fraction of fresh-draw trials whose achieved target risk beats the rhs.
 
     Oracle quantities (eps*_T, class distance, joint error) are estimated
@@ -403,7 +396,7 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
         raise ConfigurationError("trials must be >= 1")
     cfg, model = config.risk, config.noise.model
     inputs, oracle_t = oracle_bound_inputs(config, rng_seed)
-    report = assemble_bound(inputs, convention)
+    report = assemble_bound(inputs)
     block = max(1, _BLOCK_POINTS // config.m_train)
     rows = []
     for start in range(0, trials, block):

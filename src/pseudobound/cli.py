@@ -30,12 +30,8 @@ from .risk import fit_plain
 from .stumps import random_stump
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.load(path)
-
-
 def _cmd_verify_bound(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     result = validate_theorem(config, trials=args.trials, rng_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         write_trial_csv(result.rows, fh)
@@ -56,7 +52,7 @@ def _reference_stump(config: ExperimentConfig, seed: int):
 
 
 def _cmd_lemmas(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     out = {}
     if args.which == 2:
         rng_stumps = [
@@ -92,7 +88,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     result = run_self_learning(config)
     with open(args.out, "w") as fh:
         json.dump(result.to_dict(), fh, indent=2)
@@ -113,7 +109,7 @@ def _load_grid(path: str | None):
 
 
 def _cmd_ablate(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     table = run_ablation(config, _load_grid(args.grid))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,7 +11,7 @@ configs to good accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "default_centers",
     "default_experiment_config",
     "default_toggle_grid",
-    "with_toggles",
 ]
 
 
@@ -252,7 +251,3 @@ def default_toggle_grid() -> list:
                         weight_decay=1e-3 if bl else 0.0,
                     ))
     return grid
-
-
-def with_toggles(config: ExperimentConfig, toggles: Toggles) -> ExperimentConfig:
-    return replace(config, toggles=toggles)

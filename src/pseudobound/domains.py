@@ -15,9 +15,6 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
 from .serial import Serializable
 
-SOURCE = "source"
-TARGET = "target"
-
 #: integer placeholder meaning "no pseudo-label assigned".
 ABSENT = 0
 
@@ -137,10 +134,9 @@ class DomainSpec(Serializable):
 class SampleSet:
     """Column-oriented batch of identity samples."""
 
-    def __init__(self, features, identities, domain_tag: str):
+    def __init__(self, features, identities):
         self.features = np.asarray(features, dtype=float)
         self.identities = np.asarray(identities, dtype=np.int64)
-        self.domain_tag = domain_tag
         if self.features.ndim != 2:
             raise ConfigurationError("features must be a (n, q) array")
         if len(self.features) != len(self.identities):
@@ -154,7 +150,7 @@ class SampleSet:
         return self.features.shape[1]
 
     def replace_features(self, feats: np.ndarray) -> "SampleSet":
-        return SampleSet(feats, self.identities, self.domain_tag)
+        return SampleSet(feats, self.identities)
 
 
 @dataclass(frozen=True)
@@ -194,16 +190,24 @@ class PairStrategy(Serializable):
 class PairSet:
     """Column-oriented batch of verification pairs.
 
-    ``pseudo_labels`` stores ABSENT (0) until labels are assigned.
+    ``true_labels`` are +-1; ``pseudo_labels`` are +-1 or ABSENT (0), and
+    stay ABSENT until labels are assigned.
     """
 
     def __init__(self, similarity, true_labels, pseudo_labels=None, member_indices=None):
         self.similarity = np.asarray(similarity, dtype=float)
-        self.true_labels = np.asarray(true_labels, dtype=np.int8)
+        true_labels = np.asarray(true_labels)
+        if not ((true_labels == 1) | (true_labels == -1)).all():
+            raise ConfigurationError("true_labels must be +1 or -1")
+        self.true_labels = true_labels.astype(np.int8, copy=False)
         n = len(self.similarity)
         if pseudo_labels is None:
             pseudo_labels = np.full(n, ABSENT, dtype=np.int8)
-        self.pseudo_labels = np.asarray(pseudo_labels, dtype=np.int8)
+        pseudo_labels = np.asarray(pseudo_labels)
+        if not ((pseudo_labels == 1) | (pseudo_labels == -1)
+                | (pseudo_labels == ABSENT)).all():
+            raise ConfigurationError("pseudo_labels must be +1, -1 or ABSENT")
+        self.pseudo_labels = pseudo_labels.astype(np.int8, copy=False)
         if member_indices is None:
             member_indices = np.zeros((n, 2), dtype=np.int64)
         self.member_indices = np.asarray(member_indices, dtype=np.int64)
@@ -236,8 +240,7 @@ class PairSet:
         )
 
 
-def generate_domain(spec: DomainSpec, n: int, rng_seed: int,
-                    domain_tag: str = SOURCE) -> SampleSet:
+def generate_domain(spec: DomainSpec, n: int, rng_seed: int) -> SampleSet:
     """Draw n samples: identity uniform, features center + isotropic noise,
     then the domain transform."""
     spec.validate()
@@ -248,7 +251,7 @@ def generate_domain(spec: DomainSpec, n: int, rng_seed: int,
     feats = spec.identity_centers[ids] + spec.within_identity_stddev * rng.standard_normal(
         (n, spec.feature_dim)
     )
-    return SampleSet(spec.domain_transform.apply(feats), ids, domain_tag)
+    return SampleSet(spec.domain_transform.apply(feats), ids)
 
 
 def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) -> np.ndarray:
@@ -259,8 +262,7 @@ def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) ->
 
 
 def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
-                      rng_seed: int, domain_tag: str = SOURCE
-                      ) -> tuple[SampleSet, PairSet]:
+                      rng_seed: int) -> tuple[SampleSet, PairSet]:
     """Draw n_pairs independent pairs whose marginals match the strategy.
 
     Each pair gets two fresh member samples, so pairs are i.i.d. draws from
@@ -291,7 +293,7 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     feats = spec.identity_centers[ids] + spec.within_identity_stddev * rng.standard_normal(
         (2 * n_pairs, spec.feature_dim)
     )
-    samples = SampleSet(spec.domain_transform.apply(feats), ids, domain_tag)
+    samples = SampleSet(spec.domain_transform.apply(feats), ids)
     member = np.arange(2 * n_pairs, dtype=np.int64).reshape(-1, 2)
     sim = similarity_from_members(samples.features, member)
     labels = np.where(ids_a == ids_b, 1, -1)
@@ -304,3 +306,12 @@ def unit_normalize(features: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     feats = np.asarray(features, float)
     norms = np.linalg.norm(feats, axis=-1, keepdims=True)
     return feats / np.maximum(norms, eps)
+
+
+def map_members(features: np.ndarray, align_map: AffineMap | None = None,
+                normalize: bool = False) -> np.ndarray:
+    """Member features as a deployed model sees them: the target alignment
+    map, if any, then unit normalization, if asked.  Source members take no
+    alignment map."""
+    out = features if align_map is None else align_map.apply(features)
+    return unit_normalize(out) if normalize else out

@@ -81,11 +81,6 @@ def corrected_loss(y_pred, y_pseudo, big_m: float, model: NoiseModel):
     return out if out.ndim else float(out)
 
 
-def corrected_loss_range(big_m: float, model: NoiseModel) -> tuple[float, float]:
-    """Attainable corrected-loss interval [-M/denom, +M/denom]."""
-    return -big_m / model.denominator, big_m / model.denominator
-
-
 def corrected_costs(pseudo_labels, big_m: float, model: NoiseModel
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (cost if predicted +1, cost if predicted -1) under the

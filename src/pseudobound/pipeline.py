@@ -27,23 +27,19 @@ from .config import (
     FILTER_NONE,
     FROM_CLUSTERING,
     OFFLINE_PLUS_ONLINE,
-    SYNTHETIC,
     ExperimentConfig,
     Toggles,
 )
 from .discrepancy import align_moments, mmd_squared
 from .domains import (
-    SOURCE,
-    TARGET,
     AffineMap,
     PairSet,
-    SampleSet,
     derive_seed,
     draw_pair_process,
     generate_domain,
     make_rng,
+    map_members,
     similarity_from_members,
-    unit_normalize,
 )
 from .errors import EmptyInputError, PipelineError, PseudoboundError
 from .noise import NoiseEstimate, NoiseModel, estimate_noise_rates
@@ -85,11 +81,10 @@ class PipelineModel(Serializable):
     normalize: bool
 
     def transform_target_members(self, feats: np.ndarray) -> np.ndarray:
-        out = feats if self.align_map is None else self.align_map.apply(feats)
-        return unit_normalize(out) if self.normalize else out
+        return map_members(feats, self.align_map, self.normalize)
 
     def transform_source_members(self, feats: np.ndarray) -> np.ndarray:
-        return unit_normalize(feats) if self.normalize else feats
+        return map_members(feats, normalize=self.normalize)
 
     def predict_members(self, feats: np.ndarray,
                         member_indices: np.ndarray) -> np.ndarray:
@@ -143,199 +138,150 @@ def _hinge_losses(stump: StumpHypothesis, pairs: PairSet) -> np.ndarray:
     return np.maximum(0.0, -margin)
 
 
-def _fit(source_pairs, target_pairs, config: ExperimentConfig, model: NoiseModel):
-    if config.toggles.source_guided:
-        h, _ = fit_source_guided(source_pairs, target_pairs, config.risk, model)
-    else:
-        h, _ = fit_target_corrected(target_pairs, config.risk.big_m, model)
-    return h
+def _train(source_pairs, target_pairs, config: ExperimentConfig,
+           model: NoiseModel):
+    """Fit the configured stump; with online filtering, drop the pairs whose
+    hinge losses against it lie beyond the Tukey fence and refit on the rest.
 
+    Returns (stump, kept pairs, after-filter rate estimate or None,
+    FilterReport or None, noise model of the last fit).
+    """
+    def fit(pairs, model):
+        if config.toggles.source_guided:
+            return fit_source_guided(source_pairs, pairs, config.risk, model)[0]
+        return fit_target_corrected(pairs, config.risk.big_m, model)[0]
 
-def _online_filter(h0, target_pairs, source_pairs, config, model):
-    """Tukey-fence drop on hinge losses against h0, then refit.
-
-    Returns (final stump, kept pairs, after-filter rate estimate or None,
-    FilterReport)."""
-    losses = _hinge_losses(h0, target_pairs)
-    fence, mask = tukey_fence(losses)
+    h = fit(target_pairs, model)
+    if config.toggles.outlier_filtering != OFFLINE_PLUS_ONLINE:
+        return h, target_pairs, None, None, model
+    fence, mask = tukey_fence(_hinge_losses(h, target_pairs))
     report = FilterReport(kept=int((~mask).sum()), dropped=int(mask.sum()),
                           fence=fence)
     report.per_epoch_dropped.append(int(mask.sum()))
     if not mask.any():
-        return h0, target_pairs, None, report
+        return h, target_pairs, None, report, model
     kept = target_pairs.subset(np.flatnonzero(~mask))
     try:
         rho_after = estimate_noise_rates(kept)
     except PseudoboundError:
         rho_after = None
-    retrain_model = model
     if config.noise.kind == FROM_CLUSTERING and rho_after is not None \
             and not rho_after.degenerate:
-        retrain_model = rho_after.as_model()
-    h1 = _fit(source_pairs, kept, config, retrain_model)
-    return h1, kept, rho_after, report
+        model = rho_after.as_model()
+    return fit(kept, model), kept, rho_after, report, model
 
 
 def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured self-learning loop and measure each iteration.
 
-    Practice mode (clustering noise): fixed per-run sample pools; alignment
-    and normalization are computed once (their inputs do not change across
+    Every iteration trains on (source pairs, pseudo-labeled target pairs),
+    filters, scores the stump on the target oracle pairs and records it;
+    the modes differ in where the pairs come from and in the practice-only
+    diagnostics, bound inputs and linear probe.  Practice mode
+    (clustering noise): fixed per-run sample pools; alignment and
+    normalization are computed once (their inputs do not change across
     iterations), clustering re-runs every iteration on coordinate-re-weighted
     features.  Synthetic mode: clustering, alignment, and normalization are
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
     iteration.
     """
     started = time.perf_counter()
-    if config.noise.kind == SYNTHETIC:
-        return _run_synthetic(config, started)
-    return _run_clustering(config, started)
-
-
-def _run_synthetic(config: ExperimentConfig, started: float) -> ExperimentResult:
-    seed = config.master_seed
-    model = config.noise.model
-    trial_entropy = derive_seed(seed, 0)
-    inputs, oracle_pairs = oracle_bound_inputs(config, seed)
-    online = config.toggles.outlier_filtering == OFFLINE_PLUS_ONLINE
-    records = []
-    h_final = None
-    for it in range(config.iterations):
-        source_pairs, target_pairs = _draw_training(config, trial_entropy, it)
-        h0 = _fit(source_pairs, target_pairs, config, model)
-        kept = target_pairs
-        rho_after = None
-        filter_report = None
-        if online:
-            h0, kept, rho_after, filter_report = _online_filter(
-                h0, target_pairs, source_pairs, config, model)
-        eps = config.risk.big_m * h0.misses(
-            oracle_pairs.similarity, oracle_pairs.true_labels) / len(oracle_pairs)
-        records.append(IterationRecord(
-            index=it, hypothesis=h0, model_used=model, target_oracle_risk=eps,
-            rho_before=estimate_noise_rates(target_pairs),
-            rho_after=rho_after, filter_report=filter_report,
-            n_target_pairs=len(kept),
-        ))
-        h_final = h0
-    result_model = PipelineModel(h_final, None, False)
-    return ExperimentResult(
-        config_fingerprint=_fingerprint(config),
-        iterations=records,
-        final_model=result_model,
-        final_report=assemble_bound(inputs),
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def _run_clustering(config: ExperimentConfig, started: float) -> ExperimentResult:
     seed = config.master_seed
     toggles = config.toggles
-    target_pool = generate_domain(config.target, config.n_target_samples,
-                                  derive_seed(seed, 20), TARGET)
-    source_pool = generate_domain(config.source, config.n_source_samples,
-                                  derive_seed(seed, 21), SOURCE)
+    practice = config.noise.kind == FROM_CLUSTERING
+    align_map, normalize = None, False
+    if practice:
+        target_pool = generate_domain(config.target, config.n_target_samples,
+                                      derive_seed(seed, 20))
+        source_pool = generate_domain(config.source, config.n_source_samples,
+                                      derive_seed(seed, 21))
+        aligned_pool = target_pool
+        mmd_sample = (None, None)
+        if toggles.domain_alignment:
+            aligned_pool, align_map = align_moments(source_pool, target_pool)
+            mmd_sample = (mmd_squared(source_pool.features, target_pool.features),
+                          mmd_squared(source_pool.features, aligned_pool.features))
+        normalize = toggles.bounded_loss
+        sim_pool = target_pool.replace_features(
+            map_members(aligned_pool.features, normalize=normalize))
+        src_samples, src_raw = draw_pair_process(
+            config.source, config.strategy, config.max_target_pairs,
+            derive_seed(seed, 22))
+        source_pairs = _rebuild_pairs(
+            src_raw, map_members(src_samples.features, normalize=normalize))
+        weights = np.ones(config.target.feature_dim)
+    else:
+        trial_entropy = derive_seed(seed, 0)
+    # The member maps are fixed for the run, so the deployed model's oracle
+    # quantities and target oracle pairs (seed 4) are too.
+    inputs, oracle_t = oracle_bound_inputs(config, seed, align_map, normalize)
 
-    align_map = None
-    mmd_sample_before = mmd_sample_after = None
-    aligned_pool = target_pool
-    if toggles.domain_alignment:
-        aligned_pool, align_map = align_moments(source_pool, target_pool)
-        mmd_sample_before = mmd_squared(source_pool.features, target_pool.features)
-        mmd_sample_after = mmd_squared(source_pool.features, aligned_pool.features)
-
-    normalize = toggles.bounded_loss
-    tgt_sim_feats = (unit_normalize(aligned_pool.features) if normalize
-                     else aligned_pool.features)
-    sim_pool = SampleSet(tgt_sim_feats, target_pool.identities, TARGET)
-
-    src_samples, src_raw = draw_pair_process(
-        config.source, config.strategy, config.max_target_pairs,
-        derive_seed(seed, 22))
-    src_feats = (unit_normalize(src_samples.features) if normalize
-                 else src_samples.features)
-    source_pairs = _rebuild_pairs(src_raw, src_feats)
-
-    online = toggles.outlier_filtering == OFFLINE_PLUS_ONLINE
-    keep_noise = toggles.outlier_filtering == FILTER_NONE
-    weights = np.ones(config.target.feature_dim)
     records = []
-    model_final = None
-    pipe_model = None
-    kept_final = None
-    oracle_t = None
     for it in range(config.iterations):
         try:
-            cluster_labels = dbscan(aligned_pool.features * weights,
-                                    config.dbscan_params)
-            pairs_all = pseudo_label_from_clusters(
-                sim_pool, cluster_labels, keep_noise_as_singletons=keep_noise)
-            if len(pairs_all) > config.max_target_pairs:
-                rng = make_rng(seed, 23, it)
-                chosen = np.sort(rng.choice(len(pairs_all),
-                                            config.max_target_pairs,
-                                            replace=False))
-                target_pairs = pairs_all.subset(chosen)
+            if practice:
+                cluster_labels = dbscan(aligned_pool.features * weights,
+                                        config.dbscan_params)
+                target_pairs = _subsample(pseudo_label_from_clusters(
+                    sim_pool, cluster_labels,
+                    keep_noise_as_singletons=toggles.outlier_filtering == FILTER_NONE,
+                ), config, it)
             else:
-                target_pairs = pairs_all
+                source_pairs, target_pairs = _draw_training(config, trial_entropy, it)
             rho_before = estimate_noise_rates(target_pairs)
-            model = rho_before.as_model()
-            h0 = _fit(source_pairs, target_pairs, config, model)
-            kept = target_pairs
-            rho_after = None
-            filter_report = None
-            if online:
-                h0, kept, rho_after, filter_report = _online_filter(
-                    h0, target_pairs, source_pairs, config, model)
+            model = rho_before.as_model() if practice else config.noise.model
+            h, kept, rho_after, filter_report, model = _train(
+                source_pairs, target_pairs, config, model)
         except PseudoboundError as err:
             raise PipelineError(
                 f"iteration {it} failed: {err}", iteration=it, partial=records
             ) from err
-        model_final = (rho_after.as_model()
-                       if rho_after is not None and not rho_after.degenerate
-                       else model)
-        pipe_model = PipelineModel(h0, align_map, normalize)
-        if oracle_t is None:
-            # The member maps are fixed for the run, so the deployed model's
-            # oracle quantities and target oracle pairs (seed 4) are too.
-            inputs, oracle_t = oracle_bound_inputs(config, seed, pipe_model)
-        eps = config.risk.big_m * h0.misses(
-            oracle_t.similarity, oracle_t.true_labels) / len(oracle_t)
-        n_clusters = int(len(set(cluster_labels.tolist()) - {NOISE}))
         record = IterationRecord(
-            index=it, hypothesis=h0, model_used=model_final,
-            target_oracle_risk=eps, rho_before=rho_before, rho_after=rho_after,
+            index=it, hypothesis=h, model_used=model,
+            target_oracle_risk=config.risk.big_m * h.misses(
+                oracle_t.similarity, oracle_t.true_labels) / len(oracle_t),
+            rho_before=rho_before, rho_after=rho_after,
             filter_report=filter_report, n_target_pairs=len(kept),
-            n_clusters=n_clusters,
-            n_noise_points=int(np.count_nonzero(cluster_labels == NOISE)),
-            mmd_sample_before=mmd_sample_before,
-            mmd_sample_after=mmd_sample_after,
         )
-        _log_similarity_mmd(record, source_pairs, target_pairs,
-                            target_pool, sim_pool)
+        if practice:
+            record.n_clusters = len(set(cluster_labels.tolist()) - {NOISE})
+            record.n_noise_points = int(np.count_nonzero(cluster_labels == NOISE))
+            record.mmd_sample_before, record.mmd_sample_after = mmd_sample
+            _log_similarity_mmd(record, source_pairs, target_pairs, target_pool)
+            weights = np.ones(config.target.feature_dim)
+            weights[h.coordinate] = config.refine_scale
         records.append(record)
-        kept_final = kept
-        weights = np.ones(config.target.feature_dim)
-        weights[h0.coordinate] = config.refine_scale
 
-    # The practice bound speaks about the deployed model: oracle quantities
-    # in its feature space, m and noise rates from its own training data.
-    m = len(kept_final) + (len(source_pairs) if toggles.source_guided else 0)
-    final_report = assemble_bound(replace(
-        inputs, m=m, rho_neg=model_final.rho_neg, rho_pos=model_final.rho_pos))
-    probe = _linear_probe(config, kept_final) if config.linear_probe else None
+    probe = None
+    if practice:
+        # The practice bound speaks about the deployed model: oracle
+        # quantities in its feature space, m and noise rates from its own
+        # training data.
+        m = len(kept) + (len(source_pairs) if toggles.source_guided else 0)
+        inputs = replace(inputs, m=m, rho_neg=model.rho_neg, rho_pos=model.rho_pos)
+        probe = _linear_probe(config, kept) if config.linear_probe else None
     return ExperimentResult(
         config_fingerprint=_fingerprint(config),
         iterations=records,
-        final_model=pipe_model,
-        final_report=final_report,
+        final_model=PipelineModel(h, align_map, normalize),
+        final_report=assemble_bound(inputs),
         wall_time=time.perf_counter() - started,
         linear_probe=probe,
     )
 
 
-def _log_similarity_mmd(record, source_pairs, target_pairs, target_pool,
-                        sim_pool):
+def _subsample(pairs: PairSet, config: ExperimentConfig, iteration: int
+               ) -> PairSet:
+    """At most max_target_pairs of the pseudo-labeled pairs, drawn without
+    replacement (sub-seed 23) and kept in their original order."""
+    if len(pairs) <= config.max_target_pairs:
+        return pairs
+    rng = make_rng(config.master_seed, 23, iteration)
+    return pairs.subset(np.sort(rng.choice(len(pairs), config.max_target_pairs,
+                                           replace=False)))
+
+
+def _log_similarity_mmd(record, source_pairs, target_pairs, target_pool):
     """MMD^2 between source and target pair similarity features, before
     (raw target features) and after the run's alignment/normalization."""
     cap_s = min(len(source_pairs), _MMD_CAP)

@@ -47,7 +47,7 @@ def test_criterion_02_correction_is_unbiased(report):
     t0 = time.perf_counter()
     cfg = pb.default_experiment_config("noisy")
     _, pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 400,
-                                    pb.derive_seed(2, 1), pb.TARGET)
+                                    pb.derive_seed(2, 1))
     stumps = [pb.StumpHypothesis(0, 0.8, -1),
               pb.StumpHypothesis(1, 0.5, 1),
               pb.StumpHypothesis(3, 1.1, -1)]
@@ -106,7 +106,7 @@ def test_criterion_04_disagreement_gap_dominated_exactly(report):
     big_m = cfg.risk.big_m
     _, src = pb.draw_pair_process(cfg.source, cfg.strategy, 256, pb.derive_seed(4, 1))
     _, tgt = pb.draw_pair_process(cfg.target, cfg.strategy, 256,
-                                  pb.derive_seed(4, 2), pb.TARGET)
+                                  pb.derive_seed(4, 2))
     info = pb.HypothesisClassInfo(src.feature_dim)
     d_hat = pb.h_delta_h_distance(src.similarity, tgt.similarity, info)
     rhs = 0.5 * big_m * d_hat
@@ -204,8 +204,8 @@ def test_criterion_08_mmd_properties(report):
     closed_err = abs(closed - (2.0 - 2.0 * math.exp(-0.5)))
 
     cfg = pb.default_experiment_config("shifted")
-    src = pb.generate_domain(cfg.source, 400, pb.derive_seed(8, 1), pb.SOURCE)
-    tgt = pb.generate_domain(cfg.target, 400, pb.derive_seed(8, 2), pb.TARGET)
+    src = pb.generate_domain(cfg.source, 400, pb.derive_seed(8, 1))
+    tgt = pb.generate_domain(cfg.target, 400, pb.derive_seed(8, 2))
     bw = pb.median_heuristic_bandwidth(np.vstack([src.features, tgt.features]))
     before = pb.mmd_squared(src.features, tgt.features, bandwidth=bw)
     aligned, _ = pb.align_moments(src, tgt)

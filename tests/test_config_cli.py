@@ -106,7 +106,7 @@ def test_toggles_validation_and_round_trip():
     with pytest.raises(pb.ConfigurationError):
         pb.Toggles(weight_decay=-0.1)
     cfg = pb.default_experiment_config("clean")
-    swapped = pb.with_toggles(cfg, t)
+    swapped = replace(cfg, toggles=t)
     assert swapped.toggles == t
     assert swapped.master_seed == cfg.master_seed
 

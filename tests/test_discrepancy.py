@@ -182,7 +182,7 @@ def test_median_heuristic():
 
 def sample_sets(shift_offset, n=400, seed=0):
     cfg = pb.default_experiment_config("clean")
-    src = pb.generate_domain(cfg.source, n, pb.derive_seed(seed, 0), pb.SOURCE)
+    src = pb.generate_domain(cfg.source, n, pb.derive_seed(seed, 0))
     spec_t = pb.DomainSpec(
         num_identities=cfg.source.num_identities,
         feature_dim=cfg.source.feature_dim,
@@ -191,7 +191,7 @@ def sample_sets(shift_offset, n=400, seed=0):
         domain_transform=pb.AffineMap(np.eye(4), shift_offset),
         seed=cfg.source.seed,
     )
-    tgt = pb.generate_domain(spec_t, n, pb.derive_seed(seed, 0), pb.TARGET)
+    tgt = pb.generate_domain(spec_t, n, pb.derive_seed(seed, 0))
     return src, tgt
 
 
@@ -215,8 +215,8 @@ def test_align_moments_no_shift_near_identity():
 
 def test_align_moments_shifted_domain_reduces_mmd():
     cfg = pb.default_experiment_config("practice")
-    src = pb.generate_domain(cfg.source, 300, 1, pb.SOURCE)
-    tgt = pb.generate_domain(cfg.target, 300, 2, pb.TARGET)
+    src = pb.generate_domain(cfg.source, 300, 1)
+    tgt = pb.generate_domain(cfg.target, 300, 2)
     before = pb.mmd_squared(src.features, tgt.features)
     aligned, _ = pb.align_moments(src, tgt)
     after = pb.mmd_squared(src.features, aligned.features)
@@ -225,8 +225,8 @@ def test_align_moments_shifted_domain_reduces_mmd():
 
 def test_align_moments_needs_enough_points():
     cfg = pb.default_experiment_config("clean")
-    src = pb.generate_domain(cfg.source, 100, 1, pb.SOURCE)
-    tiny = pb.generate_domain(cfg.target, 4, 2, pb.TARGET)
+    src = pb.generate_domain(cfg.source, 100, 1)
+    tiny = pb.generate_domain(cfg.target, 4, 2)
     with pytest.raises(pb.InsufficientDataError):
         pb.align_moments(src, tiny)
     with pytest.raises(pb.InsufficientDataError):

@@ -20,17 +20,17 @@ def small_spec(sigma=0.25, seed=7, transform=None):
 
 def test_generate_domain_deterministic():
     spec = small_spec()
-    a = pb.generate_domain(spec, 50, 3, pb.SOURCE)
-    b = pb.generate_domain(spec, 50, 3, pb.SOURCE)
+    a = pb.generate_domain(spec, 50, 3)
+    b = pb.generate_domain(spec, 50, 3)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.identities, b.identities)
-    c = pb.generate_domain(spec, 50, 4, pb.SOURCE)
+    c = pb.generate_domain(spec, 50, 4)
     assert not np.array_equal(a.features, c.features)
 
 
 def test_generate_domain_tiny_stddev_collapses_to_centers():
     spec = small_spec(sigma=1e-9)
-    samples = pb.generate_domain(spec, 40, 0, pb.TARGET)
+    samples = pb.generate_domain(spec, 40, 0)
     centers = spec.identity_centers[samples.identities]
     assert np.abs(samples.features - centers).max() < 1e-6
 
@@ -39,7 +39,7 @@ def test_generate_domain_identity_counts_multinomial_band():
     # 3 identities, n=300: each count within 3 sigma of 100,
     # sigma = sqrt(300 * (1/3) * (2/3)) ~ 8.165.
     spec = small_spec(seed=11)
-    samples = pb.generate_domain(spec, 300, 5, pb.SOURCE)
+    samples = pb.generate_domain(spec, 300, 5)
     counts = np.bincount(samples.identities, minlength=3)
     assert counts.sum() == 300
     assert np.all(np.abs(counts - 100) <= 3 * np.sqrt(300 * (1 / 3) * (2 / 3)))
@@ -47,8 +47,8 @@ def test_generate_domain_identity_counts_multinomial_band():
 
 def test_generate_domain_applies_transform():
     amap = pb.AffineMap(np.diag([2.0, 0.5]), np.array([1.0, -1.0]))
-    plain = pb.generate_domain(small_spec(), 30, 9, pb.TARGET)
-    moved = pb.generate_domain(small_spec(transform=amap), 30, 9, pb.TARGET)
+    plain = pb.generate_domain(small_spec(), 30, 9)
+    moved = pb.generate_domain(small_spec(transform=amap), 30, 9)
     assert np.allclose(moved.features, amap.apply(plain.features))
 
 
@@ -95,6 +95,20 @@ def test_pair_set_subset_and_pseudo():
     assert len(sub) == 3
     assert np.array_equal(sub.pseudo_labels, pseudo[[0, 3, 4]])
     assert np.array_equal(sub.member_indices, tagged.member_indices[[0, 3, 4]])
+
+
+def test_pair_set_rejects_labels_outside_their_alphabet():
+    """True labels are +-1 and pseudo-labels +-1 or ABSENT; anything else
+    (which would miscount risks or rates, or wrap in the int8 cast) is refused."""
+    sim = np.array([[0.0], [1.0]])
+    with pytest.raises(pb.ConfigurationError, match="true_labels"):
+        pb.PairSet(sim, [0, 2])
+    with pytest.raises(pb.ConfigurationError, match="pseudo_labels"):
+        pb.PairSet(sim, [1, -1], pseudo_labels=[3, -1])
+    with pytest.raises(pb.ConfigurationError, match="true_labels"):
+        pb.PairSet(sim, [255, 1])
+    ok = pb.PairSet(sim, [1, -1], pseudo_labels=[pb.ABSENT, -1])
+    assert ok.pseudo_labels.dtype == np.int8 and not ok.has_pseudo
 
 
 def test_unit_normalize():

@@ -53,7 +53,7 @@ def test_dbscan_validation():
 
 def clustered_samples():
     cfg = pb.default_experiment_config("clean")
-    samples = pb.generate_domain(cfg.target, 60, 3, pb.TARGET)
+    samples = pb.generate_domain(cfg.target, 60, 3)
     return cfg, samples
 
 
@@ -78,7 +78,7 @@ def test_pseudo_labels_merged_clusters_create_false_positives_only():
 def test_pseudo_labels_match_enumeration_on_default_domain():
     """Cluster 20 samples with the config eps and recount every pair."""
     cfg = pb.default_experiment_config("practice")
-    samples = pb.generate_domain(cfg.target, 20, 9, pb.TARGET)
+    samples = pb.generate_domain(cfg.target, 20, 9)
     labels = pb.dbscan(samples.features, cfg.dbscan_params)
     pairs = pb.pseudo_label_from_clusters(samples, labels,
                                           keep_noise_as_singletons=True)
