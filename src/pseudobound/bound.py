@@ -330,6 +330,15 @@ def _rebuild_pairs(pairs: PairSet, feats: np.ndarray) -> PairSet:
     )
 
 
+def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
+                  align_map=None, normalize: bool = False) -> PairSet:
+    """n pairs drawn from spec, similarities formed after the member maps."""
+    samples, pairs = draw_pair_process(spec, config.strategy, n, seed)
+    if align_map is None and not normalize:
+        return pairs
+    return _rebuild_pairs(pairs, map_members(samples.features, align_map, normalize))
+
+
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
                         align_map: AffineMap | None = None,
                         normalize: bool = False) -> tuple[BoundInputs, PairSet]:
@@ -348,14 +357,9 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     """
     cfg = config.risk
     model = NO_NOISE if config.noise.model is None else config.noise.model
-    mapped = align_map is not None or normalize
 
     def draw(spec, amap, n, sub):
-        samples, pairs = draw_pair_process(spec, config.strategy, n,
-                                           derive_seed(rng_seed, sub))
-        if not mapped:
-            return pairs
-        return _rebuild_pairs(pairs, map_members(samples.features, amap, normalize))
+        return _mapped_pairs(config, spec, n, derive_seed(rng_seed, sub), amap, normalize)
 
     oracle_t = draw(config.target, align_map, config.oracle_pairs, 4)
     oracle_s = draw(config.source, None, config.oracle_pairs, 5)

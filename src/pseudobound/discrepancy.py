@@ -160,29 +160,60 @@ def median_heuristic_bandwidth(pooled_feats: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(pooled_feats, float))
     if len(x) < 2:
         raise InsufficientDataError("median heuristic needs at least two points")
-    return _median_distance(_cross_sq_dists(x, x))
+    return _median_distance(_sq_dists(x))
 
 
 def _median_distance(sq: np.ndarray) -> float:
-    """Median of sqrt over the strict upper triangle of a squared-distance matrix."""
-    upper = sq[np.triu_indices(len(sq), k=1)]
-    return float(np.median(np.sqrt(np.maximum(upper, 0.0))))
+    """np.median(np.sqrt(sq)): sqrt is monotone, so one partition finds the
+    middle value or two and only those are rooted."""
+    if np.isnan(sq).any():
+        return math.nan
+    half = len(sq) // 2
+    part = np.partition(sq, half)
+    middle = [part[:half].max(), part[half]] if len(sq) % 2 == 0 else [part[half]]
+    return float(np.mean(np.sqrt(middle)))
 
 
-def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances of all (a, b) row pairs or of a's strict upper
+    triangle, each summed by einsum (a per-coordinate sum rounds otherwise)."""
+    if b is None:
+        i, j = np.triu_indices(len(a), k=1)
+        diff = np.stack([col.take(i) - col.take(j) for col in a.T], axis=1)
+    else:
+        diff = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms.tolist()) bit for bit.  With sigma = 2^(M+e), 2^M > n,
+    2^e > max|p|, q = (sigma + p) - sigma and p - q are exact, and so is
+    sum(q) in any order (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput.
+    31(1)); p - q goes round again until it is zero, then one fsum rounds."""
+    p = np.array(terms, float).ravel()
+    parts, m = [], len(p).bit_length()
+    while p.size:
+        mu = float(np.max(np.abs(p)))      # shrinks round by round
+        if not (math.isfinite(mu) and math.frexp(mu)[1] + m <= 1023):
+            return math.fsum(p.tolist())    # first round: p is still terms
+        sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
+        q = (p + sigma) - sigma
+        parts.append(float(q.sum()))
+        p = (p - q)[p != q]
+    return math.fsum(parts)
 
 
 def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
                 bandwidth=MEDIAN_HEURISTIC) -> float:
     """Biased V-statistic MMD^2 with a Gaussian kernel.
 
-    The pooled squared distances are computed once; the median bandwidth
-    and all three kernel blocks are read from them.  Kernel sums are
-    accumulated with fsum, so multiset-equal inputs give exactly 0.0
-    regardless of row order; tiny negative results from the final
-    subtraction are clamped to zero.
+    Squared distances of the xx and yy strict upper triangles and the xy
+    block give the median bandwidth and the three kernel means.  A mean is
+    the correctly rounded sum of its full block (xx, yy: the diagonal plus
+    twice the triangle), exact because ``_exact_sum`` splits the terms into
+    parts whose sums are exact and rounds those once with fsum; so multiset-
+    equal inputs give exactly 0.0 in any row order.  Tiny negative results
+    are clamped to zero.
     """
     x = np.atleast_2d(np.asarray(x_feats, float))
     y = np.atleast_2d(np.asarray(y_feats, float))
@@ -190,30 +221,24 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
         raise EmptyInputError("mmd_squared needs nonempty feature sets")
     if x.shape[1] != y.shape[1]:
         raise ConfigurationError("feature sets must share a dimension")
-    pooled = np.vstack([x, y])
-    sq = _cross_sq_dists(pooled, pooled)
+    sq_xx, sq_yy, sq_xy = _sq_dists(x), _sq_dists(y), _sq_dists(x, y)
     if bandwidth == MEDIAN_HEURISTIC:
-        sigma = _median_distance(sq)
+        sigma = _median_distance(np.concatenate([sq_xx, sq_yy, sq_xy]))
     else:
         sigma = float(bandwidth)
     if not sigma > 0:
         raise ConfigurationError(f"kernel bandwidth must be positive, got {sigma}")
-    k = np.exp((-0.5 / (sigma * sigma)) * sq)
-    nx = len(x)
-    value = (_symmetric_mean(k[:nx, :nx]) + _symmetric_mean(k[nx:, nx:])
-             - 2.0 * math.fsum(k[:nx, nx:].ravel().tolist()) / (nx * len(y)))
+    scale = -0.5 / (sigma * sigma)
+
+    def self_mean(feats, sq):           # twice the triangle plus the diagonal,
+        d = feats - feats               # which is NaN where feats are not finite
+        diag = np.exp(scale * np.einsum("ij,ij->i", d, d))
+        terms = np.concatenate([2.0 * np.exp(scale * sq), diag])
+        return _exact_sum(terms) / len(feats) ** 2
+
+    value = (self_mean(x, sq_xx) + self_mean(y, sq_yy)
+             - 2.0 * _exact_sum(np.exp(scale * sq_xy)) / (len(x) * len(y)))
     return max(value, 0.0)
-
-
-def _symmetric_mean(block: np.ndarray) -> float:
-    """Mean of a square block that equals its transpose bit for bit.
-
-    Twice each strict-upper entry plus the diagonal is exactly the full
-    block's sum, so fsum rounds it to the same value from half the terms.
-    """
-    terms = np.concatenate([2.0 * block[np.triu_indices(len(block), k=1)],
-                            np.diagonal(block)])
-    return math.fsum(terms.tolist()) / block.size
 
 
 def align_moments(source_samples: SampleSet, target_samples: SampleSet

@@ -16,13 +16,12 @@ import numpy as np
 
 from .domains import DomainSpec, PairSet, PairStrategy, draw_pair_process
 from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
-from .noise import NoiseModel, corrected_costs, zero_m_costs, zero_m_loss
+from .noise import NoiseModel, corrected_costs, zero_m_costs
 from .serial import Serializable
 from .stumps import StumpHypothesis, erm
 
 __all__ = [
     "RiskConfig",
-    "zero_m_loss",
     "empirical_risk_true",
     "corrected_empirical_risk_target",
     "source_guided_risk",

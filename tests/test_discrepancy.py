@@ -1,3 +1,5 @@
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import pseudobound as pb
 from oracles import h_delta_h_grid_oracle, h_delta_h_oracle, mmd_oracle
-from pseudobound.discrepancy import _ROW_BLOCK, _h_delta_h_best
+from pseudobound.discrepancy import _ROW_BLOCK, _exact_sum, _h_delta_h_best
 
 
 INFO2 = pb.HypothesisClassInfo(2)
@@ -178,6 +180,121 @@ def test_median_heuristic():
     assert pb.median_heuristic_bandwidth(x) == 2.0
     with pytest.raises(pb.InsufficientDataError):
         pb.median_heuristic_bandwidth(np.array([[1.0]]))
+
+
+def _fsum_outcome(f, terms):
+    try:
+        value = f(terms)
+    except (OverflowError, ValueError) as err:
+        return type(err).__name__
+    return value.hex(), math.copysign(1.0, value)
+
+
+def _assert_fsum_equal(terms):
+    terms = np.asarray(terms, float)
+    assert _fsum_outcome(_exact_sum, terms) == \
+        _fsum_outcome(lambda t: math.fsum(t.tolist()), terms), terms
+
+
+def test_exact_sum_special_inputs_equal_fsum():
+    tiny, half = 2.0 ** -1074, 2.0 ** -53
+    cases = [
+        [], [0.0], [-0.0], [-0.0, -0.0], [tiny], [-tiny], [1e300], [-3.5],
+        [1.0, half], [1.0, half, tiny], [1.0, half, -tiny],   # half-ulp ties
+        [1.0 + 2 * half, half], [-1.0, -half, tiny], [1.0, -half / 2],
+        [1e16, 1.0, -1e16], [1e300, 1.0, -1e300, tiny], [1.0, -1.0],
+        [1.7e308, 1.7e308, -1.7e308], [math.inf, 1.0], [math.inf, -math.inf],
+        [math.nan, 1.0], [1e308, 1e308], [np.finfo(float).max, -1.0],
+    ]
+    for terms in cases:
+        _assert_fsum_equal(terms)
+
+
+def test_exact_sum_random_arrays_equal_fsum():
+    rng = np.random.default_rng(2008)
+    _assert_fsum_equal(rng.random(70_000))
+    _assert_fsum_equal(np.exp(-rng.uniform(0, 745, 70_000)))
+    for t in range(2000):
+        n = int(rng.integers(1, 200))
+        kind = t % 5
+        if kind == 0:   # kernel-like values down to subnormals
+            terms = np.exp(-rng.uniform(0, 745, n))
+        elif kind == 1:  # mixed signs that cancel, plus small leftovers
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+            terms = np.concatenate([v, -rng.permutation(v), rng.standard_normal(3)])
+        elif kind == 2:  # a span of +-1e300
+            terms = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        elif kind == 3:  # half-ulp ties, broken or not by a subnormal
+            big = rng.uniform(1, 2) * 2.0 ** int(rng.integers(-60, 60))
+            breaker = float(rng.choice([0.0, 2.0 ** -1074, -(2.0 ** -1074)]))
+            terms = rng.choice([-1.0, 1.0]) * np.array([big, math.ulp(big) / 2, breaker])
+        else:            # few distinct values, many exact repeats
+            terms = rng.choice(rng.standard_normal(4), n)
+        _assert_fsum_equal(terms)
+
+
+def _mmd_draw(rng, t):
+    """Case t of the pinned mmd_squared draws: (x, y, bandwidth)."""
+    q = int(rng.integers(1, 6))
+    nx, ny = (int(np.exp(rng.uniform(0, np.log(320.5)))) for _ in range(2))
+    x = rng.standard_normal((nx, q))
+    y = rng.standard_normal((ny, q)) * rng.uniform(0.5, 2) + rng.uniform(-1, 1)
+    kind, bandwidth = t % 6, pb.MEDIAN_HEURISTIC
+    if kind == 1:                    # rounded: tied distances
+        x, y = np.round(x, 1), np.round(y, 1)
+    elif kind == 2:                  # permuted copy: exactly 0.0
+        x = np.vstack([x, x + 1.0])
+        y = x[rng.permutation(len(x))]
+    elif kind == 3:
+        bandwidth = float(rng.uniform(0.1, 3.0))
+    elif kind == 4:                  # far-apart kernel values, many underflow
+        x, bandwidth = x * 30.0, float(rng.uniform(0.05, 0.5))
+    elif kind == 5:                  # the error and degenerate paths
+        bad = (t // 6) % 7
+        if bad == 0:
+            x = x[:0]
+        elif bad == 1:
+            y = np.zeros((ny, q + 1))
+        elif bad == 2:
+            bandwidth = float(rng.choice([0.0, -1.0]))
+        elif bad == 3:
+            x, y = np.ones((nx, q)), np.ones((ny, q))
+        elif bad == 4:
+            x[0, 0] = np.nan
+        elif bad == 5:
+            x[0, 0], bandwidth = np.inf, 1.0
+        else:
+            y = x[:1].repeat(ny, axis=0)
+    return x, y, bandwidth
+
+
+def _mmd_digest() -> str:
+    rng = np.random.default_rng(1500)
+    digest = hashlib.sha256()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(1500):
+            x, y, bandwidth = _mmd_draw(rng, t)
+            try:
+                outcome = pb.mmd_squared(x, y, bandwidth).hex()
+            except pb.PseudoboundError as err:
+                outcome = type(err).__name__
+            if t % 6 == 2:
+                assert outcome == (0.0).hex()
+            if t % 6 == 1:
+                pooled = np.vstack([x, y])
+                outcome += " " + pb.median_heuristic_bandwidth(pooled).hex()
+            digest.update(f"{t} {outcome}\n".encode())
+    return digest.hexdigest()
+
+
+def test_mmd_outputs_pinned():
+    """1 500 draws (sizes 1-320, q 1-5, ties, permuted copies, both
+    bandwidth kinds, error paths) hash to the outcomes of the former pooled
+    n x n implementation, recorded before the block-wise rewrite."""
+    assert _mmd_digest() == MMD_PIN
+
+
+MMD_PIN = "8e0f0380fa9af0e3c9f344acd794ab696636caea08fbdea1aa50a996d4652508"
 
 
 def sample_sets(shift_offset, n=400, seed=0):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import pseudobound as pb
+from pseudobound import pipeline
 from pseudobound.bound import oracle_bound_inputs
 
 
@@ -192,8 +194,6 @@ def test_pipeline_model_member_prediction():
     shift = pb.AffineMap(np.eye(2), np.array([1.0, 0.0]))
     mapped = pb.PipelineModel(stump, shift, False)
     assert np.array_equal(mapped.transform_target_members(feats), feats + [1, 0])
-    # source members never pass through the target alignment map
-    assert np.array_equal(mapped.transform_source_members(feats), feats)
 
 
 def test_experiment_result_serialization():
@@ -283,3 +283,120 @@ def test_default_toggle_grid_pairs_decay_with_bounded_loss():
             assert toggles.weight_decay > 0
         else:
             assert toggles.weight_decay == 0.0
+
+
+def _small_practice():
+    """Practice config with the smallest oracle draws, for memo tests."""
+    return replace(pb.default_experiment_config("practice"),
+                   oracle_pairs=10_000, discrepancy_sample=32)
+
+
+def _practice_align_map(cfg, seed):
+    target = pb.generate_domain(cfg.target, cfg.n_target_samples,
+                                pb.derive_seed(seed, 20))
+    source = pb.generate_domain(cfg.source, cfg.n_source_samples,
+                                pb.derive_seed(seed, 21))
+    return pb.align_moments(source, target)[1]
+
+
+@pytest.mark.parametrize("use_map, normalize",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_oracle_memo_hit_equals_a_fresh_estimate(use_map, normalize):
+    cfg, seed = _small_practice(), 41
+    amap = _practice_align_map(cfg, seed) if use_map else None
+    fresh, fresh_t = oracle_bound_inputs(cfg, seed, amap, normalize)
+    pipeline._oracle_memo.clear()
+    missed, missed_t = pipeline._oracle_side(cfg, seed, amap, normalize)
+    hit, hit_t = pipeline._oracle_side(cfg, seed, amap, normalize)
+    assert len(pipeline._oracle_memo) == 1
+    assert missed == hit == fresh
+    for pairs in (missed_t, hit_t):
+        assert np.array_equal(pairs.similarity, fresh_t.similarity)
+        assert np.array_equal(pairs.true_labels, fresh_t.true_labels)
+
+
+def test_oracle_key_covers_every_field_oracle_bound_inputs_reads():
+    """Each config field either enters the memo key or cannot change the
+    oracle estimates; a new field must be placed here before this passes."""
+    cfg, seed = _small_practice(), 43
+    amap = _practice_align_map(cfg, seed)
+    other = {
+        "source": replace(cfg.source, seed=99),
+        "target": replace(cfg.target, seed=99),
+        "strategy": pb.PairStrategy.balanced(2),
+        "risk": replace(cfg.risk, alpha=0.25),
+        "noise": pb.NoiseMode.synthetic(pb.NoiseModel(0.1, 0.2)),
+        "dbscan_params": pb.DbscanParams(0.3, 3),
+        "toggles": pb.Toggles.all_off(),
+        "iterations": 2, "trials": 3, "master_seed": 7, "delta": 0.05,
+        "m_train": 300, "n_target_samples": 50, "n_source_samples": 50,
+        "max_target_pairs": 100, "oracle_pairs": 12_000,
+        "discrepancy_sample": 48, "refine_scale": 3.0, "linear_probe": None,
+    }
+    assert set(other) == {f.name for f in dataclasses.fields(pb.ExperimentConfig)}
+    key = pipeline._oracle_key(cfg, seed, amap, True)
+    assert key != pipeline._oracle_key(cfg, seed + 1, amap, True)
+    assert key != pipeline._oracle_key(cfg, seed, None, True)
+    assert key != pipeline._oracle_key(cfg, seed, amap, False)
+    base, base_t = oracle_bound_inputs(cfg, seed, amap, True)
+    for name, value in other.items():
+        changed = replace(cfg, **{name: value})
+        if name in pipeline._ORACLE_FIELDS:
+            assert pipeline._oracle_key(changed, seed, amap, True) != key, name
+        else:
+            inputs, oracle_t = oracle_bound_inputs(changed, seed, amap, True)
+            assert inputs == base, name
+            assert np.array_equal(oracle_t.similarity, base_t.similarity), name
+
+
+def test_oracle_memo_stays_within_its_bound(monkeypatch):
+    cfg = _small_practice()
+    assert pipeline._ORACLE_MEMO_SIZE >= 80   # ablate's 20 trials x 4 maps
+    monkeypatch.setattr(pipeline, "_ORACLE_MEMO_SIZE", 2)
+    pipeline._oracle_memo.clear()
+    for seed in range(4):
+        pipeline._oracle_side(cfg, seed, None, False)
+        assert len(pipeline._oracle_memo) <= 2
+    assert [k[1] for k in pipeline._oracle_memo] == [2, 3]   # oldest dropped
+
+
+def test_validate_theorem_never_reads_the_memo():
+    cfg = pb.default_experiment_config("noisy")
+    fresh = oracle_bound_inputs(cfg, 3)[0]
+    key = pipeline._oracle_key(cfg, 3, None, False)
+    pipeline._oracle_memo[key] = replace(fresh, epsilon_t_star=0.5)
+    try:
+        validation = pb.validate_theorem(cfg, trials=2, rng_seed=3)
+    finally:
+        del pipeline._oracle_memo[key]
+    assert validation.report.inputs == fresh
+
+
+def _canonical(result) -> str:
+    d = result.to_dict()
+    d.pop("wall_time")
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+def _practice_cells_digest() -> str:
+    """sha256 of the 16 default-grid cells x 2 ablation trial seeds of the
+    practice config at two iterations, in ``run_ablation`` order."""
+    base = replace(pb.default_experiment_config("practice"), iterations=2)
+    digest = hashlib.sha256()
+    for toggles in pb.default_toggle_grid():
+        for t in range(2):
+            seed = pb.derive_seed(base.master_seed, 30, t)
+            result = pb.run_self_learning(replace(base, toggles=toggles,
+                                                  master_seed=seed))
+            digest.update(_canonical(result).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# Recorded before the oracle memo and the block-wise MMD existed.
+PRACTICE_CELLS_PIN = "9076e9a7ca2d29bfbb46946b640ecccdeb7ed7be42dd7d29ff7955a888e2faa8"
+
+
+def test_practice_cells_pinned_with_the_memo_cold_and_warm():
+    pipeline._oracle_memo.clear()
+    assert _practice_cells_digest() == PRACTICE_CELLS_PIN   # 8 misses, 24 hits
+    assert _practice_cells_digest() == PRACTICE_CELLS_PIN   # all hits
