@@ -26,23 +26,25 @@ from .domains import (
     DomainSpec,
     PairSet,
     PairStrategy,
+    _pairs_from_draws,
+    _raw_pair_draws,
     derive_seed,
     draw_pair_process,
+    make_rng,
     map_members,
     similarity_from_members,
 )
 from .errors import ConfigurationError
-from .noise import NO_NOISE, NoiseModel, corrupt_labels
+from .noise import NO_NOISE, NoiseModel, _flip_labels
 from .risk import (
     RiskConfig,
     _source_guided_problem,
-    empirical_risk_true,
     expected_risk,
     fit_plain,
     source_guided_risk,
 )
 from .serial import Serializable
-from .stumps import HypothesisClassInfo, erm_batch
+from .stumps import HypothesisClassInfo, erm_batch, sorted_miss_counter
 
 SQUARED_COMPLEMENT = "squared_complement"      # source share (1 - alpha)^2
 COMPLEMENT_OF_SQUARE = "complement_of_square"  # source share 1 - alpha^2
@@ -50,11 +52,10 @@ _CONVENTIONS = (SQUARED_COMPLEMENT, COMPLEMENT_OF_SQUARE)
 
 TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated")
 
-# Training points per batched ERM in validate_theorem: m_train = 400 gives
-# blocks of 20 trials, and from m_train = 8192 up each trial is fitted alone.
-# Batching pays at small m (per-problem time at m = 400 was flat from 16 to
-# 160 trials per block); at m = 2e4 blocks of 3 were no faster than single
-# fits, and small blocks keep the stacked problems' memory low.
+# Training points per block of bound trials (drawn by the block sampler, fitted
+# by one batched ERM): 20 trials at m_train = 400, one from 8192 up.  Larger
+# blocks were no faster per problem (flat from 16 to 160 at m = 400; at m = 2e4
+# blocks of 3 lost to single fits) and cost memory.
 _BLOCK_POINTS = 8192
 
 __all__ = [
@@ -245,22 +246,39 @@ def hoeffding_rhs(mu: float, m: int, cfg: RiskConfig, model: NoiseModel) -> floa
     return 2.0 * math.exp(-2.0 * m * mu * mu / variance_proxy)
 
 
-def _draw_training(config: ExperimentConfig, trial_entropy: int,
-                   iteration: int = 0):
-    """One m-sample training draw: i.i.d. pairs, target labels corrupted.
-
-    Sub-seeds: 1 = target pair draw, 2 = corruption (iteration-dependent),
-    3 = source pair draw.  Both the concentration check and the theorem
-    trials consume exactly this chain, so their draws are comparable.
-    """
+def _trial_blocks(config: ExperimentConfig, trials: int, rng_seed: int,
+                  iteration: int = 0):
+    """(seeds, draws) per block of about ``_BLOCK_POINTS`` training points;
+    draws stacks source similarities and labels, target similarities, labels
+    and pseudo-labels.  Trial t's entropy e = derive_seed(rng_seed, t) and its
+    sub-seeds (e, 1) target pairs, (e, 2, iteration) corruption and (e, 3)
+    source pairs are consumed as by lone draw_pair_process/corrupt_labels."""
     m_t, m_s = config.risk.split_m(config.m_train)
-    _, tgt = draw_pair_process(config.target, config.strategy, m_t,
-                               derive_seed(trial_entropy, 1))
-    tgt = corrupt_labels(tgt, config.noise.model,
-                         derive_seed(trial_entropy, 2, iteration))
-    _, src = draw_pair_process(config.source, config.strategy, m_s,
-                               derive_seed(trial_entropy, 3))
-    return src, tgt
+    block = max(1, _BLOCK_POINTS // config.m_train)
+
+    def pairs(spec, n, seeds):  # (similarities, labels) of a block of streams
+        ids, noise = _raw_pair_draws(spec, config.strategy, n, seeds)
+        return _pairs_from_draws(spec, ids, noise)[1:]
+
+    for start in range(0, trials, block):
+        seeds = [derive_seed(rng_seed, t) for t in range(start, min(start + block, trials))]
+        tgt_sim, tgt_true = pairs(config.target, m_t, [derive_seed(e, 1) for e in seeds])
+        src_sim, src_true = pairs(config.source, m_s, [derive_seed(e, 3) for e in seeds])
+        uniforms = np.empty(tgt_true.shape)
+        for row, e in zip(uniforms, seeds):
+            make_rng(derive_seed(e, 2, iteration)).random(out=row)
+        pseudo = _flip_labels(tgt_true, uniforms, config.noise.model)
+        yield seeds, (src_sim, src_true, tgt_sim, tgt_true, pseudo)
+
+
+def _trial_pairs(config: ExperimentConfig, trials: int, rng_seed: int,
+                 iteration: int = 0):
+    """``_trial_blocks``' draws as one (source, target) pair-set tuple per trial."""
+    for seeds, (src_sim, src_true, tgt_sim, tgt_true, pseudo) in _trial_blocks(
+            config, trials, rng_seed, iteration):
+        for i in range(len(seeds)):
+            yield (PairSet(src_sim[i], src_true[i]),
+                   PairSet(tgt_sim[i], tgt_true[i], pseudo[i]))
 
 
 def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
@@ -270,6 +288,7 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
 
     h stays fixed; each trial redraws the m-sample training set (target
     labels freshly corrupted) and evaluates the alpha-mix empirical risk.
+    Draws come from ``validate_theorem``'s block sampler and seed chain.
     The population center comes from a large oracle draw.  Requires
     synthetic noise mode so the rates entering the denominator are exact.
     """
@@ -285,10 +304,8 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
     eps_s, _ = expected_risk(h, config.source, config.strategy, cfg.big_m,
                              center_n, derive_seed(rng_seed, 2))
     center = cfg.alpha * eps_t + (1.0 - cfg.alpha) * eps_s
-    devs = np.empty(trials)
-    for t in range(trials):
-        src, tgt = _draw_training(config, derive_seed(rng_seed, t))
-        devs[t] = abs(source_guided_risk(h, src, tgt, cfg, model) - center)
+    devs = np.array([abs(source_guided_risk(h, src, tgt, cfg, model) - center)
+                     for src, tgt in _trial_pairs(config, trials, rng_seed)])
     rows = []
     for mu in mu_grid:
         empirical = float(np.count_nonzero(devs >= mu) / trials)
@@ -389,10 +406,10 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     violation_rate <= delta.  Toggles are ignored here: this path always
     trains the alpha-weighted stump ERM that the bound speaks about.
 
-    Trials are fitted in blocks of about ``_BLOCK_POINTS`` training points
-    (at least one trial) by one ``erm_batch`` call; trial t keeps its seed
-    ``derive_seed(rng_seed, t)`` and every row equals fitting it alone with
-    ``fit_source_guided``.
+    The block sampler makes each trial's own RNG calls (trial t keeps seed
+    ``derive_seed(rng_seed, t)``) and builds a block's pairs and costs at
+    once; one ``erm_batch`` call fits them and ``sorted_miss_counter`` scores
+    them, so each row equals running the trial alone with the public calls.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("theorem validation needs synthetic noise mode")
@@ -401,16 +418,14 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     cfg, model = config.risk, config.noise.model
     inputs, oracle_t = oracle_bound_inputs(config, rng_seed)
     report = assemble_bound(inputs)
-    block = max(1, _BLOCK_POINTS // config.m_train)
+    misses = sorted_miss_counter(oracle_t.similarity, oracle_t.true_labels)
     rows = []
-    for start in range(0, trials, block):
-        seeds = [derive_seed(rng_seed, t)
-                 for t in range(start, min(start + block, trials))]
-        problems = [_source_guided_problem(*_draw_training(config, seed), cfg, model)
-                    for seed in seeds]
-        fits = erm_batch(*(np.stack(part) for part in zip(*problems)))
+    for seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
+            config, trials, rng_seed):
+        fits = erm_batch(*_source_guided_problem(src_sim, src_true, tgt_sim,
+                                                 pseudo, cfg, model))
         for seed, (h_hat, _) in zip(seeds, fits):
-            eps_hat = empirical_risk_true(h_hat, oracle_t, cfg.big_m)
+            eps_hat = cfg.big_m * misses(h_hat) / len(oracle_t)
             rows.append(TheoremTrialRow(
                 seed=seed,
                 noise_term=report.noise_term,

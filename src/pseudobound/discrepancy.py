@@ -181,7 +181,10 @@ def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         i, j = np.triu_indices(len(a), k=1)
         diff = np.stack([col.take(i) - col.take(j) for col in a.T], axis=1)
     else:
-        diff = (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
+        diff = np.empty((len(a), len(b), a.shape[1]))
+        for k in range(a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=diff[:, :, k])
+        diff = diff.reshape(-1, a.shape[1])
     return np.einsum("ij,ij->i", diff, diff)
 
 

@@ -261,6 +261,46 @@ def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) ->
     return np.abs(feats[idx[:, 0]] - feats[idx[:, 1]])
 
 
+def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
+                    rng_seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Identities (b, n_pairs, 2) and normals (b, n_pairs, 2, q) of b pair
+    streams; stream i makes the calls a lone draw with rng_seeds[i] makes."""
+    spec.validate()
+    if n_pairs < 1:
+        raise EmptyInputError("draw_pair_process needs n_pairs >= 1")
+    n_id = spec.num_identities
+    if strategy.kind == "balanced" and n_id < 2:
+        raise DegenerateInputError("balanced pairs need at least two identities")
+    ids = np.empty((len(rng_seeds), n_pairs, 2), np.int64)
+    noise = np.empty((len(rng_seeds), n_pairs, 2, spec.feature_dim))
+    for i, seed in enumerate(rng_seeds):
+        rng = make_rng(spec.seed, seed, 1)
+        if strategy.kind == "all":
+            ids[i, :, 0] = rng.integers(0, n_id, size=n_pairs)
+            ids[i, :, 1] = rng.integers(0, n_id, size=n_pairs)
+        else:
+            positive = rng.random(n_pairs) < 1.0 / (1 + strategy.k_neg_per_pos)
+            ids[i, :, 0] = ids_a = rng.integers(0, n_id, size=n_pairs)
+            offset = rng.integers(1, n_id, size=n_pairs)
+            ids[i, :, 1] = np.where(positive, ids_a, (ids_a + offset) % n_id)
+        rng.standard_normal(out=noise[i])
+    return ids, noise
+
+
+def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features (..., n, 2, q), similarities (..., n, q) and +-1 labels from
+    raw draws, any leading shape.  An identity transform is skipped: it could
+    only turn -0.0 into +0.0, which ``abs`` removes."""
+    feats = spec.identity_centers[ids] + spec.within_identity_stddev * noise
+    amap = spec.domain_transform
+    if not amap.is_identity():
+        feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)
+    sim = np.abs(feats[..., 0, :] - feats[..., 1, :])
+    labels = np.where(ids[..., 0] == ids[..., 1], 1, -1).astype(np.int8)
+    return feats, sim, labels
+
+
 def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
                       rng_seed: int) -> tuple[SampleSet, PairSet]:
     """Draw n_pairs independent pairs whose marginals match the strategy.
@@ -269,35 +309,14 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     the strategy-induced pair distribution: under ``all`` both identities are
     uniform and independent; under ``balanced`` the pair is positive with
     probability 1/(1 + k_neg_per_pos), negatives draw two distinct uniform
-    identities.  This is the sampler behind risk estimation and bound trials.
+    identities.  It is the b = 1 case of the block sampler behind the bound
+    trials (``_raw_pair_draws``, then ``_pairs_from_draws``).
     """
-    spec.validate()
-    if n_pairs < 1:
-        raise EmptyInputError("draw_pair_process needs n_pairs >= 1")
-    rng = make_rng(spec.seed, rng_seed, 1)
-    n_id = spec.num_identities
-    if strategy.kind == "all":
-        ids_a = rng.integers(0, n_id, size=n_pairs)
-        ids_b = rng.integers(0, n_id, size=n_pairs)
-    else:
-        if n_id < 2:
-            raise DegenerateInputError("balanced pairs need at least two identities")
-        p_pos = 1.0 / (1 + strategy.k_neg_per_pos)
-        positive = rng.random(n_pairs) < p_pos
-        ids_a = rng.integers(0, n_id, size=n_pairs)
-        offset = rng.integers(1, n_id, size=n_pairs)
-        ids_b = np.where(positive, ids_a, (ids_a + offset) % n_id)
-    ids = np.empty(2 * n_pairs, np.int64)
-    ids[0::2] = ids_a
-    ids[1::2] = ids_b
-    feats = spec.identity_centers[ids] + spec.within_identity_stddev * rng.standard_normal(
-        (2 * n_pairs, spec.feature_dim)
-    )
-    samples = SampleSet(spec.domain_transform.apply(feats), ids)
+    ids, noise = _raw_pair_draws(spec, strategy, n_pairs, [rng_seed])
+    feats, sim, labels = _pairs_from_draws(spec, ids[0], noise[0])
     member = np.arange(2 * n_pairs, dtype=np.int64).reshape(-1, 2)
-    sim = similarity_from_members(samples.features, member)
-    labels = np.where(ids_a == ids_b, 1, -1)
-    return samples, PairSet(sim, labels, member_indices=member)
+    return (SampleSet(feats.reshape(-1, spec.feature_dim), ids[0].reshape(-1)),
+            PairSet(sim, labels, member_indices=member))
 
 
 def unit_normalize(features: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -56,11 +56,14 @@ def corrupt_labels(pairs: PairSet, model: NoiseModel, rng_seed: int) -> PairSet:
     """
     if len(pairs) == 0:
         raise EmptyInputError("corrupt_labels needs at least one pair")
-    rng = make_rng(rng_seed)
-    y = pairs.true_labels
-    flip_p = np.where(y == 1, model.rho_pos, model.rho_neg)
-    flips = rng.random(len(y)) < flip_p
-    return pairs.with_pseudo_labels(np.where(flips, -y, y))
+    uniforms = make_rng(rng_seed).random(len(pairs))
+    return pairs.with_pseudo_labels(_flip_labels(pairs.true_labels, uniforms, model))
+
+
+def _flip_labels(labels, uniforms, model: NoiseModel) -> np.ndarray:
+    """Flip each +-1 label (any shape) whose uniform falls below its class rate."""
+    flips = uniforms < np.where(labels == 1, model.rho_pos, model.rho_neg)
+    return np.where(flips, -labels, labels)
 
 
 def zero_m_loss(y, y_other, big_m: float):

@@ -20,9 +20,9 @@ import numpy as np
 from .bound import (
     BoundInputs,
     BoundReport,
-    _draw_training,
     _mapped_pairs,
     _rebuild_pairs,
+    _trial_pairs,
     assemble_bound,
     oracle_bound_inputs,
 )
@@ -240,8 +240,6 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         source_pairs = _rebuild_pairs(
             src_raw, map_members(src_samples.features, normalize=normalize))
         weights = np.ones(config.target.feature_dim)
-    else:
-        trial_entropy = derive_seed(seed, 0)
     # The member maps are fixed for the run, so the deployed model's oracle
     # quantities and target oracle pairs (seed 4) are too.
     inputs, oracle_t = _oracle_side(config, seed, align_map, normalize)
@@ -257,7 +255,7 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
                     keep_noise_as_singletons=toggles.outlier_filtering == FILTER_NONE,
                 ), config, it)
             else:
-                source_pairs, target_pairs = _draw_training(config, trial_entropy, it)
+                source_pairs, target_pairs = next(_trial_pairs(config, 1, seed, it))
             rho_before = estimate_noise_rates(target_pairs)
             model = rho_before.as_model() if practice else config.noise.model
             h, kept, rho_after, filter_report, model = _train(

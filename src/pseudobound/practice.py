@@ -144,8 +144,9 @@ def tukey_fence(values) -> tuple[float, np.ndarray]:
         raise ConfigurationError("tukey_fence expects a flat list of values")
     if len(v) < 4:
         raise InsufficientDataError(f"tukey_fence needs >= 4 values, got {len(v)}")
-    q1 = float(np.percentile(v, 25, method="lower"))
-    q3 = float(np.percentile(v, 75, method="lower"))
+    ranks = [(len(v) - 1) // 4, 3 * (len(v) - 1) // 4]
+    # Any NaN makes both quartiles NaN, as np.percentile has it.
+    q1, q3 = [math.nan] * 2 if np.isnan(v).any() else np.partition(v, ranks)[ranks].tolist()
     fence = q3 + 1.5 * (q3 - q1)
     return fence, v > fence
 

@@ -149,24 +149,27 @@ def fit_source_guided(source_pairs: PairSet, target_pairs: PairSet,
     (1-alpha)/n_S (plain, source) so the summed ERM objective equals the
     source-guided empirical risk.
     """
-    return erm(*_source_guided_problem(source_pairs, target_pairs, cfg, model))
-
-
-def _source_guided_problem(source_pairs: PairSet, target_pairs: PairSet,
-                           cfg: RiskConfig, model: NoiseModel
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feats, cost_pos, cost_neg) of the alpha-weighted ERM, target first."""
     if len(source_pairs) == 0 or len(target_pairs) == 0:
         raise EmptyInputError("fit_source_guided needs pairs from both domains")
     if not target_pairs.has_pseudo:
         raise DegenerateInputError("fit_source_guided needs pseudo labels on target pairs")
     if source_pairs.feature_dim != target_pairs.feature_dim:
         raise ConfigurationError("source and target pairs disagree on feature_dim")
-    t_pos, t_neg = corrected_costs(target_pairs.pseudo_labels, cfg.big_m, model)
-    s_pos, s_neg = zero_m_costs(source_pairs.true_labels, cfg.big_m)
-    w_t = cfg.alpha / len(target_pairs)
-    w_s = (1.0 - cfg.alpha) / len(source_pairs)
-    feats = np.vstack([target_pairs.similarity, source_pairs.similarity])
-    cost_pos = np.concatenate([w_t * t_pos, w_s * s_pos])
-    cost_neg = np.concatenate([w_t * t_neg, w_s * s_neg])
+    return erm(*_source_guided_problem(source_pairs.similarity, source_pairs.true_labels,
+                                       target_pairs.similarity, target_pairs.pseudo_labels,
+                                       cfg, model))
+
+
+def _source_guided_problem(src_sim, src_labels, tgt_sim, tgt_pseudo,
+                           cfg: RiskConfig, model: NoiseModel
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feats, cost_pos, cost_neg) of the alpha-weighted ERM, target first,
+    for any leading batch shape: similarities (..., n, q), labels (..., n)."""
+    t_pos, t_neg = corrected_costs(tgt_pseudo, cfg.big_m, model)
+    s_pos, s_neg = zero_m_costs(src_labels, cfg.big_m)
+    w_t = cfg.alpha / tgt_pseudo.shape[-1]
+    w_s = (1.0 - cfg.alpha) / src_labels.shape[-1]
+    feats = np.concatenate([tgt_sim, src_sim], axis=-2)
+    cost_pos = np.concatenate([w_t * t_pos, w_s * s_pos], axis=-1)
+    cost_neg = np.concatenate([w_t * t_neg, w_s * s_neg], axis=-1)
     return feats, cost_pos, cost_neg

@@ -129,6 +129,21 @@ def test_criterion_04_disagreement_gap_dominated_exactly(report):
     assert ok, (violations, rhs, elapsed)
 
 
+# Criterion 05's rows (mu, empirical_prob, hoeffding_rhs, holds), exactly.
+CRITERION_05_ROWS = [
+    (0.02, 0.3452, 1.86507838660624, True),
+    (0.04000000000000001, 0.0562, 1.5125104024888132, True),
+    (0.06000000000000001, 0.0044, 1.066679229367272, True),
+    (0.08000000000000002, 0.0004, 0.6541893866783249, True),
+    (0.10000000000000002, 0.0, 0.3489051154211419, True),
+    (0.12000000000000002, 0.0, 0.1618249073181341, True),
+    (0.14, 0.0, 0.06527059690426909, True),
+    (0.16, 0.0, 0.02289412180397907, True),
+    (0.18000000000000002, 0.0, 0.006983362413410408, True),
+    (0.2, 0.0, 0.001852419569529494, True),
+]
+
+
 def test_criterion_05_weighted_mean_concentration(report):
     t0 = time.perf_counter()
     cfg = pb.default_experiment_config("noisy")
@@ -138,12 +153,14 @@ def test_criterion_05_weighted_mean_concentration(report):
     rows = pb.check_lemma3_concentration(h, cfg, trials=5000, rng_seed=5)
     holds = all(r.holds for r in rows)
     max_excess = max(r.empirical_prob - r.hoeffding_rhs for r in rows)
+    pinned = [(r.mu, r.empirical_prob, r.hoeffding_rhs, r.holds)
+              for r in rows] == CRITERION_05_ROWS
     elapsed = time.perf_counter() - t0
-    ok = len(rows) == 10 and holds and elapsed < 120.0
+    ok = len(rows) == 10 and holds and pinned and elapsed < 120.0
     report(f"criterion 05 deviation concentration: {'PASS' if ok else 'FAIL'} "
            f"(5000 trials, 10 thresholds, all within exponential bound "
            f"+ 3 binomial SE, max excess over bound {max_excess:+.4f}; "
-           f"{elapsed:.2f}s < 120s)")
+           f"rows as pinned={pinned}; {elapsed:.2f}s < 120s)")
     assert ok, ([r.to_dict() for r in rows], elapsed)
 
 

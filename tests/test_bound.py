@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -171,27 +173,106 @@ def test_validate_theorem_structure_and_determinism():
         assert r.violated == (r.eps_t_hat > r.rhs)
 
 
+def _trial_by_trial(cfg, seed):
+    """One trial's training sets drawn alone through the public samplers."""
+    m_t, m_s = cfg.risk.split_m(cfg.m_train)
+    _, tgt = pb.draw_pair_process(cfg.target, cfg.strategy, m_t, pb.derive_seed(seed, 1))
+    tgt = pb.corrupt_labels(tgt, cfg.noise.model, pb.derive_seed(seed, 2, 0))
+    _, src = pb.draw_pair_process(cfg.source, cfg.strategy, m_s, pb.derive_seed(seed, 3))
+    return src, tgt
+
+
 def test_validate_theorem_blocks_equal_trial_by_trial_fits():
-    """Blocked trials (two full blocks and a short one) match fitting each
-    trial alone with fit_source_guided, row for row."""
-    from pseudobound.bound import _BLOCK_POINTS, _draw_training, oracle_bound_inputs
+    """Blocked trials (two full blocks and a short one) match drawing, fitting
+    and scoring each trial alone with the public calls, row for row; shifted
+    runs its non-identity domain transform."""
+    from pseudobound.bound import _BLOCK_POINTS, oracle_bound_inputs
+
+    for kind in ("noisy", "shifted"):
+        cfg = pb.default_experiment_config(kind)
+        block = _BLOCK_POINTS // cfg.m_train
+        assert block > 1
+        trials = 2 * block + 3
+        res = pb.validate_theorem(cfg, trials=trials, rng_seed=5)
+        _, oracle_t = oracle_bound_inputs(cfg, 5)
+        assert len(res.rows) == trials
+        for t, row in enumerate(res.rows):
+            seed = pb.derive_seed(5, t)
+            src, tgt = _trial_by_trial(cfg, seed)
+            h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
+            eps = pb.empirical_risk_true(h, oracle_t, cfg.risk.big_m)
+            assert row.seed == seed
+            assert row.eps_t_hat == eps
+            assert row.violated == (eps > res.report.rhs)
+            assert row.violated_alt == (eps > res.report.rhs_alt)
+
+
+@pytest.mark.parametrize("kind,strategy", [
+    ("noisy", pb.PairStrategy.balanced(3)),
+    ("shifted", pb.PairStrategy.balanced(2)),
+    ("noisy", pb.PairStrategy.all_pairs()),
+])
+def test_trial_block_equals_lone_draws_bytewise(kind, strategy):
+    """A block of trial draws holds, byte for byte, each trial's lone draws."""
+    from dataclasses import replace
+
+    from pseudobound.bound import _trial_blocks
+
+    cfg = replace(pb.default_experiment_config(kind), strategy=strategy, m_train=37)
+    [(seeds, draws)] = _trial_blocks(cfg, 6, 9)
+    assert seeds == [pb.derive_seed(9, t) for t in range(6)]
+    src_sim, src_true, tgt_sim, tgt_true, pseudo = draws
+    for i, seed in enumerate(seeds):
+        src, tgt = _trial_by_trial(cfg, seed)
+        assert src_sim[i].tobytes() == src.similarity.tobytes()
+        assert tgt_sim[i].tobytes() == tgt.similarity.tobytes()
+        assert src_true[i].tobytes() == src.true_labels.tobytes()
+        assert tgt_true[i].tobytes() == tgt.true_labels.tobytes()
+        assert pseudo[i].tobytes() == tgt.pseudo_labels.tobytes()
+
+
+def test_lemma3_rows_equal_trial_by_trial_risks():
+    """check_lemma3_concentration's rows equal those rebuilt from per-trial
+    public draws and source_guided_risk, over a short last block."""
+    from pseudobound.bound import _BLOCK_POINTS, hoeffding_rhs
 
     cfg = pb.default_experiment_config("noisy")
-    block = _BLOCK_POINTS // cfg.m_train
-    assert block > 1
-    trials = 2 * block + 3
-    res = pb.validate_theorem(cfg, trials=trials, rng_seed=5)
-    _, oracle_t = oracle_bound_inputs(cfg, 5)
-    assert len(res.rows) == trials
-    for t, row in enumerate(res.rows):
-        seed = pb.derive_seed(5, t)
-        src, tgt = _draw_training(cfg, seed)
-        h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
-        eps = pb.empirical_risk_true(h, oracle_t, cfg.risk.big_m)
-        assert row.seed == seed
-        assert row.eps_t_hat == eps
-        assert row.violated == (eps > res.report.rhs)
-        assert row.violated_alt == (eps > res.report.rhs_alt)
+    trials = 2 * (_BLOCK_POINTS // cfg.m_train) + 3
+    h = pb.StumpHypothesis(1, 0.8, 1)
+    rows = pb.check_lemma3_concentration(h, cfg, trials=trials, rng_seed=4)
+    eps_t, _ = pb.expected_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m,
+                                1 << 17, pb.derive_seed(4, 1))
+    eps_s, _ = pb.expected_risk(h, cfg.source, cfg.strategy, cfg.risk.big_m,
+                                1 << 17, pb.derive_seed(4, 2))
+    center = cfg.risk.alpha * eps_t + (1.0 - cfg.risk.alpha) * eps_s
+    devs = np.array([
+        abs(pb.source_guided_risk(h, *_trial_by_trial(cfg, pb.derive_seed(4, t)),
+                                  cfg.risk, cfg.noise.model) - center)
+        for t in range(trials)])
+    assert len({float(d) for d in devs}) > 1
+    for row in rows:
+        assert row.empirical_prob == np.count_nonzero(devs >= row.mu) / trials
+        assert row.hoeffding_rhs == hoeffding_rhs(row.mu, cfg.m_train, cfg.risk,
+                                                  cfg.noise.model)
+
+
+# sha256 over the canonical JSON of validate_theorem(clean / noisy / shifted,
+# 500 trials), one line each: the theorem workload's benchmark checksum.
+THEOREM_PINS = {
+    0: "0bf4f1d440457e10c0ece882d8e53f4393054646242f212c477c1e5932deefbd",
+    8675309: "f0671dac03e7e49a24ff39ebfff9ff2fc9baee7f17903f725a19d807c0e495de",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(THEOREM_PINS))
+def test_validate_theorem_outputs_pinned(seed):
+    digest = hashlib.sha256()
+    for kind in ("clean", "noisy", "shifted"):
+        res = pb.validate_theorem(pb.default_experiment_config(kind), trials=500,
+                                  rng_seed=seed)
+        digest.update(json.dumps(res.to_dict(), sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == THEOREM_PINS[seed]
 
 
 def test_validate_theorem_requires_synthetic():

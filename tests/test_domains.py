@@ -75,6 +75,44 @@ def test_draw_pair_process_contract():
     assert np.array_equal(pairs.true_labels, again.true_labels)
 
 
+def _draw_pair_process_reference(spec, strategy, n_pairs, rng_seed):
+    """The sampler as first written: one stream, the domain transform applied
+    to every draw, similarities through member indices."""
+    rng = pb.make_rng(spec.seed, rng_seed, 1)
+    n_id = spec.num_identities
+    if strategy.kind == "all":
+        ids_a = rng.integers(0, n_id, size=n_pairs)
+        ids_b = rng.integers(0, n_id, size=n_pairs)
+    else:
+        positive = rng.random(n_pairs) < 1.0 / (1 + strategy.k_neg_per_pos)
+        ids_a = rng.integers(0, n_id, size=n_pairs)
+        offset = rng.integers(1, n_id, size=n_pairs)
+        ids_b = np.where(positive, ids_a, (ids_a + offset) % n_id)
+    ids = np.empty(2 * n_pairs, np.int64)
+    ids[0::2], ids[1::2] = ids_a, ids_b
+    feats = spec.identity_centers[ids] + spec.within_identity_stddev * rng.standard_normal(
+        (2 * n_pairs, spec.feature_dim))
+    feats = spec.domain_transform.apply(feats)
+    member = np.arange(2 * n_pairs).reshape(-1, 2)
+    return feats, pb.similarity_from_members(feats, member), np.where(ids_a == ids_b, 1, -1)
+
+
+@pytest.mark.parametrize("kind", ["clean", "shifted"])
+@pytest.mark.parametrize("strategy", [pb.PairStrategy.balanced(3),
+                                      pb.PairStrategy.all_pairs()])
+def test_draw_pair_process_matches_reference_bytewise(kind, strategy):
+    """Skipping clean's identity transform leaves similarities byte-identical;
+    shifted's non-identity transform is still applied."""
+    spec = pb.default_experiment_config(kind).target
+    assert spec.domain_transform.is_identity() == (kind == "clean")
+    for n_pairs, seed in ((1, 0), (2, 3), (500, 17)):
+        feats, sim, labels = _draw_pair_process_reference(spec, strategy, n_pairs, seed)
+        samples, pairs = pb.draw_pair_process(spec, strategy, n_pairs, seed)
+        assert pairs.similarity.tobytes() == sim.tobytes()
+        assert pairs.true_labels.tolist() == labels.tolist()
+        assert np.array_equal(samples.features, feats)  # equal up to the sign of 0
+
+
 def test_draw_pair_process_mixes_labels():
     """The i.i.d. pair stream must contain both classes for risk work."""
     spec = small_spec()

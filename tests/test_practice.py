@@ -135,6 +135,27 @@ def test_tukey_fence_constant_values():
     assert not mask.any()
 
 
+def test_tukey_fence_quartiles_match_lower_percentiles():
+    rng = np.random.default_rng(8)
+    for n in list(range(4, 40)) + [600, 601]:
+        v = np.round(rng.standard_normal(n) * 2, 1)
+        v[rng.integers(n)] = (np.inf, -np.inf, 0.0)[n % 3]
+        q1 = float(np.percentile(v, 25, method="lower"))
+        q3 = float(np.percentile(v, 75, method="lower"))
+        fence, mask = pb.tukey_fence(v)
+        expected = q3 + 1.5 * (q3 - q1)
+        assert fence == expected or (np.isnan(fence) and np.isnan(expected))
+        assert mask.tolist() == (v > expected).tolist()
+
+
+def test_tukey_fence_nan_gives_nan_fence_and_empty_mask():
+    """A NaN value makes both quartiles NaN, as np.percentile does, so the
+    fence is NaN and flags nothing."""
+    fence, mask = pb.tukey_fence(np.array([1.0, 2.0, np.nan, 4.0, 100.0]))
+    assert np.isnan(fence)
+    assert not mask.any()
+
+
 def test_tukey_fence_needs_four_values():
     with pytest.raises(pb.InsufficientDataError):
         pb.tukey_fence(np.array([1.0, 2.0, 3.0]))
