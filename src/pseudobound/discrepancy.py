@@ -6,9 +6,10 @@ an axis-aligned XOR of two half-spaces, so the supremum reduces to integer
 prefix-sum scans.  Source points carry weight +n_T and target points -n_S;
 a region's score is then n_S*n_T times the difference of its two empirical
 probabilities, and everything stays in int64 until the final division.  The
-XOR scan sweeps each coordinate pair's prefix-sum grid in blocks of
-_ROW_BLOCK rows, so it takes O(k1*k2) time but only O(_ROW_BLOCK*k2) memory
-for k1, k2 distinct values per coordinate.
+XOR scan walks each coordinate pair's prefix-sum grid B = _ROW_BLOCK rows at
+a time and scores a block only on the column segments its own points cut,
+so with k1, k2 distinct values per coordinate, n points and m in a block it
+takes O(k1/B*k2 + B*n) time and O(k2 + B*m) memory; no grid is built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .noise import zero_m_costs
 from .stumps import HypothesisClassInfo, StumpHypothesis, erm
 
 MEDIAN_HEURISTIC = "median"
-_ROW_BLOCK = 64   # grid rows per sweep step; 32-256 time about the same
+_ROW_BLOCK = 64   # grid rows per sweep step; of 32-256, fastest at 1024 per side
 
 __all__ = [
     "MEDIAN_HEURISTIC",
@@ -61,12 +62,12 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     for j in range(q):
         order = np.argsort(pooled[:, j], kind="stable")
         xs = pooled[order, j]
+        step = xs[1:] > xs[:-1]
         prefix = np.concatenate(([0], np.cumsum(weights[order])))
-        interior = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        cuts = np.concatenate(([0], interior, [n]))
-        sums = prefix[cuts]
+        sums = prefix[np.concatenate(([0], np.flatnonzero(step) + 1, [n]))]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(step)))
         orders.append(order)
-        uniq, rank = np.unique(pooled[:, j], return_inverse=True)
         ranks.append(rank)
         best = max(best, int(sums.max() - sums.min()))
 
@@ -82,10 +83,12 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     """max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|, rank1 sorted.
 
     With G[a, b] the signed weight below both cuts, the XOR region weighs
-    G[a, -1] + G[-1, b] - 2 G[a, b].  G is built _ROW_BLOCK rows at a time:
-    each block's points are scattered into a reused buffer, prefix-summed
-    along both axes, offset by the previous block's last row and scored in
-    place, so memory stays O(_ROW_BLOCK * k2) instead of O(k1 * k2).
+    G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come _ROW_BLOCK at a time.  In a
+    block G[a, .] is the carry row above it plus D[a, s], a step function of
+    b that steps only at the block's own columns.  So V = G[-1, .] - 2 carry
+    is reduced to its max and min on each segment those columns start, and
+    each row is scored per segment: a block of m points costs
+    O(k2 + _ROW_BLOCK * m), and no block of the grid is ever built.
     """
     k1 = int(rank1[-1]) + 1
     k2 = int(rank2.max()) + 1
@@ -95,24 +98,24 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     np.cumsum(col, out=col)
     hi, lo = int(col.max()), int(col.min())     # row a = 0, where G = 0
     carry = np.zeros(k2 + 1, dtype=np.int64)    # G row above the block
-    buf = np.empty((_ROW_BLOCK, k2 + 1), dtype=np.int64)
     firsts = range(0, k1, _ROW_BLOCK)
     bounds = np.searchsorted(rank1, [*firsts, k1])   # each block's points
     for i, first in enumerate(firsts):
-        block = buf[:min(_ROW_BLOCK, k1 - first)]
-        block.fill(0)
         pts = slice(bounds[i], bounds[i + 1])
-        np.add.at(block, (rank1[pts] - first, b_idx[pts]), weights[pts])
-        np.cumsum(block, axis=1, out=block)
-        np.cumsum(block, axis=0, out=block)
-        block += carry
-        carry[:] = block[-1]
-        row = block[:, -1:].copy()              # G[a, -1]
-        block *= -2
-        block += col
-        block += row
-        hi = max(hi, int(block.max()))
-        lo = min(lo, int(block.min()))
+        cols, seg = np.unique(b_idx[pts], return_inverse=True)
+        edges = np.concatenate(([0], cols, [k2 + 1]))  # segment bounds in b
+        starts = edges[:-1]
+        d = np.zeros((min(_ROW_BLOCK, k1 - first), len(starts)), dtype=np.int64)
+        np.add.at(d, (rank1[pts] - first, seg + 1), weights[pts])
+        np.cumsum(d, axis=1, out=d)
+        np.cumsum(d, axis=0, out=d)
+        v = col - 2 * carry
+        row = carry[-1] + d[:, -1:]             # G[a, -1]
+        carry += np.repeat(d[-1], np.diff(edges))
+        d *= -2
+        d += row
+        hi = max(hi, int((d + np.maximum.reduceat(v, starts)).max()))
+        lo = min(lo, int((d + np.minimum.reduceat(v, starts)).min()))
     return max(hi, -lo)
 
 
@@ -123,8 +126,9 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
     Candidate thresholds are midpoints of consecutive distinct pooled values
     plus +-inf, where the empirical supremum is attained; the value is exact
     for the two empirical distributions.  For n pooled points in q
-    coordinates it takes O(q^2 n^2) time and O(n) memory per coordinate
-    pair (a _ROW_BLOCK x n buffer), never an (n+1)^2 grid.
+    coordinates, k1, k2 distinct values per coordinate, B = _ROW_BLOCK and m
+    points in a block it takes O(q^2 (k1/B k2 + B n)) time and, per
+    coordinate pair, O(k2 + B m) memory, never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)
@@ -134,6 +138,8 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
         raise ConfigurationError("feature sets must be (n, q) with equal q")
     if sf.shape[1] != class_info.feature_dim:
         raise ConfigurationError("feature sets do not match class_info.feature_dim")
+    if not (np.isfinite(sf).all() and np.isfinite(tf).all()):
+        raise ConfigurationError("h_delta_h_distance inputs must be finite")
     best = _h_delta_h_best(sf, tf)
     return 2.0 * best / (len(sf) * len(tf))
 

@@ -290,9 +290,12 @@ def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
 def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features (..., n, 2, q), similarities (..., n, q) and +-1 labels from
-    raw draws, any leading shape.  An identity transform is skipped: it could
+    raw draws, any leading shape.  Consumes ``noise``: the features are built
+    in its buffer (scaled, then offset by the centers: the bits of
+    centers + scale * noise).  An identity transform is skipped: it could
     only turn -0.0 into +0.0, which ``abs`` removes."""
-    feats = spec.identity_centers[ids] + spec.within_identity_stddev * noise
+    noise *= spec.within_identity_stddev
+    feats = np.add(noise, spec.identity_centers[ids], out=noise)
     amap = spec.domain_transform
     if not amap.is_identity():
         feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)

@@ -275,6 +275,30 @@ def test_validate_theorem_outputs_pinned(seed):
     assert digest.hexdigest() == THEOREM_PINS[seed]
 
 
+# sha256 over the canonical JSON of check_lemma2 on shifted for gap units 0-2
+# (random stump u, gap_n 1024, oracle_n 100 000), one line each: the gap
+# workload's benchmark checksum.
+LEMMA2_PINS = {
+    0: "774d12af45f36571259b363a2dd4ecff2a28973053d7e65536e0f41432655164",
+    8675309: "4031b91d7edca8b759e98358f331f6d7e53520682299af58608d149bc91f6c85",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA2_PINS))
+def test_check_lemma2_outputs_pinned(seed):
+    cfg = pb.default_experiment_config("shifted")
+    digest = hashlib.sha256()
+    for u in range(3):
+        h = pb.random_stump(pb.derive_seed(seed, 91, u), cfg.target.feature_dim)
+        rep = pb.check_lemma2(h, cfg.source, cfg.target, cfg.risk.alpha,
+                              cfg.risk.big_m, oracle_n=100_000,
+                              rng_seed=pb.derive_seed(seed, 92, u),
+                              strategy=cfg.strategy, gap_n=1024)
+        digest.update(json.dumps(rep.to_dict(), sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == LEMMA2_PINS[seed]
+
+
 def test_validate_theorem_requires_synthetic():
     with pytest.raises(pb.ConfigurationError):
         pb.validate_theorem(pb.default_experiment_config("practice"), trials=1)

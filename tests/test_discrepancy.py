@@ -57,7 +57,8 @@ def test_h_delta_h_matches_pair_enumeration_oracle():
 
 @pytest.mark.parametrize("q", [1, 4])
 @pytest.mark.parametrize("pooled", [2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
-                                    2 * _ROW_BLOCK + 3])
+                                    2 * _ROW_BLOCK + 3, 4 * _ROW_BLOCK + 1,
+                                    9 * _ROW_BLOCK + 5])
 def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
     """Row counts straddling the block size; 2 points is the smallest valid
     pool.  For q > 1 the last two coordinates of the source agree in sign
@@ -74,6 +75,33 @@ def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
     constant[:, 0] = 0.25
     for feats in (pool, np.round(pool, 1), constant):
         x, y = feats[:n_s], feats[n_s:]
+        assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
+        assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
+
+
+@pytest.mark.parametrize("pooled", [_ROW_BLOCK + 7, 4 * _ROW_BLOCK + 1,
+                                    9 * _ROW_BLOCK + 5])
+def test_h_delta_h_column_segments_equal_full_grid(pooled):
+    """Edge cases of the XOR sweep's per-block column segments, in both
+    argument orders.  ``tied``: small-integer columns put several of a
+    block's points in one column, and its integer pair (1, 2) puts every
+    point in one block.  ``filled``: a column cycling through three values
+    makes each block's points fill every column.  Membership follows the
+    sign of a cross-coordinate XOR, 10 % flipped, so an XOR and not a slab
+    attains the best."""
+    rng = np.random.default_rng(pooled)
+    flip = rng.random(pooled) < 0.1
+    ints = rng.integers(1, 4, (pooled, 2)) * rng.choice([-1, 1], (pooled, 2))
+    rows = np.round(rng.standard_normal(pooled), 2)
+    tied = np.column_stack([rows, ints]).astype(float)
+    r = rng.permutation(pooled)
+    filled = np.column_stack([r, r % 3, ints[:, 1]]).astype(float)
+    cases = [(tied, (rows * ints[:, 0] > 0) != flip),
+             (filled, ((r < pooled // 2) != (r % 3 < 1)) != flip)]
+    for feats, is_source in cases:
+        x, y = feats[is_source], feats[~is_source]
+        slabs = max(h_delta_h_grid_oracle(x[:, [j]], y[:, [j]]) for j in range(3))
+        assert h_delta_h_grid_oracle(x, y) > slabs
         assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
         assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
 
@@ -99,6 +127,13 @@ def test_h_delta_h_validation():
         pb.h_delta_h_distance(np.zeros((3, 2)), np.zeros((3, 3)), INFO2)
     with pytest.raises(pb.ConfigurationError):
         pb.h_delta_h_distance(np.zeros((3, 3)), np.zeros((3, 3)), INFO2)
+    for bad in (np.nan, np.inf):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = bad
+        with pytest.raises(pb.ConfigurationError, match="finite"):
+            pb.h_delta_h_distance(feats, np.zeros((3, 2)), INFO2)
+        with pytest.raises(pb.ConfigurationError, match="finite"):
+            pb.h_delta_h_distance(np.zeros((3, 2)), feats, INFO2)
 
 
 def pair_set(feats, labels):
