@@ -30,8 +30,9 @@ from .domains import (
     _raw_pair_draws,
     derive_seed,
     draw_pair_process,
-    make_rng,
     map_members,
+    rngs_from_states,
+    seed_states,
     similarity_from_members,
 )
 from .errors import ConfigurationError
@@ -252,23 +253,37 @@ def _trial_blocks(config: ExperimentConfig, trials: int, rng_seed: int,
     draws stacks source similarities and labels, target similarities, labels
     and pseudo-labels.  Trial t's entropy e = derive_seed(rng_seed, t) and its
     sub-seeds (e, 1) target pairs, (e, 2, iteration) corruption and (e, 3)
-    source pairs are consumed as by lone draw_pair_process/corrupt_labels."""
+    source pairs are consumed as by lone draw_pair_process/corrupt_labels.
+    The whole seed chain, down to each stream's PCG64 state, is hashed once
+    per call by ``seed_states``; ``derive_seed`` and ``make_rng`` are its
+    scalar reference."""
     m_t, m_s = config.risk.split_m(config.m_train)
     block = max(1, _BLOCK_POINTS // config.m_train)
+    trial = seed_states([rng_seed, np.arange(trials)], 1)[:, 0]
 
-    def pairs(spec, n, seeds):  # (similarities, labels) of a block of streams
-        ids, noise = _raw_pair_draws(spec, config.strategy, n, seeds)
+    def sub_seeds(*sub):
+        return seed_states([trial, *sub], 1)[:, 0]
+
+    # PCG64 states: make_rng(spec.seed, seed, 1) per pair stream, make_rng(seed)
+    # per corruption stream.
+    tgt_states = seed_states([config.target.seed, sub_seeds(1), 1], 4)
+    src_states = seed_states([config.source.seed, sub_seeds(3), 1], 4)
+    flip_states = seed_states([sub_seeds(2, iteration)], 4)
+
+    def pairs(spec, n, block_states):  # (similarities, labels) of a block of streams
+        ids, noise = _raw_pair_draws(spec, config.strategy, n,
+                                     rngs_from_states(block_states))
         return _pairs_from_draws(spec, ids, noise)[1:]
 
     for start in range(0, trials, block):
-        seeds = [derive_seed(rng_seed, t) for t in range(start, min(start + block, trials))]
-        tgt_sim, tgt_true = pairs(config.target, m_t, [derive_seed(e, 1) for e in seeds])
-        src_sim, src_true = pairs(config.source, m_s, [derive_seed(e, 3) for e in seeds])
+        rows = slice(start, start + block)
+        tgt_sim, tgt_true = pairs(config.target, m_t, tgt_states[rows])
+        src_sim, src_true = pairs(config.source, m_s, src_states[rows])
         uniforms = np.empty(tgt_true.shape)
-        for row, e in zip(uniforms, seeds):
-            make_rng(derive_seed(e, 2, iteration)).random(out=row)
+        for row, rng in zip(uniforms, rngs_from_states(flip_states[rows])):
+            rng.random(out=row)
         pseudo = _flip_labels(tgt_true, uniforms, config.noise.model)
-        yield seeds, (src_sim, src_true, tgt_sim, tgt_true, pseudo)
+        yield trial[rows].tolist(), (src_sim, src_true, tgt_sim, tgt_true, pseudo)
 
 
 def _trial_pairs(config: ExperimentConfig, trials: int, rng_seed: int,
@@ -410,6 +425,9 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     ``derive_seed(rng_seed, t)``) and builds a block's pairs and costs at
     once; one ``erm_batch`` call fits them and ``sorted_miss_counter`` scores
     them, so each row equals running the trial alone with the public calls.
+    The seed chain of all trials is built once per call, vectorized
+    (``seed_states``); ``derive_seed`` and ``make_rng`` are its scalar
+    reference.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("theorem validation needs synthetic noise mode")

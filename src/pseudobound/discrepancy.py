@@ -14,6 +14,7 @@ takes O(k1/B*k2 + B*n) time and O(k2 + B*m) memory; no grid is built.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from .stumps import HypothesisClassInfo, StumpHypothesis, erm
 
 MEDIAN_HEURISTIC = "median"
 _ROW_BLOCK = 64   # grid rows per sweep step; of 32-256, fastest at 1024 per side
+_CACHED_TRIANGLE_N = 1024   # largest n whose upper-triangle pairs are cached
 
 __all__ = [
     "MEDIAN_HEURISTIC",
@@ -180,11 +182,23 @@ def _median_distance(sq: np.ndarray) -> float:
     return float(np.mean(np.sqrt(middle)))
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), read-only: the MMD diagnostics of a run repeat
+    a few sizes, and rebuilding the pairs at n = 256 costs about 0.4 ms."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared distances of all (a, b) row pairs or of a's strict upper
     triangle, each summed by einsum (a per-coordinate sum rounds otherwise)."""
     if b is None:
-        i, j = np.triu_indices(len(a), k=1)
+        n = len(a)
+        # Cached pairs take 8 n^2 bytes, so only small sizes are kept.
+        i, j = _upper_triangle(n) if n <= _CACHED_TRIANGLE_N else np.triu_indices(n, k=1)
         diff = np.stack([col.take(i) - col.take(j) for col in a.T], axis=1)
     else:
         diff = np.empty((len(a), len(b), a.shape[1]))

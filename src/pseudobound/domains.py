@@ -19,18 +19,139 @@ from .serial import Serializable
 ABSENT = 0
 
 
+def _entropy(entropy) -> list[int]:
+    """The entropy tuple as ints, each checked to be non-negative."""
+    ints = [int(e) for e in entropy]
+    for e in ints:
+        if e < 0:
+            raise ConfigurationError(f"seed entropy must be non-negative, got {e}")
+    return ints
+
+
 def make_rng(*entropy) -> np.random.Generator:
-    """Deterministic PCG64 stream keyed by a tuple of non-negative ints."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(e) for e in entropy]))
-    )
+    """Deterministic PCG64 stream keyed by a tuple of non-negative ints.
+
+    The scalar reference for ``seed_states(..., 4)`` with ``rngs_from_states``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(entropy))))
 
 
 def derive_seed(*entropy) -> int:
-    """Collapse an entropy tuple into one reproducible 64-bit seed."""
-    return int(
-        np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0]
-    )
+    """Collapse an entropy tuple into one reproducible 64-bit seed.
+
+    The scalar reference for ``seed_states(..., 1)``."""
+    return int(np.random.SeedSequence(_entropy(entropy)).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def seed_states(columns, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` for a
+    batch of entropy tuples, as an (n, n_words) uint64 array.
+
+    ``columns`` lists the tuple's entries: a non-negative int shared by every
+    row, or an integer array with one value per row.  As in numpy, an entry
+    takes as many 32-bit words as its value needs (one for 0), so rows are
+    hashed in groups of equal word widths.  The hash is numpy's pool of 4
+    words with no spawn key, in uint32 arithmetic that wraps as numpy's does.
+    """
+    n = max((len(c) for c in columns if np.ndim(c)), default=1)
+    words = []      # per entry: a list of int words, or (low, high) uint32 arrays
+    wide = np.zeros(n, np.int64)    # bit k set: array entry k takes two words
+    k = 0
+    for c in columns:
+        if np.ndim(c) == 0:
+            [e] = _entropy([c])
+            words.append([(e >> s) & _MASK32 for s in range(0, max(e.bit_length(), 1), 32)])
+            continue
+        a = np.asarray(c)
+        if a.dtype.kind not in "iu" or a.shape != (n,):
+            raise ConfigurationError("entropy columns must be integer arrays of one length")
+        if a.dtype.kind == "i" and n and a.min() < 0:
+            raise ConfigurationError(f"seed entropy must be non-negative, got {a.min()}")
+        a = a.astype(np.uint64)
+        hi = (a >> np.uint64(32)).astype(np.uint32)
+        wide |= (hi != 0).astype(np.int64) << k
+        k += 1
+        words.append(((a & np.uint64(_MASK32)).astype(np.uint32), hi))
+    out = np.empty((n, n_words), np.uint64)
+    for key in np.flatnonzero(np.bincount(wide)).tolist():
+        rows = np.flatnonzero(wide == key)
+        flat, k = [], 0
+        for w in words:
+            if isinstance(w, list):
+                flat += [np.full(len(rows), x, np.uint32) for x in w]
+                continue
+            flat += [w[0][rows], w[1][rows]] if key >> k & 1 else [w[0][rows]]
+            k += 1
+        out[rows] = _generate_state(_mix_entropy(flat), n_words)
+    return out
+
+
+def _mix_entropy(words: list) -> list:
+    """SeedSequence.mix_entropy over (g,) uint32 word columns: the pool."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+def _generate_state(pool: list, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) of a (g,) word pool:
+    32-bit words in cycle over the pool, paired little-endian."""
+    h = _INIT_B
+    halves = []
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        value = value * np.uint32(h)
+        halves.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(halves[::2], halves[1::2])],
+                    axis=1)
+
+
+class _PresetSeed:
+    """A seed sequence whose state ``seed_states`` computed beforehand."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def rngs_from_states(states: np.ndarray) -> list[np.random.Generator]:
+    """``make_rng(*entropy)`` for each row of ``seed_states([*entropy], 4)``:
+    PCG64 asks its seed sequence for exactly those four uint64 words."""
+    # Registered here, not at import: numpy loads numpy.random on first use,
+    # and loading it at import raised the theorem benchmark's peak RSS by
+    # about 0.75 MB (of 52.7 MB).
+    np.random.bit_generator.ISeedSequence.register(_PresetSeed)
+    return [np.random.Generator(np.random.PCG64(_PresetSeed(s))) for s in states]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,19 +383,19 @@ def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) ->
 
 
 def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
-                    rng_seeds) -> tuple[np.ndarray, np.ndarray]:
+                    rngs) -> tuple[np.ndarray, np.ndarray]:
     """Identities (b, n_pairs, 2) and normals (b, n_pairs, 2, q) of b pair
-    streams; stream i makes the calls a lone draw with rng_seeds[i] makes."""
+    streams; stream i makes on rngs[i] the calls a lone draw makes on
+    ``make_rng(spec.seed, rng_seed, 1)``."""
     spec.validate()
     if n_pairs < 1:
         raise EmptyInputError("draw_pair_process needs n_pairs >= 1")
     n_id = spec.num_identities
     if strategy.kind == "balanced" and n_id < 2:
         raise DegenerateInputError("balanced pairs need at least two identities")
-    ids = np.empty((len(rng_seeds), n_pairs, 2), np.int64)
-    noise = np.empty((len(rng_seeds), n_pairs, 2, spec.feature_dim))
-    for i, seed in enumerate(rng_seeds):
-        rng = make_rng(spec.seed, seed, 1)
+    ids = np.empty((len(rngs), n_pairs, 2), np.int64)
+    noise = np.empty((len(rngs), n_pairs, 2, spec.feature_dim))
+    for i, rng in enumerate(rngs):
         if strategy.kind == "all":
             ids[i, :, 0] = rng.integers(0, n_id, size=n_pairs)
             ids[i, :, 1] = rng.integers(0, n_id, size=n_pairs)
@@ -315,7 +436,8 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     identities.  It is the b = 1 case of the block sampler behind the bound
     trials (``_raw_pair_draws``, then ``_pairs_from_draws``).
     """
-    ids, noise = _raw_pair_draws(spec, strategy, n_pairs, [rng_seed])
+    ids, noise = _raw_pair_draws(spec, strategy, n_pairs,
+                                 [make_rng(spec.seed, rng_seed, 1)])
     feats, sim, labels = _pairs_from_draws(spec, ids[0], noise[0])
     member = np.arange(2 * n_pairs, dtype=np.int64).reshape(-1, 2)
     return (SampleSet(feats.reshape(-1, spec.feature_dim), ids[0].reshape(-1)),

@@ -76,14 +76,15 @@ def erm(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         ) -> tuple[StumpHypothesis, float]:
     """Exact empirical risk minimization over all stumps.
 
-    Scans each coordinate once over sorted order (O(q n log n)), as the
-    b = 1 case of ``erm_batch``.  Candidate cuts lie between consecutive
-    distinct values, plus both ends at -inf/+inf; an interior threshold is
-    the midpoint of its two values, or the lower value where the midpoint
-    rounds up to the upper one or overflows.  Ties break toward the
-    smallest coordinate, then the smallest threshold, then sign +1.  The
-    winning cost is re-accumulated with exact summation so the reported
-    value does not depend on scan order.
+    Scans each coordinate once over its stable sorted order (O(q n log n)),
+    as the b = 1 case of ``erm_batch``; points of equal value keep their
+    input order, which fixes the rounding of the prefix sums.  Candidate
+    cuts lie between consecutive distinct values, plus both ends at
+    -inf/+inf; an interior threshold is the midpoint of its two values, or
+    the lower value where the midpoint rounds up to the upper one or
+    overflows.  Ties break toward the smallest coordinate, then the smallest
+    threshold, then sign +1.  The winning cost is re-accumulated with exact
+    summation so the reported value does not depend on scan order.
     """
     x = np.asarray(feats, float)
     if x.ndim != 2:
@@ -97,8 +98,10 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     """``erm`` on b problems of equal size in one scan.
 
     feats is (b, n, q), the costs (b, n).  Each coordinate is sorted once for
-    all b problems (O(b q n log n)); cumsum accumulates every row in order,
-    so each problem's prefix sums, and hence its stump and cost, are
+    all b problems (O(b q n log n)) with numpy's default (SIMD) argsort; a
+    row with a tie, +-0.0 included, is sorted again stably, so every row is
+    in its unique stable order on any CPU.  cumsum accumulates every row in
+    order, so each problem's prefix sums, and hence its stump and cost, are
     bit-identical to fitting it alone.
     """
     x = np.asarray(feats, float)
@@ -132,8 +135,16 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     best_lo = np.zeros(b)
     best_hi = np.zeros(b)
     for j in range(q):
-        order = np.argsort(x[:, :, j], axis=1, kind="stable")
-        xs = x[by_row, order, j]
+        xj = x[:, :, j]
+        order = np.argsort(xj, axis=1)
+        xs = xj[by_row, order]
+        tied = xs[:, 1:] <= xs[:, :-1]
+        # The order inside a tie group (+-0.0 included) sets the prefix sums'
+        # rounding, so rows with a tie sort again stably; others have one order.
+        redo = np.flatnonzero(tied.any(axis=1))
+        if len(redo):
+            order[redo] = np.argsort(xj[redo], axis=1, kind="stable")
+            xs[redo] = xj[redo[:, None], order[redo]]
         cpj = cp[by_row, order]
         cnj = cn[by_row, order]
         np.cumsum(cpj, axis=1, out=pre_cp[:, 1:])
@@ -144,7 +155,7 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         np.add(pre_cn, suf_cp, out=costs[:, :, 0])
         np.add(pre_cp, suf_cn, out=costs[:, :, 1])
         # A cut between equal values is not realizable by any threshold.
-        costs[:, 1:n][xs[:, 1:] <= xs[:, :-1]] = np.inf
+        costs[:, 1:n][tied] = np.inf
         k = np.argmin(flat, axis=1)
         cost_j = flat[rows, k]
         better = cost_j < best_cost

@@ -44,6 +44,56 @@ def erm_grid_oracle(feats: np.ndarray, cost_pos: np.ndarray,
     return best
 
 
+def erm_stable_scan_oracle(feats: np.ndarray, cost_pos: np.ndarray,
+                           cost_neg: np.ndarray) -> tuple:
+    """(stump, cost) of exact ERM scored as a stable-sort scan would score it.
+
+    Each coordinate is sorted stably (equal values, +-0.0 included, keep
+    their input order) and priced by running sums accumulated left to right
+    and right to left in plain floats.  Cut k puts the first k sorted points
+    below the threshold; cuts between equal values are skipped.  The first
+    strictly cheaper (coordinate, cut, sign +1 then -1) wins; the threshold
+    is the midpoint of the values around the cut, or the lower value where
+    the midpoint rounds up or overflows; the cost is re-summed with fsum.
+    """
+    x = np.asarray(feats, float)
+    cp = [float(c) for c in cost_pos]
+    cn = [float(c) for c in cost_neg]
+    n, q = x.shape
+    best = None
+    for j in range(q):
+        col = [float(v) for v in x[:, j]]
+        order = sorted(range(n), key=col.__getitem__)   # stable
+        xs = [col[i] for i in order]
+        pre_cp, pre_cn = [0.0], [0.0]
+        for i in order:
+            pre_cp.append(pre_cp[-1] + cp[i])
+            pre_cn.append(pre_cn[-1] + cn[i])
+        suf_cp, suf_cn = [0.0], [0.0]
+        for i in reversed(order):
+            suf_cp.append(suf_cp[-1] + cp[i])
+            suf_cn.append(suf_cn[-1] + cn[i])
+        for k in range(n + 1):
+            if 0 < k < n and not xs[k] > xs[k - 1]:
+                continue
+            for s, cost in ((1, pre_cn[k] + suf_cp[n - k]),
+                            (-1, pre_cp[k] + suf_cn[n - k])):
+                if best is None or cost < best[0]:
+                    best = (cost, j, k, s, xs)
+    _, j, k, s, xs = best
+    if k == 0:
+        t = -math.inf
+    elif k == n:
+        t = math.inf
+    else:
+        lo, hi = xs[k - 1], xs[k]
+        mid = 0.5 * (lo + hi)      # inf on overflow
+        t = mid if lo <= mid < hi else lo
+    above = x[:, j] > t
+    chosen = [cp[i] if above[i] == (s == 1) else cn[i] for i in range(n)]
+    return StumpHypothesis(j, t, s), math.fsum(chosen)
+
+
 def all_stumps(feats: np.ndarray) -> list:
     """Every behaviorally distinct stump on the given feature set."""
     x = np.asarray(feats, float)

@@ -173,11 +173,11 @@ def test_validate_theorem_structure_and_determinism():
         assert r.violated == (r.eps_t_hat > r.rhs)
 
 
-def _trial_by_trial(cfg, seed):
+def _trial_by_trial(cfg, seed, iteration=0):
     """One trial's training sets drawn alone through the public samplers."""
     m_t, m_s = cfg.risk.split_m(cfg.m_train)
     _, tgt = pb.draw_pair_process(cfg.target, cfg.strategy, m_t, pb.derive_seed(seed, 1))
-    tgt = pb.corrupt_labels(tgt, cfg.noise.model, pb.derive_seed(seed, 2, 0))
+    tgt = pb.corrupt_labels(tgt, cfg.noise.model, pb.derive_seed(seed, 2, iteration))
     _, src = pb.draw_pair_process(cfg.source, cfg.strategy, m_s, pb.derive_seed(seed, 3))
     return src, tgt
 
@@ -229,6 +229,27 @@ def test_trial_block_equals_lone_draws_bytewise(kind, strategy):
         assert src_true[i].tobytes() == src.true_labels.tobytes()
         assert tgt_true[i].tobytes() == tgt.true_labels.tobytes()
         assert pseudo[i].tobytes() == tgt.pseudo_labels.tobytes()
+
+
+def test_trial_blocks_wide_seed_and_later_iteration_equal_lone_draws():
+    """The once-per-call seed chain at a master seed of 2^64 and above and
+    iteration 3 gives each trial its lone draws' seed, pairs and flips."""
+    from dataclasses import replace
+
+    from pseudobound.bound import _trial_blocks
+
+    cfg = replace(pb.default_experiment_config("noisy"), m_train=37)
+    rng_seed = 2 ** 64 + 5
+    [(seeds, draws)] = _trial_blocks(cfg, 7, rng_seed, iteration=3)
+    assert seeds == [pb.derive_seed(rng_seed, t) for t in range(7)]
+    src_sim, _, tgt_sim, _, pseudo = draws
+    for i, seed in enumerate(seeds):
+        src, tgt = _trial_by_trial(cfg, seed, iteration=3)
+        assert src_sim[i].tobytes() == src.similarity.tobytes()
+        assert tgt_sim[i].tobytes() == tgt.similarity.tobytes()
+        assert pseudo[i].tobytes() == tgt.pseudo_labels.tobytes()
+    with pytest.raises(pb.ConfigurationError, match="got -4"):
+        next(_trial_blocks(cfg, 2, -4))
 
 
 def test_lemma3_rows_equal_trial_by_trial_risks():

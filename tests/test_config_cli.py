@@ -139,6 +139,13 @@ def test_cli_verify_bound(tmp_path, capsys):
     assert "rhs_alt=" in printed
 
 
+def test_cli_verify_bound_rejects_negative_seed(tmp_path):
+    _, cfg_path = small_noisy_config(tmp_path)
+    with pytest.raises(pb.ConfigurationError, match="got -1"):
+        main(["verify-bound", "--config", cfg_path, "--trials", "3",
+              "--seed", "-1", "--out", str(tmp_path / "trials.csv")])
+
+
 def test_cli_lemmas_concentration(tmp_path):
     cfg, cfg_path = small_noisy_config(tmp_path)
     out = tmp_path / "lemma3.json"

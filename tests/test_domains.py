@@ -189,3 +189,53 @@ def test_derive_seed_and_make_rng():
     a = pb.make_rng(5, 6).standard_normal(4)
     b = pb.make_rng(5, 6).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def _seed_columns():
+    """Entropy columns of 1-4 entries: 0, values below 2^32, from 2^32 up to
+    2^64 - 1 and one scalar of 2^64 and above, widths mixed within a batch."""
+    rng = np.random.default_rng(21)
+    col = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 64 - 1]
+                   + rng.integers(0, 2 ** 32, size=5).tolist()
+                   + rng.integers(2 ** 32, 2 ** 64 - 1, size=5, dtype=np.uint64).tolist(),
+                   dtype=np.uint64)
+    ids = np.arange(len(col))            # int64, one word per row
+    return [
+        [col],
+        [2 ** 70 + 5, ids],
+        [col, 2, col[::-1]],
+        [7, col, 2 ** 33, col[rng.permutation(len(col))]],
+        [0, 3],                          # scalars only: one row
+    ]
+
+
+@pytest.mark.parametrize("columns", _seed_columns())
+def test_seed_states_equal_seed_sequence(columns):
+    """Each row of the vectorized hash is SeedSequence's state for the row's
+    entropy tuple, derive_seed's seed, and make_rng's stream."""
+    from pseudobound.domains import rngs_from_states, seed_states
+
+    one, four = seed_states(columns, 1), seed_states(columns, 4)
+    n = max((len(c) for c in columns if np.ndim(c)), default=1)
+    assert one.shape == (n, 1) and four.shape == (n, 4)
+    rngs = rngs_from_states(four)
+    for r in range(n):
+        entropy = [int(c if np.ndim(c) == 0 else c[r]) for c in columns]
+        seq = np.random.SeedSequence(entropy)
+        assert four[r].tolist() == seq.generate_state(4, np.uint64).tolist()
+        assert one[r, 0] == pb.derive_seed(*entropy)
+        want = pb.make_rng(*entropy).standard_normal(3)
+        assert rngs[r].standard_normal(3).tobytes() == want.tobytes()
+
+
+def test_negative_entropy_raises_configuration_error():
+    from pseudobound.domains import seed_states
+
+    with pytest.raises(pb.ConfigurationError, match="got -1"):
+        pb.derive_seed(-1, 3)
+    with pytest.raises(pb.ConfigurationError, match="got -2"):
+        pb.make_rng(4, -2)
+    with pytest.raises(pb.ConfigurationError, match="got -3"):
+        seed_states([-3, np.arange(4)], 1)
+    with pytest.raises(pb.ConfigurationError, match="got -7"):
+        seed_states([5, np.array([0, -7, 2])], 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pseudobound as pb
-from oracles import erm_grid_oracle
+from oracles import erm_grid_oracle, erm_stable_scan_oracle
 from pseudobound.stumps import erm_batch
 
 
@@ -222,6 +222,29 @@ def test_erm_batch_equals_erm_problem_by_problem(b, n, q, kind):
         alone = pb.erm(feats[i], cp[i], cn[i])
         assert h == alone[0] and cost == alone[1]
         assert cost == erm_grid_oracle(feats[i], cp[i], cn[i])
+
+
+def test_erm_batch_tie_rows_match_stable_scan():
+    """Tie-free rows and rows with repeated values or +-0.0 share one batch;
+    every row's stump (threshold bits included) and cost equal a per-row
+    stable-sort scan.  Costs span 17 orders of magnitude, so the order a tie
+    group is summed in decides which of two near-equal cuts wins."""
+    rng = np.random.default_rng(11)
+    b, n, q = 24, 60, 3
+    feats = rng.standard_normal((b, n, q))
+    feats[1::3] = rng.integers(-2, 3, size=(len(feats[1::3]), n, q)).astype(float)
+    zeros = feats[2::3]
+    zeros[rng.random(zeros.shape) < 0.4] = 0.0
+    zeros[rng.random(zeros.shape) < 0.5] *= -1.0
+    scale = 10.0 ** rng.integers(-16, 2, size=(2, b, n))
+    cp, cn = rng.uniform(-1.0, 1.0, size=(2, b, n)) * scale
+    fits = erm_batch(feats, cp, cn)
+    assert any(np.signbit(feats[i][feats[i] == 0]).any() for i in range(b))
+    for i, (h, cost) in enumerate(fits):
+        ref_h, ref_cost = erm_stable_scan_oracle(feats[i], cp[i], cn[i])
+        assert (h.coordinate, h.threshold.hex(), h.sign) == (
+            ref_h.coordinate, ref_h.threshold.hex(), ref_h.sign)
+        assert cost == ref_cost
 
 
 def test_erm_batch_input_validation():
