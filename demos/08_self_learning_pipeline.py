@@ -34,10 +34,6 @@ for rec in result.iterations:
 print(f"\nfinal stump risk on held-out oracle pairs: {result.final_risk:.4f}")
 print(f"guarantee right-hand side at the final iteration: "
       f"{result.final_report.rhs:.4f}")
-if result.linear_probe is not None:
-    print(f"gradient-learner probe: final objective "
-          f"{result.linear_probe['final_objective']:.4f}, "
-          f"{result.linear_probe['trace_length']} epochs")
 
 # The returned model bundles the stump with the fitted alignment map, so
 # it can score raw member pairs from the target domain.

@@ -17,22 +17,20 @@ base = replace(pb.default_experiment_config("practice"),
 grid = [
     pb.Toggles(),                                            # everything on
     pb.Toggles.all_off(),
-    pb.Toggles(True, False, False, pb.FILTER_NONE, 0.0),     # guidance only
-    pb.Toggles(True, True, False, pb.FILTER_NONE, 0.0),      # + alignment
-    pb.Toggles(True, True, False, pb.OFFLINE_PLUS_ONLINE, 0.0),
+    pb.Toggles(True, False, False, pb.FILTER_NONE),          # guidance only
+    pb.Toggles(True, True, False, pb.FILTER_NONE),           # + alignment
+    pb.Toggles(True, True, False, pb.OFFLINE_PLUS_ONLINE),
 ]
 table = pb.run_ablation(base, grid)
 
 print(f"paired seeds: {table.trial_seeds}")
-print(f"{'sg':>3} {'align':>5} {'bound':>5} {'filter':>20} {'wd':>6} "
-      f"{'mean risk':>10}")
+print(f"{'sg':>3} {'align':>5} {'bound':>5} {'filter':>20} {'mean risk':>10}")
 for cell in table.cells:
     t = cell.toggles
     mean = cell.mean_final_risk
     shown = f"{mean:.4f}" if mean is not None else "all failed"
     print(f"{str(t.source_guided):>3} {str(t.domain_alignment):>5} "
-          f"{str(t.bounded_loss):>5} {t.outlier_filtering:>20} "
-          f"{t.weight_decay:>6} {shown:>10}")
+          f"{str(t.bounded_loss):>5} {t.outlier_filtering:>20} {shown:>10}")
 
 full = table.cell(pb.Toggles()).mean_final_risk
 bare = table.cell(pb.Toggles.all_off()).mean_final_risk

@@ -4,13 +4,15 @@ Subcommands: verify-bound (theorem trials to CSV), lemmas (deviation and
 concentration checks to JSON), run (one self-learning experiment to JSON),
 ablate (toggle grid to CSV), bound (assemble one report from JSON inputs).
 All randomness flows from --seed / the config's master_seed; reals in CSV
-output carry 9 significant digits.
+output carry 9 significant digits.  A PseudoboundError (a bad config, grid
+or seed, a failed run) prints one line to stderr and exits with status 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -25,6 +27,7 @@ from .bound import (
 )
 from .config import ExperimentConfig, Toggles, default_toggle_grid
 from .domains import derive_seed, draw_pair_process
+from .errors import PseudoboundError
 from .pipeline import run_ablation, run_self_learning
 from .risk import fit_plain
 from .stumps import random_stump
@@ -111,22 +114,17 @@ def _load_grid(path: str | None):
 def _cmd_ablate(args) -> int:
     config = ExperimentConfig.load(args.config)
     table = run_ablation(config, _load_grid(args.grid))
+    names = [f.name for f in dataclasses.fields(Toggles)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "source_guided", "domain_alignment", "bounded_loss",
-            "outlier_filtering", "weight_decay", "trials_ok", "trials_failed",
-            "mean_final_risk",
-        ])
+        writer.writerow(names + ["trials_ok", "trials_failed", "mean_final_risk"])
         for cell in table.cells:
-            t = cell.toggles
-            writer.writerow([
-                int(t.source_guided), int(t.domain_alignment),
-                int(t.bounded_loss), t.outlier_filtering,
-                _fmt(t.weight_decay), len(cell.final_risks),
-                len(cell.failures),
-                "" if cell.mean_final_risk is None else _fmt(cell.mean_final_risk),
-            ])
+            toggles = [getattr(cell.toggles, name) for name in names]
+            mean = cell.mean_final_risk
+            writer.writerow(
+                [int(v) if isinstance(v, bool) else v for v in toggles]
+                + [len(cell.final_risks), len(cell.failures),
+                   "" if mean is None else _fmt(mean)])
     print(f"cells={len(table.cells)} trials_per_cell={config.trials}")
     return 0
 
@@ -183,8 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit status: 0 done, 1 a lemma check failed,
+    2 usage error (argparse), 3 a PseudoboundError, reported on one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PseudoboundError as err:
+        print(f"pseudobound: error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

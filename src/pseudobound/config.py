@@ -18,7 +18,7 @@ import numpy as np
 from .domains import AffineMap, DomainSpec, PairStrategy
 from .errors import ConfigurationError
 from .noise import NoiseModel
-from .practice import DbscanParams, LinearLearnerConfig
+from .practice import DbscanParams
 from .risk import RiskConfig
 from .serial import Serializable
 
@@ -53,7 +53,6 @@ class Toggles(Serializable):
     domain_alignment: bool = True
     bounded_loss: bool = True
     outlier_filtering: str = OFFLINE_PLUS_ONLINE
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.outlier_filtering not in _FILTER_MODES:
@@ -61,12 +60,10 @@ class Toggles(Serializable):
                 f"outlier_filtering must be one of {_FILTER_MODES}, "
                 f"got {self.outlier_filtering!r}"
             )
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be nonnegative")
 
     @staticmethod
     def all_off() -> "Toggles":
-        return Toggles(False, False, False, FILTER_NONE, 0.0)
+        return Toggles(False, False, False, FILTER_NONE)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,6 @@ class ExperimentConfig(Serializable):
     oracle_pairs: int = 30_000
     discrepancy_sample: int = 256
     refine_scale: float = 2.0
-    linear_probe: LinearLearnerConfig | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -228,16 +224,12 @@ def default_experiment_config(kind: str = "practice", master_seed: int = 0
         trials=20,
         master_seed=master_seed,
         delta=0.1,
-        linear_probe=LinearLearnerConfig() if kind == "practice" else None,
     )
 
 
 def default_toggle_grid() -> list:
-    """Full 2^4 grid over the binary practices.
-
-    outlier_filtering is binarized to none vs offline-plus-online;
-    weight_decay rides along with bounded_loss for the linear probe.
-    """
+    """Full 2^4 grid over the binary practices, with outlier_filtering
+    binarized to none vs offline-plus-online."""
     grid = []
     for sg in (False, True):
         for da in (False, True):
@@ -248,6 +240,5 @@ def default_toggle_grid() -> list:
                         domain_alignment=da,
                         bounded_loss=bl,
                         outlier_filtering=OFFLINE_PLUS_ONLINE if of else FILTER_NONE,
-                        weight_decay=1e-3 if bl else 0.0,
                     ))
     return grid

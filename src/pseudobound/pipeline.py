@@ -47,14 +47,10 @@ from .domains import (
 from .errors import EmptyInputError, PipelineError, PseudoboundError
 from .noise import NoiseEstimate, NoiseModel, estimate_noise_rates
 from .practice import (
-    LOGISTIC,
-    MAE,
     NOISE,
     FilterReport,
-    FilterRule,
     dbscan,
     pseudo_label_from_clusters,
-    train_linear,
     tukey_fence,
 )
 from .risk import fit_source_guided, fit_target_corrected
@@ -122,7 +118,6 @@ class ExperimentResult(Serializable):
     final_model: PipelineModel
     final_report: BoundReport
     wall_time: float
-    linear_probe: dict | None = None
 
     @property
     def final_risk(self) -> float:
@@ -205,7 +200,7 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     Every iteration trains on (source pairs, pseudo-labeled target pairs),
     filters, scores the stump on the target oracle pairs and records it;
     the modes differ in where the pairs come from and in the practice-only
-    diagnostics, bound inputs and linear probe.  Practice mode
+    diagnostics and bound inputs.  Practice mode
     (clustering noise): fixed per-run sample pools; alignment and
     normalization are computed once (their inputs do not change across
     iterations), clustering re-runs every iteration on coordinate-re-weighted
@@ -280,21 +275,18 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
             weights[h.coordinate] = config.refine_scale
         records.append(record)
 
-    probe = None
     if practice:
         # The practice bound speaks about the deployed model: oracle
         # quantities in its feature space, m and noise rates from its own
         # training data.
         m = len(kept) + (len(source_pairs) if toggles.source_guided else 0)
         inputs = replace(inputs, m=m, rho_neg=model.rho_neg, rho_pos=model.rho_pos)
-        probe = _linear_probe(config, kept) if config.linear_probe else None
     return ExperimentResult(
         config_fingerprint=_fingerprint(config),
         iterations=records,
         final_model=PipelineModel(h, align_map, normalize),
         final_report=assemble_bound(inputs),
         wall_time=time.perf_counter() - started,
-        linear_probe=probe,
     )
 
 
@@ -325,29 +317,6 @@ def _log_similarity_mmd(record, source_pairs, target_pairs, target_pool):
                                 else mmd_squared(source_pairs.similarity[:cap_s], sim))
     except PseudoboundError:
         pass  # degenerate bandwidth on a collapsed draw; leave unlogged
-
-
-def _linear_probe(config: ExperimentConfig, pairs: PairSet) -> dict:
-    """Gradient-learner pass over the final kept pairs, wired to the same
-    toggles: bounded loss swaps logistic for MAE, online filtering adds the
-    Tukey rule, weight decay comes straight from the toggles."""
-    toggles = config.toggles
-    probe_cfg = replace(
-        config.linear_probe,
-        loss_kind=MAE if toggles.bounded_loss else LOGISTIC,
-        l2_penalty=toggles.weight_decay,
-    )
-    rule = (FilterRule.tukey()
-            if toggles.outlier_filtering == OFFLINE_PLUS_ONLINE
-            else FilterRule.none())
-    model, trace, report = train_linear(pairs, probe_cfg, rule,
-                                        rng_seed=derive_seed(config.master_seed, 24))
-    return {
-        "final_objective": trace[-1],
-        "trace_length": len(trace),
-        "filter_report": report.to_dict(),
-        "weights_norm": float(np.linalg.norm(model.weights)),
-    }
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Desk-scale good practices: density clustering for pseudo-labels, outlier
 filters, and a small gradient linear learner.
 
-The linear learner exists to exercise bounded losses, loss-based filtering,
-and weight decay with real-valued losses; bound verification itself relies
-on the exact stump ERM only.
+The self-learning loop deploys the exact stump ERM and filters its pairs
+with the Tukey fence.  The linear learner stands apart from it: it shows
+bounded losses and per-epoch loss filtering with real-valued losses, and
+its gradients are checked against finite differences.
 """
 
 from __future__ import annotations
@@ -169,16 +170,13 @@ def filter_top_p(values, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterRule:
-    """Which per-epoch loss filter to apply: none, tukey, or top_p."""
+    """Which per-epoch loss filter to apply: none or tukey."""
 
     kind: str
-    p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "tukey", "top_p"):
+        if self.kind not in ("none", "tukey"):
             raise ConfigurationError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "top_p" and not (self.p and 0.0 < self.p < 1.0):
-            raise ConfigurationError("top_p filtering needs p in (0, 1)")
 
     @staticmethod
     def none() -> "FilterRule":
@@ -187,10 +185,6 @@ class FilterRule:
     @staticmethod
     def tukey() -> "FilterRule":
         return FilterRule("tukey")
-
-    @staticmethod
-    def top_p(p: float) -> "FilterRule":
-        return FilterRule("top_p", p)
 
 
 @dataclass
@@ -211,9 +205,6 @@ class LinearLearnerConfig(Serializable):
     learning_rate: float = 0.1
     epochs: int = 200
     l2_penalty: float = 0.0
-    # The fence feeding THRESHOLDED_LOGISTIC clamping (and the tukey filter)
-    # is recomputed from each epoch's raw losses unless frozen here.
-    recompute_fence_each_epoch: bool = True
 
     def __post_init__(self):
         if self.loss_kind not in _LOSS_KINDS:
@@ -299,8 +290,8 @@ def train_linear(pairs: PairSet, cfg: LinearLearnerConfig,
     Labels are pseudo-labels when present, true labels otherwise.  With a
     filter rule, each epoch recomputes per-sample raw losses, masks the
     flagged samples out of the gradient, and (THRESHOLDED_LOGISTIC) clamps
-    retained losses at the Tukey fence.  Returns the model, the per-epoch
-    objective trace, and a FilterReport for the final epoch.
+    retained losses at that epoch's Tukey fence.  Returns the model, the
+    per-epoch objective trace, and a FilterReport for the final epoch.
     """
     if len(pairs) == 0:
         raise EmptyInputError("train_linear needs at least one pair")
@@ -316,12 +307,10 @@ def train_linear(pairs: PairSet, cfg: LinearLearnerConfig,
     needs_fence = cfg.loss_kind == THRESHOLDED_LOGISTIC or filter_rule.kind == "tukey"
     for epoch in range(cfg.epochs):
         raw = per_sample_losses(y * (x @ w + b), cfg.loss_kind)
-        if needs_fence and (fence is None or cfg.recompute_fence_each_epoch):
+        if needs_fence:
             fence, _ = tukey_fence(raw)
         if filter_rule.kind == "tukey":
             mask = raw > fence
-        elif filter_rule.kind == "top_p":
-            mask = filter_top_p(raw, filter_rule.p)
         else:
             mask = np.zeros(len(raw), bool)
         include = ~mask

@@ -309,8 +309,8 @@ def test_criterion_11_good_practice_directions(report):
     settings = {
         "full": full,
         "all_off": pb.Toggles.all_off(),
-        "sg_only": pb.Toggles(True, False, False, pb.FILTER_NONE, 0.0),
-        "sg_align": pb.Toggles(True, True, False, pb.FILTER_NONE, 0.0),
+        "sg_only": pb.Toggles(True, False, False, pb.FILTER_NONE),
+        "sg_align": pb.Toggles(True, True, False, pb.FILTER_NONE),
         "full_unfiltered": replace(full, outlier_filtering=pb.FILTER_NONE),
     }
     runs = {name: [pb.run_self_learning(replace(base, toggles=tog, master_seed=s))

@@ -43,7 +43,6 @@ def test_default_config_kinds():
     assert practice.noise.model is None
     assert practice.toggles == pb.Toggles()
     assert practice.iterations == 5
-    assert practice.linear_probe is not None
 
     with pytest.raises(pb.ConfigurationError):
         pb.default_experiment_config("bogus")
@@ -98,13 +97,11 @@ def test_noise_mode_constraints():
 
 
 def test_toggles_validation_and_round_trip():
-    t = pb.Toggles(True, False, True, pb.OFFLINE, 0.01)
+    t = pb.Toggles(True, False, True, pb.OFFLINE)
     assert pb.Toggles.from_dict(t.to_dict()) == t
     assert pb.Toggles.all_off().outlier_filtering == pb.FILTER_NONE
     with pytest.raises(pb.ConfigurationError):
         pb.Toggles(outlier_filtering="sometimes")
-    with pytest.raises(pb.ConfigurationError):
-        pb.Toggles(weight_decay=-0.1)
     cfg = pb.default_experiment_config("clean")
     swapped = replace(cfg, toggles=t)
     assert swapped.toggles == t
@@ -139,11 +136,36 @@ def test_cli_verify_bound(tmp_path, capsys):
     assert "rhs_alt=" in printed
 
 
-def test_cli_verify_bound_rejects_negative_seed(tmp_path):
+def test_cli_verify_bound_rejects_negative_seed(tmp_path, capsys):
     _, cfg_path = small_noisy_config(tmp_path)
-    with pytest.raises(pb.ConfigurationError, match="got -1"):
-        main(["verify-bound", "--config", cfg_path, "--trials", "3",
-              "--seed", "-1", "--out", str(tmp_path / "trials.csv")])
+    code = main(["verify-bound", "--config", cfg_path, "--trials", "3",
+                 "--seed", "-1", "--out", str(tmp_path / "trials.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: ")
+    assert "got -1" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("removed", ["linear_probe", "weight_decay"])
+def test_cli_rejects_removed_keys_by_name(tmp_path, capsys, removed):
+    """Config and grid files written before the linear probe and its
+    weight-decay toggle were removed fail on the stale key."""
+    cfg, cfg_path = small_noisy_config(tmp_path, trials=1, iterations=1)
+    if removed == "linear_probe":
+        doc = cfg.to_dict()
+        doc["linear_probe"] = None
+        Path(cfg_path).write_text(json.dumps(doc))
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "r.json")]
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([dict(pb.Toggles().to_dict(), weight_decay=0.0)]))
+        argv = ["ablate", "--config", cfg_path, "--grid", str(grid),
+                "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: ")
+    assert repr(removed) in err
 
 
 def test_cli_lemmas_concentration(tmp_path):
@@ -188,7 +210,7 @@ def test_cli_ablate_with_grid_file(tmp_path):
     cfg, cfg_path = small_noisy_config(tmp_path, trials=1, iterations=1)
     grid_path = tmp_path / "grid.json"
     grid = [pb.Toggles.all_off().to_dict(),
-            pb.Toggles(True, False, False, pb.FILTER_NONE, 0.0).to_dict()]
+            pb.Toggles(True, False, False, pb.FILTER_NONE).to_dict()]
     grid_path.write_text(json.dumps(grid))
     out = tmp_path / "ablation.csv"
     code = main(["ablate", "--config", cfg_path, "--grid", str(grid_path),
@@ -197,12 +219,12 @@ def test_cli_ablate_with_grid_file(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["source_guided", "domain_alignment", "bounded_loss",
-                       "outlier_filtering", "weight_decay", "trials_ok",
-                       "trials_failed", "mean_final_risk"]
+                       "outlier_filtering", "trials_ok", "trials_failed",
+                       "mean_final_risk"]
     assert len(rows) == 3
     assert rows[1][:4] == ["0", "0", "0", "none"]
     assert rows[2][:4] == ["1", "0", "0", "none"]
-    assert all(r[5] == "1" and r[6] == "0" for r in rows[1:])
+    assert all(r[4] == "1" and r[5] == "0" for r in rows[1:])
 
 
 def test_cli_bound_prints_report(tmp_path, capsys):

@@ -187,10 +187,6 @@ def test_filter_top_p_matches_sort_oracle():
 def test_filter_rule_validation():
     pb.FilterRule.none()
     pb.FilterRule.tukey()
-    rule = pb.FilterRule.top_p(0.2)
-    assert rule.p == 0.2
-    with pytest.raises(pb.ConfigurationError):
-        pb.FilterRule("top_p", p=0.0)
     with pytest.raises(pb.ConfigurationError):
         pb.FilterRule("bogus")
 
@@ -354,8 +350,7 @@ def test_train_linear_filter_report_rates():
 
 def test_linear_learner_config_round_trip():
     cfg = pb.LinearLearnerConfig(loss_kind=pb.MAE, learning_rate=0.05,
-                                 epochs=77, l2_penalty=0.5,
-                                 recompute_fence_each_epoch=False)
+                                 epochs=77, l2_penalty=0.5)
     assert pb.LinearLearnerConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(pb.ConfigurationError):
         pb.LinearLearnerConfig(loss_kind="hinge")

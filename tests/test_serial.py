@@ -44,8 +44,8 @@ def _samples():
         filtered,
         pb.FilterReport(kept=3, dropped=0, fence=None),
         pb.LinearLearnerConfig(loss_kind=pb.MAE, learning_rate=0.05, epochs=77,
-                               l2_penalty=0.5, recompute_fence_each_epoch=False),
-        pb.Toggles(True, False, True, pb.OFFLINE, 0.01),
+                               l2_penalty=0.5),
+        pb.Toggles(True, False, True, pb.OFFLINE),
         pb.NoiseMode.synthetic(pb.NoiseModel(0.2, 0.1)),
         pb.NoiseMode.from_clustering(),
         practice,
@@ -161,18 +161,22 @@ def test_str_field_takes_only_a_json_string():
         pb.BoundReport.from_dict(doc)
 
 
-def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path):
+def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     replace(pb.default_experiment_config("noisy"), trials=1).save(cfg_path)
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps([{"source_guide": False}]))
-    with pytest.raises(pb.ConfigurationError, match="'source_guide'"):
-        main(["ablate", "--config", str(cfg_path), "--grid", str(grid_path),
-              "--out", str(tmp_path / "table.csv")])
+    assert main(["ablate", "--config", str(cfg_path), "--grid", str(grid_path),
+                 "--out", str(tmp_path / "table.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: ")
+    assert "'source_guide'" in err
 
 
-def test_cli_bound_rejects_partial_inputs(tmp_path):
+def test_cli_bound_rejects_partial_inputs(tmp_path, capsys):
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps({"alpha": 0.5, "beta": 0.5}))
-    with pytest.raises(pb.ConfigurationError, match="'m'"):
-        main(["bound", "--inputs", str(path)])
+    assert main(["bound", "--inputs", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: ")
+    assert "'m'" in err
