@@ -21,8 +21,6 @@ print(f"  noise/mixing factor N = {rep.noise_term:.6f}")
 print(f"  capacity factor    C = {rep.complexity_term:.6f}")
 print(f"  domain term       DD = {rep.dd_term:.6f}")
 print(f"  right-hand side      = {rep.rhs:.6f}")
-print(f"  alternate mixing convention ({rep.convention_alt}): "
-      f"rhs = {rep.rhs_alt:.6f}")
 
 def sweep(name, field, values):
     rhss = [pb.assemble_bound(

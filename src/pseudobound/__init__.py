@@ -9,8 +9,6 @@ generalization bound; `pipeline` runs the practice loop and ablations.
 """
 
 from .bound import (
-    COMPLEMENT_OF_SQUARE,
-    SQUARED_COMPLEMENT,
     TRIAL_CSV_COLUMNS,
     BoundInputs,
     BoundReport,

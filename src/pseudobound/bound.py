@@ -5,10 +5,8 @@ The bound reads
     eps_T(h_hat) <= eps_T(h*_T) + 4 M N C + 2 DD
 
 with a noise term N, a VC complexity term C, and a domain-divergence term
-DD.  Two algebraic variants of N circulate for the source share: the
-default uses (1-alpha)^2, which matches the Hoeffding denominator of the
-concentration check below; the 1-alpha^2 variant is computed alongside and
-carried in every report so the two can be compared.
+DD.  N's source share is (1-alpha)^2, so (M N)^2 is the variance proxy of
+the concentration check's Hoeffding bound below.
 """
 
 from __future__ import annotations
@@ -47,10 +45,6 @@ from .risk import (
 from .serial import Serializable
 from .stumps import HypothesisClassInfo, erm_batch, sorted_miss_counter
 
-SQUARED_COMPLEMENT = "squared_complement"      # source share (1 - alpha)^2
-COMPLEMENT_OF_SQUARE = "complement_of_square"  # source share 1 - alpha^2
-_CONVENTIONS = (SQUARED_COMPLEMENT, COMPLEMENT_OF_SQUARE)
-
 TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated")
 
 # Training points per block of bound trials (drawn by the block sampler, fitted
@@ -60,8 +54,6 @@ TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated")
 _BLOCK_POINTS = 8192
 
 __all__ = [
-    "SQUARED_COMPLEMENT",
-    "COMPLEMENT_OF_SQUARE",
     "TRIAL_CSV_COLUMNS",
     "BoundInputs",
     "BoundReport",
@@ -123,18 +115,14 @@ class BoundInputs(Serializable):
         return self.rho_neg + self.rho_pos
 
 
-def noise_term(alpha: float, beta: float, denominator: float,
-               convention: str = SQUARED_COMPLEMENT) -> float:
-    """N = sqrt(4 a^2 / (b (1-rho_sum)^2) + source_share / (1-b))."""
-    if convention not in _CONVENTIONS:
-        raise ConfigurationError(f"unknown noise-term convention {convention!r}")
-    if convention == SQUARED_COMPLEMENT:
-        source_share = (1.0 - alpha) ** 2
-    else:
-        source_share = 1.0 - alpha ** 2
-    return math.sqrt(
-        4.0 * alpha ** 2 / (beta * denominator ** 2) + source_share / (1.0 - beta)
-    )
+def _noise_squared(alpha: float, beta: float, denominator: float) -> float:
+    """N^2 = 4 a^2 / (b (1-rho_sum)^2) + (1-a)^2 / (1-b)."""
+    return 4.0 * alpha ** 2 / (beta * denominator ** 2) + (1.0 - alpha) ** 2 / (1.0 - beta)
+
+
+def noise_term(alpha: float, beta: float, denominator: float) -> float:
+    """N = sqrt(4 a^2 / (b (1-rho_sum)^2) + (1-a)^2 / (1-b))."""
+    return math.sqrt(_noise_squared(alpha, beta, denominator))
 
 
 def complexity_term(m: int, d: int, delta: float) -> float:
@@ -151,31 +139,22 @@ def dd_term(alpha: float, big_m: float, h_delta_h: float,
 @dataclass(frozen=True)
 class BoundReport(Serializable):
     inputs: BoundInputs
-    convention: str
     noise_term: float
     complexity_term: float
     dd_term: float
     rhs: float
-    noise_term_alt: float
-    rhs_alt: float
-    convention_alt: str
 
 
 def assemble_bound(inputs: BoundInputs) -> BoundReport:
-    """rhs = eps*_T + 4 M N C + 2 DD, with both N conventions reported."""
+    """rhs = eps*_T + 4 M N C + 2 DD."""
     denom = NoiseModel(inputs.rho_neg, inputs.rho_pos).denominator
-    n_main = noise_term(inputs.alpha, inputs.beta, denom, SQUARED_COMPLEMENT)
-    n_alt = noise_term(inputs.alpha, inputs.beta, denom, COMPLEMENT_OF_SQUARE)
+    n = noise_term(inputs.alpha, inputs.beta, denom)
     c = complexity_term(inputs.m, inputs.d, inputs.delta)
     dd = dd_term(inputs.alpha, inputs.big_m, inputs.h_delta_h,
                  inputs.ideal_joint_error)
-    rhs = inputs.epsilon_t_star + 4.0 * inputs.big_m * n_main * c + 2.0 * dd
-    rhs_alt = inputs.epsilon_t_star + 4.0 * inputs.big_m * n_alt * c + 2.0 * dd
-    return BoundReport(
-        inputs=inputs, convention=SQUARED_COMPLEMENT, noise_term=n_main,
-        complexity_term=c, dd_term=dd, rhs=rhs, noise_term_alt=n_alt,
-        rhs_alt=rhs_alt, convention_alt=COMPLEMENT_OF_SQUARE,
-    )
+    rhs = inputs.epsilon_t_star + 4.0 * inputs.big_m * n * c + 2.0 * dd
+    return BoundReport(inputs=inputs, noise_term=n, complexity_term=c,
+                       dd_term=dd, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -239,11 +218,9 @@ def default_mu_grid() -> np.ndarray:
 
 
 def hoeffding_rhs(mu: float, m: int, cfg: RiskConfig, model: NoiseModel) -> float:
-    """2 exp(-2 m mu^2 / (4 M^2 a^2/(b denom^2) + M^2 (1-a)^2/(1-b)))."""
-    variance_proxy = (
-        4.0 * cfg.big_m ** 2 * cfg.alpha ** 2 / (cfg.beta * model.denominator ** 2)
-        + cfg.big_m ** 2 * (1.0 - cfg.alpha) ** 2 / (1.0 - cfg.beta)
-    )
+    """2 exp(-2 m mu^2 / (M N)^2), N the bound's noise term."""
+    variance_proxy = cfg.big_m ** 2 * _noise_squared(cfg.alpha, cfg.beta,
+                                                     model.denominator)
     return 2.0 * math.exp(-2.0 * m * mu * mu / variance_proxy)
 
 
@@ -334,20 +311,13 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
 @dataclass(frozen=True)
 class TheoremTrialRow(Serializable):
     seed: int
-    noise_term: float
-    complexity_term: float
-    dd_term: float
-    rhs: float
     eps_t_hat: float
     violated: bool
-    rhs_alt: float
-    violated_alt: bool
 
 
 @dataclass(frozen=True)
 class TheoremValidation(Serializable):
     violation_rate: float
-    violation_rate_alt: float
     rows: list[TheoremTrialRow]
     report: BoundReport
 
@@ -444,33 +414,23 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
                                                  pseudo, cfg, model))
         for seed, (h_hat, _) in zip(seeds, fits):
             eps_hat = cfg.big_m * misses(h_hat) / len(oracle_t)
-            rows.append(TheoremTrialRow(
-                seed=seed,
-                noise_term=report.noise_term,
-                complexity_term=report.complexity_term,
-                dd_term=report.dd_term,
-                rhs=report.rhs,
-                eps_t_hat=eps_hat,
-                violated=eps_hat > report.rhs,
-                rhs_alt=report.rhs_alt,
-                violated_alt=eps_hat > report.rhs_alt,
-            ))
+            rows.append(TheoremTrialRow(seed, eps_hat, eps_hat > report.rhs))
     rate = sum(r.violated for r in rows) / trials
-    rate_alt = sum(r.violated_alt for r in rows) / trials
-    return TheoremValidation(rate, rate_alt, rows, report)
+    return TheoremValidation(rate, rows, report)
 
 
 def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
-def write_trial_csv(rows, fileobj) -> None:
-    """One row per trial: seed, N, C, DD, rhs, eps_T_hat, violated."""
+def write_trial_csv(validation: TheoremValidation, fileobj) -> None:
+    """One row per trial: seed, N, C, DD, rhs, eps_T_hat, violated; N, C, DD
+    and rhs are the report's, the same on every row."""
+    rep = validation.report
+    terms = [_fmt(x) for x in (rep.noise_term, rep.complexity_term,
+                               rep.dd_term, rep.rhs)]
     writer = csv.writer(fileobj)
     writer.writerow(TRIAL_CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            str(r.seed), _fmt(r.noise_term), _fmt(r.complexity_term),
-            _fmt(r.dd_term), _fmt(r.rhs), _fmt(r.eps_t_hat),
-            "1" if r.violated else "0",
-        ])
+    for r in validation.rows:
+        writer.writerow([str(r.seed), *terms, _fmt(r.eps_t_hat),
+                         "1" if r.violated else "0"])

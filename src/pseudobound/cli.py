@@ -5,7 +5,8 @@ concentration checks to JSON), run (one self-learning experiment to JSON),
 ablate (toggle grid to CSV), bound (assemble one report from JSON inputs).
 All randomness flows from --seed / the config's master_seed; reals in CSV
 output carry 9 significant digits.  A PseudoboundError (a bad config, grid
-or seed, a failed run) prints one line to stderr and exits with status 3.
+or seed, a failed run), a missing or unreadable file and a malformed JSON
+file print one line to stderr and exit with status 3.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ def _cmd_verify_bound(args) -> int:
     config = ExperimentConfig.load(args.config)
     result = validate_theorem(config, trials=args.trials, rng_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
-        write_trial_csv(result.rows, fh)
+        write_trial_csv(result, fh)
     print(f"trials={args.trials} violation_rate={_fmt(result.violation_rate)} "
-          f"violation_rate_alt={_fmt(result.violation_rate_alt)} "
-          f"delta={_fmt(config.delta)}")
-    print(f"rhs={_fmt(result.report.rhs)} ({result.report.convention}) "
-          f"rhs_alt={_fmt(result.report.rhs_alt)} ({result.report.convention_alt})")
+          f"delta={_fmt(config.delta)} rhs={_fmt(result.report.rhs)}")
     return 0
 
 
@@ -182,11 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit status: 0 done, 1 a lemma check failed,
-    2 usage error (argparse), 3 a PseudoboundError, reported on one line."""
+    2 usage error (argparse), 3 a PseudoboundError, a file that cannot be
+    opened (OSError) or a malformed JSON file, reported on one line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PseudoboundError as err:
+    except (PseudoboundError, OSError, json.JSONDecodeError) as err:
         print(f"pseudobound: error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

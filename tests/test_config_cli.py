@@ -133,7 +133,7 @@ def test_cli_verify_bound(tmp_path, capsys):
     assert all(r[6] in ("0", "1") for r in rows[1:])
     printed = capsys.readouterr().out
     assert "violation_rate=" in printed
-    assert "rhs_alt=" in printed
+    assert "rhs=" in printed
 
 
 def test_cli_verify_bound_rejects_negative_seed(tmp_path, capsys):
@@ -145,6 +145,40 @@ def test_cli_verify_bound_rejects_negative_seed(tmp_path, capsys):
     assert err.startswith("pseudobound: error: ConfigurationError: ")
     assert "got -1" in err
     assert len(err.splitlines()) == 1
+
+
+def _file_argvs(tmp_path, path):
+    """One command line per option that reads a JSON file, reading ``path``."""
+    _, cfg_path = small_noisy_config(tmp_path)
+    out = str(tmp_path / "out")
+    return [
+        ["run", "--config", path, "--out", out],
+        ["verify-bound", "--config", path, "--out", out],
+        ["lemmas", "--config", path, "--which", "3", "--out", out],
+        ["ablate", "--config", path, "--out", out],
+        ["ablate", "--config", cfg_path, "--grid", path, "--out", out],
+        ["bound", "--inputs", path],
+    ]
+
+
+def test_cli_reports_a_truncated_json_file_on_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"alpha": 0.5, "beta"')
+    for argv in _file_argvs(tmp_path, str(bad)):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("pseudobound: error: JSONDecodeError: "), argv
+        assert len(err.splitlines()) == 1
+
+
+def test_cli_reports_a_missing_file_on_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in _file_argvs(tmp_path, missing):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("pseudobound: error: FileNotFoundError: "), argv
+        assert missing in err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("removed", ["linear_probe", "weight_decay"])
@@ -239,7 +273,6 @@ def test_cli_bound_prints_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rhs"] == pytest.approx(1.657301, abs=1e-5)
-    assert payload["rhs_alt"] > payload["rhs"]
 
 
 def _readme_blocks(lang):

@@ -23,9 +23,7 @@ def _samples():
     rec = run.iterations[0]
     noisy = pb.default_experiment_config("noisy")
     report = pb.assemble_bound(_bound_inputs())
-    row = pb.TheoremTrialRow(seed=2 ** 63 + 5, noise_term=1.5, complexity_term=0.2,
-                             dd_term=0.07, rhs=1.3, eps_t_hat=0.125,
-                             violated=False, rhs_alt=1.4, violated_alt=False)
+    row = pb.TheoremTrialRow(seed=2 ** 63 + 5, eps_t_hat=0.125, violated=False)
     cell = pb.AblationCell(pb.Toggles(), [0.1, 0.25],
                            [{"trial": 2, "error": "no positives"}], 0.175)
     filtered = pb.FilterReport(kept=7, dropped=1, fence=0.5,
@@ -57,7 +55,7 @@ def _samples():
                         ideal_joint_error=0.05),
         pb.ConcentrationRow(0.02, 0.5, 1.9, True),
         row,
-        pb.TheoremValidation(0.0, 0.5, [row, replace(row, violated_alt=True)], report),
+        pb.TheoremValidation(0.5, [row, replace(row, violated=True)], report),
         run.final_model,
         PipelineModel(pb.StumpHypothesis(0, 0.5, 1), None, False),
         rec,
@@ -155,10 +153,10 @@ def test_float_field_takes_only_a_json_number(value):
 
 
 def test_str_field_takes_only_a_json_string():
-    doc = pb.assemble_bound(_bound_inputs()).to_dict()
-    doc["convention"] = 12.5
-    with pytest.raises(pb.ConfigurationError, match="BoundReport.convention"):
-        pb.BoundReport.from_dict(doc)
+    doc = pb.Toggles().to_dict()
+    doc["outlier_filtering"] = 12.5
+    with pytest.raises(pb.ConfigurationError, match="Toggles.outlier_filtering"):
+        pb.Toggles.from_dict(doc)
 
 
 def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path, capsys):
