@@ -4,8 +4,9 @@ The package follows one bound end to end: a corrected loss that absorbs
 asymmetric pseudo-label noise, an alpha-weighted mix of target and source
 risks, exact ERM over decision stumps, empirical class-divergence and MMD
 measurements, and a self-learning loop whose pseudo-labels come from
-density clustering.  `bound` assembles and Monte-Carlo-validates the
-generalization bound; `pipeline` runs the practice loop and ablations.
+density clustering.  `bound` assembles the generalization bound,
+validates it by Monte Carlo trials and checks its lemmas against exact
+population risks; `pipeline` runs the practice loop and ablations.
 """
 
 from .bound import (
@@ -115,6 +116,7 @@ from .risk import (
     corrected_empirical_risk_target,
     empirical_disagreement,
     empirical_risk_true,
+    exact_risk,
     expected_risk,
     fit_plain,
     fit_source_guided,

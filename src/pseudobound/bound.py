@@ -38,7 +38,7 @@ from .noise import NO_NOISE, NoiseModel, _flip_labels
 from .risk import (
     RiskConfig,
     _source_guided_problem,
-    expected_risk,
+    exact_risk,
     fit_plain,
     source_guided_risk,
 )
@@ -164,7 +164,6 @@ class Lemma2Report(Serializable):
     lhs: float
     rhs: float
     holds: bool
-    slack: float
     eps_source: float
     eps_target: float
     h_delta_h: float
@@ -175,19 +174,20 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
                  alpha: float, big_m: float, oracle_n: int = 100_000,
                  rng_seed: int = 0, strategy: PairStrategy | None = None,
                  gap_n: int = 1024) -> Lemma2Report:
-    """Monte-Carlo check of the alpha-mix risk deviation bound.
+    """Check of the alpha-mix risk deviation bound, with zero tolerance.
 
-    lhs = |eps_alpha(h) - eps_T(h)| = (1-alpha) |eps_S - eps_T| from
-    expected risks on oracle_n pairs per domain; rhs uses the empirical
-    class distance and joint error measured on gap_n-pair draws.  holds
-    allows 3 combined standard errors of slack.
+    lhs = |eps_alpha(h) - eps_T(h)| = (1-alpha) |eps_S - eps_T| from the
+    exact population risks (``exact_risk``); rhs uses the empirical class
+    distance and joint error measured on gap_n-pair draws (sub-seeds 3 and
+    4 of rng_seed).  holds is lhs <= rhs.  Sub-seeds 1 and 2 seeded the
+    Monte Carlo risk draws this check used before and are no longer drawn.
+    ``oracle_n``, their size, is accepted and ignored so that existing
+    callers keep working.
     """
     if strategy is None:
         strategy = PairStrategy.balanced(3)
-    eps_t, se_t = expected_risk(h, spec_target, strategy, big_m, oracle_n,
-                                derive_seed(rng_seed, 1))
-    eps_s, se_s = expected_risk(h, spec_source, strategy, big_m, oracle_n,
-                                derive_seed(rng_seed, 2))
+    eps_t = exact_risk(h, spec_target, strategy, big_m)
+    eps_s = exact_risk(h, spec_source, strategy, big_m)
     lhs = (1.0 - alpha) * abs(eps_s - eps_t)
     _, src_gap = draw_pair_process(spec_source, strategy, gap_n,
                                    derive_seed(rng_seed, 3))
@@ -197,9 +197,8 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
     d_hat = h_delta_h_distance(src_gap.similarity, tgt_gap.similarity, info)
     _, lam = ideal_joint(src_gap, tgt_gap, big_m)
     rhs = dd_term(alpha, big_m, d_hat, lam)
-    slack = 3.0 * (1.0 - alpha) * math.hypot(se_s, se_t)
     return Lemma2Report(
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack, slack=slack,
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         eps_source=eps_s, eps_target=eps_t, h_delta_h=d_hat,
         ideal_joint_error=lam,
     )
@@ -281,8 +280,11 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
     h stays fixed; each trial redraws the m-sample training set (target
     labels freshly corrupted) and evaluates the alpha-mix empirical risk.
     Draws come from ``validate_theorem``'s block sampler and seed chain.
-    The population center comes from a large oracle draw.  Requires
-    synthetic noise mode so the rates entering the denominator are exact.
+    The population center alpha eps_T(h) + (1-alpha) eps_S(h) is exact
+    (``exact_risk``); sub-seeds 1 and 2 of rng_seed, which seeded the two
+    2^17-pair draws that estimated it before, are retired, and the trials
+    keep their seeds.  Requires synthetic noise mode so the rates entering the denominator are
+    exact.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("concentration check needs synthetic noise mode")
@@ -290,12 +292,9 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
         raise ConfigurationError("trials must be >= 1")
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
     cfg, model = config.risk, config.noise.model
-    center_n = 1 << 17
-    eps_t, _ = expected_risk(h, config.target, config.strategy, cfg.big_m,
-                             center_n, derive_seed(rng_seed, 1))
-    eps_s, _ = expected_risk(h, config.source, config.strategy, cfg.big_m,
-                             center_n, derive_seed(rng_seed, 2))
-    center = cfg.alpha * eps_t + (1.0 - cfg.alpha) * eps_s
+    center = (cfg.alpha * exact_risk(h, config.target, config.strategy, cfg.big_m)
+              + (1.0 - cfg.alpha) * exact_risk(h, config.source, config.strategy,
+                                               cfg.big_m))
     devs = np.array([abs(source_guided_risk(h, src, tgt, cfg, model) - center)
                      for src, tgt in _trial_pairs(config, trials, rng_seed)])
     rows = []

@@ -1,10 +1,12 @@
 """Empirical and expected verification risks.
 
 Plain risks on true labels, noise-corrected risks on pseudo-labels, the
-alpha-mix of the two, and Monte-Carlo expected risks on freshly drawn pair
-oracles.  Empirical means are accumulated exactly (integer counts or fsum),
-so identities like "risk of h plus risk of its flip equals M" survive float
-arithmetic when the sample count is a power of two.
+alpha-mix of the two, and a stump's population risk on a synthetic domain:
+exact (a sum of folded-normal tails) or, as its reference, Monte Carlo on
+freshly drawn pair oracles.  Empirical means are accumulated exactly
+(integer counts or fsum), so identities like "risk of h plus risk of its
+flip equals M" survive float arithmetic when the sample count is a power
+of two.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "source_guided_risk",
     "empirical_disagreement",
     "expected_risk",
+    "exact_risk",
     "fit_plain",
     "fit_target_corrected",
     "fit_source_guided",
@@ -117,6 +120,52 @@ def expected_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     estimate = big_m * misses / oracle_n
     stderr = big_m * math.sqrt(p_hat * (1.0 - p_hat) / (oracle_n - 1))
     return estimate, stderr
+
+
+def exact_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
+               big_m: float) -> float:
+    """Population 0-M risk of a stump (j, t, s) on the domain's pair process.
+
+    A pair of identities (a, b) has member difference N(A (c_a - c_b),
+    2 sigma^2 A A^T), A the transform matrix (its offset cancels), so
+    coordinate j is N(mu, 2 sigma^2 sum_k A_jk^2) for any A.  With
+    r = sd sqrt(2) and x = |mu|, P(|D_j| > t) is 1 for t < 0 and otherwise
+    (erfc((t - x)/r) + erfc((t + x)/r)) / 2; the stump misses on that mass
+    when the label is -s, and on the rest, (erfc((x - t)/r) - erfc((x + t)/r))
+    / 2, when it is s.  A zero transform row makes D_j the point mass mu,
+    scored as 1[|mu| > t].  The (a, b) weights are the strategy's: 1/n^2
+    each under ``all``; under ``balanced(k)`` 1/((1+k) n) per (a, a) and
+    k/((1+k) n (n-1)) per ordered (a, b), a != b.  The n^2 terms are summed
+    with fsum; ``expected_risk`` is the Monte Carlo reference.
+    """
+    j, t, s = hypothesis.coordinate, hypothesis.threshold, hypothesis.sign
+    if j >= spec.feature_dim:
+        raise ConfigurationError(
+            f"stump coordinate {j} outside a {spec.feature_dim}-dim domain")
+    n = spec.num_identities
+    if strategy.kind == "balanced":
+        if n < 2:
+            raise DegenerateInputError("balanced pairs need at least two identities")
+        k = strategy.k_neg_per_pos
+        w_pos, w_neg = 1.0 / ((1 + k) * n), k / ((1 + k) * n * (n - 1))
+    else:
+        w_pos = w_neg = 1.0 / (n * n)
+    row = spec.domain_transform.matrix[j]
+    r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
+    proj = spec.identity_centers @ row
+
+    def miss(x: float, label: int) -> float:
+        """Mass of the component with |mean| x on which the stump errs."""
+        if t < 0 or r == 0.0:  # |D_j| > t surely, or D_j is a point mass
+            return float((x > t) != (label == s))
+        if label == s:
+            return 0.5 * (math.erfc((x - t) / r) - math.erfc((x + t) / r))
+        return 0.5 * (math.erfc((t - x) / r) + math.erfc((t + x) / r))
+
+    return big_m * math.fsum(
+        w_pos * miss(0.0, 1) if a == b else w_neg * miss(abs(mu), -1)
+        for a, mu_row in enumerate((proj[:, None] - proj[None, :]).tolist())
+        for b, mu in enumerate(mu_row))
 
 
 def fit_plain(pairs: PairSet, big_m: float) -> tuple[StumpHypothesis, float]:

@@ -130,11 +130,13 @@ def test_criterion_04_disagreement_gap_dominated_exactly(report):
 
 
 # Criterion 05's rows (mu, empirical_prob, hoeffding_rhs, holds), exactly.
+# Re-pinned when the center became the exact population risk: the draws are
+# unchanged, and the rows equal those of the previous code given that center.
 CRITERION_05_ROWS = [
-    (0.02, 0.3452, 1.86507838660624, True),
-    (0.04000000000000001, 0.0562, 1.5125104024888132, True),
-    (0.06000000000000001, 0.0044, 1.066679229367272, True),
-    (0.08000000000000002, 0.0004, 0.6541893866783249, True),
+    (0.02, 0.3464, 1.86507838660624, True),
+    (0.04000000000000001, 0.0548, 1.5125104024888132, True),
+    (0.06000000000000001, 0.0042, 1.066679229367272, True),
+    (0.08000000000000002, 0.0002, 0.6541893866783249, True),
     (0.10000000000000002, 0.0, 0.3489051154211419, True),
     (0.12000000000000002, 0.0, 0.1618249073181341, True),
     (0.14, 0.0, 0.06527059690426909, True),

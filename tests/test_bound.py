@@ -87,14 +87,12 @@ def test_lemma2_alpha_one_trivial():
     assert r.holds
 
 
-def test_lemma2_same_domain_lhs_within_noise():
-    # S == T makes the population lhs 0; the Monte-Carlo estimate sees two
-    # independent draws, so it lands within the reported slack instead.
+def test_lemma2_same_domain_lhs_is_zero():
+    # S == T: both risks are the same exact population value.
     h = pb.random_stump(2, 4)
     cfg = pb.default_experiment_config("clean")
-    r = pb.check_lemma2(h, cfg.target, cfg.target, 0.5, 1.0,
-                        oracle_n=10_000, rng_seed=4)
-    assert r.lhs <= r.slack
+    r = pb.check_lemma2(h, cfg.target, cfg.target, 0.5, 1.0, rng_seed=4)
+    assert r.lhs == 0.0
     assert r.holds
 
 
@@ -102,9 +100,22 @@ def test_lemma2_holds_for_random_stumps_on_shifted_domain():
     cfg = pb.default_experiment_config("shifted")
     for s in range(10):
         h = pb.random_stump(s, 4)
-        r = pb.check_lemma2(h, cfg.source, cfg.target, 0.5, 1.0,
-                            oracle_n=20_000, rng_seed=s)
+        r = pb.check_lemma2(h, cfg.source, cfg.target, 0.5, 1.0, rng_seed=s)
+        assert r.lhs <= r.rhs  # zero tolerance
         assert r.holds
+
+
+def test_lemma2_ignores_oracle_n():
+    cfg = pb.default_experiment_config("shifted")
+    h = pb.random_stump(3, 4)
+
+    def report(**kw):
+        return pb.check_lemma2(h, cfg.source, cfg.target, 0.5, 1.0, rng_seed=3,
+                               gap_n=256, **kw)
+
+    default = report()
+    for n in (100_000, 10_000, 1):
+        assert report(oracle_n=n) == default
 
 
 def test_hoeffding_rhs_at_zero_mu():
@@ -247,10 +258,8 @@ def test_lemma3_rows_equal_trial_by_trial_risks():
     trials = 2 * (_BLOCK_POINTS // cfg.m_train) + 3
     h = pb.StumpHypothesis(1, 0.8, 1)
     rows = pb.check_lemma3_concentration(h, cfg, trials=trials, rng_seed=4)
-    eps_t, _ = pb.expected_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m,
-                                1 << 17, pb.derive_seed(4, 1))
-    eps_s, _ = pb.expected_risk(h, cfg.source, cfg.strategy, cfg.risk.big_m,
-                                1 << 17, pb.derive_seed(4, 2))
+    eps_t = pb.exact_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m)
+    eps_s = pb.exact_risk(h, cfg.source, cfg.strategy, cfg.risk.big_m)
     center = cfg.risk.alpha * eps_t + (1.0 - cfg.risk.alpha) * eps_s
     devs = np.array([
         abs(pb.source_guided_risk(h, *_trial_by_trial(cfg, pb.derive_seed(4, t)),
@@ -297,10 +306,22 @@ def test_validate_theorem_outputs_pinned(seed):
 
 # sha256 over the canonical JSON of check_lemma2 on shifted for gap units 0-2
 # (random stump u, gap_n 1024, oracle_n 100 000), one line each: the gap
-# workload's benchmark checksum.
+# workload's benchmark checksum.  Re-pinned when the risks became exact and
+# the slack left the report.
 LEMMA2_PINS = {
-    0: "774d12af45f36571259b363a2dd4ecff2a28973053d7e65536e0f41432655164",
-    8675309: "4031b91d7edca8b759e98358f331f6d7e53520682299af58608d149bc91f6c85",
+    0: "7dafae472e99c4d1d0e274f9dc7ab1fc215effb4fe96f1e2e347273db4cbbb44",
+    8675309: "48343d0461bfceada3033a3e3498a9d35f168bf0ddc11b36d51d7dcdcdd9847d",
+}
+
+# (h_delta_h, ideal_joint_error, rhs) of the same units: the gap draws half of
+# the check, bit-identical to its values before the risks became exact.
+LEMMA2_GAP_TERMS = {
+    0: [(0.62890625, 0.1396484375, 0.22705078125),
+        (0.60546875, 0.1357421875, 0.21923828125),
+        (0.623046875, 0.1630859375, 0.2373046875)],
+    8675309: [(0.630859375, 0.1552734375, 0.2353515625),
+              (0.642578125, 0.1552734375, 0.23828125),
+              (0.619140625, 0.1484375, 0.22900390625)],
 }
 
 
@@ -308,6 +329,7 @@ LEMMA2_PINS = {
 def test_check_lemma2_outputs_pinned(seed):
     cfg = pb.default_experiment_config("shifted")
     digest = hashlib.sha256()
+    terms = []
     for u in range(3):
         h = pb.random_stump(pb.derive_seed(seed, 91, u), cfg.target.feature_dim)
         rep = pb.check_lemma2(h, cfg.source, cfg.target, cfg.risk.alpha,
@@ -316,6 +338,8 @@ def test_check_lemma2_outputs_pinned(seed):
                               strategy=cfg.strategy, gap_n=1024)
         digest.update(json.dumps(rep.to_dict(), sort_keys=True,
                                  separators=(",", ":")).encode() + b"\n")
+        terms.append((rep.h_delta_h, rep.ideal_joint_error, rep.rhs))
+    assert terms == LEMMA2_GAP_TERMS[seed]
     assert digest.hexdigest() == LEMMA2_PINS[seed]
 
 

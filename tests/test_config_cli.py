@@ -226,7 +226,8 @@ def test_cli_lemmas_deviation(tmp_path):
     assert payload["holds_all"] is True
     assert len(payload["reports"]) == 2
     for report in payload["reports"]:
-        assert report["lhs"] <= report["rhs"] + report["slack"]
+        assert report["holds"] is True
+        assert report["lhs"] <= report["rhs"]
 
 
 def test_cli_run(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,57 @@ def test_expected_risk_rejects_small_oracle():
     with pytest.raises(pb.ConfigurationError):
         pb.expected_risk(pb.random_stump(0, 4), CFG.target, STRAT, 1.0,
                          oracle_n=100, rng_seed=0)
+
+
+SHIFTED = pb.default_experiment_config("shifted")
+
+
+@pytest.mark.parametrize("spec,strategy,hyp", [
+    (SHIFTED.target, STRAT, pb.StumpHypothesis(1, 0.4, 1)),
+    (SHIFTED.source, STRAT, pb.StumpHypothesis(0, -0.5, 1)),
+    (SHIFTED.target, pb.PairStrategy.all_pairs(), pb.StumpHypothesis(3, 1.2, -1)),
+], ids=["target-plus", "source-negative-threshold", "target-all-minus"])
+def test_exact_risk_within_4_se_of_a_million_pair_draw(spec, strategy, hyp):
+    """The shifted target's transform is not the identity; the source's is."""
+    exact = pb.exact_risk(hyp, spec, strategy, 2.0)
+    est, se = pb.expected_risk(hyp, spec, strategy, 2.0, oracle_n=10 ** 6, rng_seed=11)
+    assert 0.0 < exact < 2.0
+    assert abs(est - exact) <= 4.0 * se
+
+
+def test_exact_risk_of_a_stump_and_its_flip_sum_to_m():
+    for spec in (SHIFTED.source, SHIFTED.target):
+        for strategy in (STRAT, pb.PairStrategy.balanced(1), pb.PairStrategy.all_pairs()):
+            for s in range(20):
+                h = pb.random_stump(s, 4)
+                total = (pb.exact_risk(h, spec, strategy, 1.5)
+                         + pb.exact_risk(h.flipped(), spec, strategy, 1.5))
+                assert abs(total - 1.5) <= 1e-12
+
+
+def test_exact_risk_scores_a_zero_transform_row_as_a_point_mass():
+    """Coordinate 1 of every member is the offset, so |D_1| is exactly 0: a
+    stump predicts s everywhere below threshold 0 and -s from 0 up."""
+    amap = pb.AffineMap(np.diag([1.0, 0.0]), np.array([0.0, 3.0]))
+    spec = pb.DomainSpec(2, 2, np.array([[0.0, 1.0], [2.0, -1.0]]), 0.5, amap, 1)
+    for strategy, p_pos in ((pb.PairStrategy.balanced(3), 0.25),
+                            (pb.PairStrategy.all_pairs(), 0.5)):
+        for t, s, risk in ((-1e-9, 1, 1.0 - p_pos), (-1e-9, -1, p_pos),
+                           (0.0, 1, p_pos), (0.0, -1, 1.0 - p_pos),
+                           (2.5, -1, 1.0 - p_pos)):
+            assert pb.exact_risk(pb.StumpHypothesis(1, t, s), spec, strategy, 1.0) == risk
+
+
+def test_exact_risk_typed_errors_and_one_identity():
+    spec = pb.DomainSpec(1, 2, np.zeros((1, 2)), 1.0, pb.AffineMap.identity(2), 0)
+    h = pb.StumpHypothesis(0, 0.5, 1)
+    with pytest.raises(pb.DegenerateInputError):
+        pb.exact_risk(h, spec, STRAT, 1.0)
+    with pytest.raises(pb.ConfigurationError, match="coordinate 2"):
+        pb.exact_risk(pb.StumpHypothesis(2, 0.5, 1), spec, pb.PairStrategy.all_pairs(), 1.0)
+    # one positive component, D_0 ~ N(0, 2): the stump misses on |D_0| <= 0.5
+    assert pb.exact_risk(h, spec, pb.PairStrategy.all_pairs(), 1.0) == pytest.approx(
+        math.erf(0.25), rel=1e-15)
 
 
 def test_fit_plain_beats_random_stumps():

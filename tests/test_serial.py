@@ -50,9 +50,8 @@ def _samples():
         noisy,
         _bound_inputs(),
         report,
-        pb.Lemma2Report(lhs=0.01, rhs=0.2, holds=True, slack=0.003,
-                        eps_source=0.1, eps_target=0.12, h_delta_h=0.4,
-                        ideal_joint_error=0.05),
+        pb.Lemma2Report(lhs=0.01, rhs=0.2, holds=True, eps_source=0.1,
+                        eps_target=0.12, h_delta_h=0.4, ideal_joint_error=0.05),
         pb.ConcentrationRow(0.02, 0.5, 1.9, True),
         row,
         pb.TheoremValidation(0.5, [row, replace(row, violated=True)], report),
@@ -114,6 +113,14 @@ def test_missing_keys_fall_back_to_field_defaults():
 def test_unknown_key_is_rejected_by_name():
     with pytest.raises(pb.ConfigurationError, match="'source_guide'"):
         pb.Toggles.from_dict({"source_guide": False})
+
+
+def test_lemma2_report_with_the_retired_slack_is_rejected_by_name():
+    old = {"lhs": 0.01, "rhs": 0.2, "holds": True, "slack": 0.003,
+           "eps_source": 0.1, "eps_target": 0.12, "h_delta_h": 0.4,
+           "ideal_joint_error": 0.05}
+    with pytest.raises(pb.ConfigurationError, match="'slack' for Lemma2Report"):
+        pb.Lemma2Report.from_dict(old)
 
 
 def test_missing_required_key_is_rejected_by_name():
