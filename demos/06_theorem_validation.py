@@ -3,7 +3,7 @@ Monte Carlo validation of the risk guarantee
 ============================================
 
 Each trial resamples training pairs, fits the source-guided stump, and
-compares its oracle-estimated target risk against the assembled
+compares its exact population target risk against the assembled
 right-hand side.  The violation rate across trials should stay at or
 below delta.
 """

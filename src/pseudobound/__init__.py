@@ -117,10 +117,12 @@ from .risk import (
     empirical_disagreement,
     empirical_risk_true,
     exact_risk,
+    exact_risks,
     expected_risk,
     fit_plain,
     fit_source_guided,
     fit_target_corrected,
+    min_exact_risk,
     source_guided_risk,
 )
 from .stumps import (

@@ -1,4 +1,4 @@
-"""Generalization-bound assembly and its Monte-Carlo validation.
+"""Generalization-bound assembly and its validation by fresh-draw trials.
 
 The bound reads
 
@@ -6,14 +6,20 @@ The bound reads
 
 with a noise term N, a VC complexity term C, and a domain-divergence term
 DD.  N's source share is (1-alpha)^2, so (M N)^2 is the variance proxy of
-the concentration check's Hoeffding bound below.
+the concentration check's Hoeffding bound below.  The population inputs
+eps*_T and the joint error, and the target risk each trial is scored with,
+are exact on the synthetic Gaussian domains (``min_exact_risk``,
+``exact_risks``); only unit-normalized member maps, which are not
+Gaussian, fall back to Monte Carlo draws.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,13 +45,18 @@ from .risk import (
     RiskConfig,
     _source_guided_problem,
     exact_risk,
+    exact_risks,
     fit_plain,
+    min_exact_risk,
     source_guided_risk,
 )
 from .serial import Serializable
-from .stumps import HypothesisClassInfo, erm_batch, sorted_miss_counter
+from .stumps import HypothesisClassInfo, StumpHypothesis, erm_batch
 
 TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated")
+
+# Target 0-M risks of a list of stumps, in order.
+RiskScorer = Callable[[list[StumpHypothesis]], list[float]]
 
 # Training points per block of bound trials (drawn by the block sampler, fitted
 # by one batched ERM): 20 trials at m_train = 400, one from 8192 up.  Larger
@@ -105,10 +116,13 @@ class BoundInputs(Serializable):
         NoiseModel(self.rho_neg, self.rho_pos)  # raises InvalidNoiseError
         if not 0.0 <= self.h_delta_h <= 2.0:
             raise ConfigurationError("h_delta_h must lie in [0, 2]")
-        if self.ideal_joint_error < 0:
-            raise ConfigurationError("ideal_joint_error must be nonnegative")
-        if not math.isfinite(self.epsilon_t_star):
-            raise ConfigurationError("epsilon_t_star must be finite")
+        # 0-M risks: eps*_T of one domain, the joint error a sum of two.
+        if not 0.0 <= self.ideal_joint_error <= 2.0 * self.big_m:
+            raise ConfigurationError(
+                f"ideal_joint_error must lie in [0, 2 big_m], got {self.ideal_joint_error}")
+        if not 0.0 <= self.epsilon_t_star <= self.big_m:
+            raise ConfigurationError(
+                f"epsilon_t_star must lie in [0, big_m], got {self.epsilon_t_star}")
 
     @property
     def rho_sum(self) -> float:
@@ -143,6 +157,11 @@ class BoundReport(Serializable):
     complexity_term: float
     dd_term: float
     rhs: float
+
+    @property
+    def vacuous(self) -> bool:
+        """rhs >= M: no 0-M risk can exceed it, so the bound says nothing."""
+        return self.rhs >= self.inputs.big_m
 
 
 def assemble_bound(inputs: BoundInputs) -> BoundReport:
@@ -340,80 +359,120 @@ def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
     return _rebuild_pairs(pairs, map_members(samples.features, align_map, normalize))
 
 
+def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,
+                   normalize: bool = False) -> DomainSpec | PairSet:
+    """The target as the bound's model sees it.  An alignment map is affine,
+    so composed into the target transform (x -> B (A x + b) + c) it leaves a
+    Gaussian pair process; unit normalization does not, and there the target
+    is ``oracle_pairs`` pairs drawn on sub-seed 4."""
+    if normalize:
+        return _mapped_pairs(config, config.target, config.oracle_pairs,
+                             derive_seed(rng_seed, 4), align_map, normalize)
+    spec = config.target
+    if align_map is None:
+        return spec
+    amap = spec.domain_transform
+    return replace(spec, domain_transform=AffineMap(align_map.matrix @ amap.matrix,
+                                                    align_map.apply(amap.offset)))
+
+
+def _risk_scorer(config: ExperimentConfig, target: DomainSpec | PairSet
+                 ) -> RiskScorer:
+    """Exact risks (``exact_risks``) on a domain, miss rates on a pair set."""
+    big_m = config.risk.big_m
+    if isinstance(target, DomainSpec):
+        return partial(exact_risks, spec=target, strategy=config.strategy,
+                       big_m=big_m)
+    return lambda hypotheses: [
+        big_m * h.misses(target.similarity, target.true_labels) / len(target)
+        for h in hypotheses]
+
+
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
                         align_map: AffineMap | None = None,
-                        normalize: bool = False) -> tuple[BoundInputs, PairSet]:
-    """Estimate the bound's oracle quantities once for a configuration.
+                        normalize: bool = False) -> tuple[BoundInputs, RiskScorer]:
+    """The bound's oracle quantities for a configuration, and the target
+    risk scorer trials are measured with.
 
     ``align_map`` and ``normalize`` are the member maps of the model the
     bound speaks about (see ``map_members``); pair similarities are formed
     after them, so eps*_T, the class distance and the joint error live in
-    the space that model sees.  Without maps the drawn pairs are used as
-    they are.  m and the noise rates come from the configuration (zero rates
-    without a synthetic model); callers with their own replace them.
+    the space that model sees.  m and the noise rates come from the
+    configuration (zero rates without a synthetic model); callers with their
+    own replace them.
 
-    Sub-seeds: 4 = target oracle pairs, 5 = source oracle pairs,
-    6/7 = target/source class-distance draws.  Returns the inputs plus the
-    target oracle pair set trials evaluate against.
+    Without normalization the population quantities are exact: eps*_T and
+    the joint error lambda are ``min_exact_risk`` of the target (the
+    alignment map composed into its transform) and of source plus target,
+    and the scorer is ``exact_risks`` on that target.  Unit-normalized
+    members are not Gaussian, so there eps*_T is an ERM on ``oracle_pairs``
+    target pairs (sub-seed 4), lambda ``ideal_joint`` on those and as many
+    source pairs (sub-seed 5), and the scorer counts misses on the sub-seed
+    4 pairs.  The class distance is empirical on ``discrepancy_sample``
+    pairs per side either way (sub-seeds 6 target, 7 source).
     """
     cfg = config.risk
-    model = NO_NOISE if config.noise.model is None else config.noise.model
 
     def draw(spec, amap, n, sub):
         return _mapped_pairs(config, spec, n, derive_seed(rng_seed, sub), amap, normalize)
 
-    oracle_t = draw(config.target, align_map, config.oracle_pairs, 4)
-    oracle_s = draw(config.source, None, config.oracle_pairs, 5)
     gap_t = draw(config.target, align_map, config.discrepancy_sample, 6)
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
-    info = HypothesisClassInfo(oracle_t.feature_dim)
-    _, eps_star = fit_plain(oracle_t, cfg.big_m)
+    info = HypothesisClassInfo(gap_t.feature_dim)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity, info)
-    _, lam = ideal_joint(oracle_s, oracle_t, cfg.big_m)
+    target = _oracle_target(config, rng_seed, align_map, normalize)
+    if isinstance(target, DomainSpec):
+        eps_star = min_exact_risk([target], config.strategy, cfg.big_m)
+        lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
+    else:
+        _, eps_star = fit_plain(target, cfg.big_m)
+        oracle_s = draw(config.source, None, config.oracle_pairs, 5)
+        _, lam = ideal_joint(oracle_s, target, cfg.big_m)
+    model = NO_NOISE if config.noise.model is None else config.noise.model
     inputs = BoundInputs(
         alpha=cfg.alpha, beta=cfg.beta, m=config.m_train, d=info.vc_dimension,
         delta=config.delta, big_m=cfg.big_m,
         rho_neg=model.rho_neg, rho_pos=model.rho_pos,
         h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
     )
-    return inputs, oracle_t
+    return inputs, _risk_scorer(config, target)
 
 
 def validate_theorem(config: ExperimentConfig, trials: int = 500,
                      rng_seed: int = 0) -> TheoremValidation:
     """Fraction of fresh-draw trials whose achieved target risk beats the rhs.
 
-    Oracle quantities (eps*_T, class distance, joint error) are estimated
-    once per call on dedicated large draws; each trial then redraws the
+    The oracle quantities (eps*_T, class distance, joint error) come once
+    per call from ``oracle_bound_inputs``; each trial then redraws the
     training set with fresh corruption, fits the alpha-weighted exact ERM,
-    and scores it on the shared target oracle set.  The contract is
-    violation_rate <= delta.  Toggles are ignored here: this path always
-    trains the alpha-weighted stump ERM that the bound speaks about.
+    and is scored with its exact population risk on the target.  The
+    contract is violation_rate <= delta.  Toggles are ignored here: this
+    path always trains the alpha-weighted stump ERM that the bound speaks
+    about.
 
     The block sampler makes each trial's own RNG calls (trial t keeps seed
     ``derive_seed(rng_seed, t)``) and builds a block's pairs and costs at
-    once; one ``erm_batch`` call fits them and ``sorted_miss_counter`` scores
-    them, so each row equals running the trial alone with the public calls.
-    The seed chain of all trials is built once per call, vectorized
-    (``seed_states``); ``derive_seed`` and ``make_rng`` are its scalar
-    reference.
+    once; one ``erm_batch`` call fits them and one ``exact_risks`` call
+    scores all trials, so each row equals running the trial alone with the
+    public calls.  The seed chain of all trials is built once per call,
+    vectorized (``seed_states``); ``derive_seed`` and ``make_rng`` are its
+    scalar reference.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("theorem validation needs synthetic noise mode")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     cfg, model = config.risk, config.noise.model
-    inputs, oracle_t = oracle_bound_inputs(config, rng_seed)
+    inputs, target_risks = oracle_bound_inputs(config, rng_seed)
     report = assemble_bound(inputs)
-    misses = sorted_miss_counter(oracle_t.similarity, oracle_t.true_labels)
-    rows = []
-    for seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
+    seeds, stumps = [], []
+    for block_seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
             config, trials, rng_seed):
-        fits = erm_batch(*_source_guided_problem(src_sim, src_true, tgt_sim,
-                                                 pseudo, cfg, model))
-        for seed, (h_hat, _) in zip(seeds, fits):
-            eps_hat = cfg.big_m * misses(h_hat) / len(oracle_t)
-            rows.append(TheoremTrialRow(seed, eps_hat, eps_hat > report.rhs))
+        seeds += block_seeds
+        stumps += [h for h, _ in erm_batch(*_source_guided_problem(
+            src_sim, src_true, tgt_sim, pseudo, cfg, model))]
+    rows = [TheoremTrialRow(seed, eps_hat, eps_hat > report.rhs)
+            for seed, eps_hat in zip(seeds, target_risks(stumps))]
     rate = sum(r.violated for r in rows) / trials
     return TheoremValidation(rate, rows, report)
 

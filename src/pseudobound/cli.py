@@ -39,8 +39,11 @@ def _cmd_verify_bound(args) -> int:
     result = validate_theorem(config, trials=args.trials, rng_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         write_trial_csv(result, fh)
+    report = result.report
+    slack = report.rhs - max(r.eps_t_hat for r in result.rows)
     print(f"trials={args.trials} violation_rate={_fmt(result.violation_rate)} "
-          f"delta={_fmt(config.delta)} rhs={_fmt(result.report.rhs)}")
+          f"delta={_fmt(config.delta)} rhs={_fmt(report.rhs)} "
+          f"vacuous={report.vacuous} slack={_fmt(slack)}")
     return 0
 
 
@@ -98,6 +101,7 @@ def _cmd_run(args) -> int:
     print(f"iterations={len(result.iterations)} "
           f"final_risk={_fmt(last.target_oracle_risk)} "
           f"rhs={_fmt(result.final_report.rhs)} "
+          f"vacuous={result.final_report.vacuous} "
           f"wall_time={_fmt(result.wall_time)}s")
     return 0
 

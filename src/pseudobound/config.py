@@ -112,6 +112,9 @@ class ExperimentConfig(Serializable):
     n_target_samples: int = 120
     n_source_samples: int = 120
     max_target_pairs: int = 600
+    # Pairs per domain of the Monte Carlo oracle (eps*_T, lambda, trial
+    # scores), used only where members are unit-normalized: elsewhere the
+    # oracle is exact and draws nothing.
     oracle_pairs: int = 30_000
     discrepancy_sample: int = 256
     refine_scale: float = 2.0

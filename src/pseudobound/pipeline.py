@@ -20,8 +20,10 @@ import numpy as np
 from .bound import (
     BoundInputs,
     BoundReport,
-    _mapped_pairs,
+    RiskScorer,
+    _oracle_target,
     _rebuild_pairs,
+    _risk_scorer,
     _trial_pairs,
     assemble_bound,
     oracle_bound_inputs,
@@ -178,27 +180,28 @@ def _oracle_key(config: ExperimentConfig, seed: int, align_map, normalize) -> tu
 
 
 def _oracle_side(config: ExperimentConfig, seed: int, align_map, normalize
-                 ) -> tuple[BoundInputs, PairSet]:
+                 ) -> tuple[BoundInputs, RiskScorer]:
     """``oracle_bound_inputs``, reusing the scalar inputs an earlier run
-    with the same key estimated; a hit redraws only the target oracle pairs
-    (sub-seed 4).  Beyond its bound the memo drops its oldest entry."""
+    with the same key estimated; a hit rebuilds only the target risk scorer,
+    which redraws the target oracle pairs (sub-seed 4) only under unit
+    normalization.  Beyond its bound the memo drops its oldest entry."""
     key = _oracle_key(config, seed, align_map, normalize)
     if key in _oracle_memo:
-        return _oracle_memo[key], _mapped_pairs(
-            config, config.target, config.oracle_pairs, derive_seed(seed, 4),
-            align_map, normalize)
-    inputs, oracle_t = oracle_bound_inputs(config, seed, align_map, normalize)
+        return _oracle_memo[key], _risk_scorer(
+            config, _oracle_target(config, seed, align_map, normalize))
+    inputs, target_risks = oracle_bound_inputs(config, seed, align_map, normalize)
     if len(_oracle_memo) >= _ORACLE_MEMO_SIZE:
         del _oracle_memo[next(iter(_oracle_memo))]
     _oracle_memo[key] = inputs
-    return inputs, oracle_t
+    return inputs, target_risks
 
 
 def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured self-learning loop and measure each iteration.
 
     Every iteration trains on (source pairs, pseudo-labeled target pairs),
-    filters, scores the stump on the target oracle pairs and records it;
+    filters, scores the stump's target risk (exact, or on the target oracle
+    pairs where members are unit-normalized) and records it;
     the modes differ in where the pairs come from and in the practice-only
     diagnostics and bound inputs.  Practice mode
     (clustering noise): fixed per-run sample pools; alignment and
@@ -206,7 +209,7 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     iterations), clustering re-runs every iteration on coordinate-re-weighted
     features.  Synthetic mode: clustering, alignment, and normalization are
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
-    iteration.  The oracle estimates depend only on the seed and the member
+    iteration.  The oracle inputs depend only on the seed and the member
     maps, so runs in one process share them (``_oracle_side``): 12 of the 16
     cells of a seed in ``ablate`` hit, 40 % of criterion 11, none in one run.
     """
@@ -236,8 +239,8 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
             src_raw, map_members(src_samples.features, normalize=normalize))
         weights = np.ones(config.target.feature_dim)
     # The member maps are fixed for the run, so the deployed model's oracle
-    # quantities and target oracle pairs (seed 4) are too.
-    inputs, oracle_t = _oracle_side(config, seed, align_map, normalize)
+    # quantities and target risk scorer are too.
+    inputs, target_risks = _oracle_side(config, seed, align_map, normalize)
 
     records = []
     for it in range(config.iterations):
@@ -261,8 +264,7 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
             ) from err
         record = IterationRecord(
             index=it, hypothesis=h, model_used=model,
-            target_oracle_risk=config.risk.big_m * h.misses(
-                oracle_t.similarity, oracle_t.true_labels) / len(oracle_t),
+            target_oracle_risk=target_risks([h])[0],
             rho_before=rho_before, rho_after=rho_after,
             filter_report=filter_report, n_target_pairs=len(kept),
         )

@@ -30,6 +30,8 @@ __all__ = [
     "empirical_disagreement",
     "expected_risk",
     "exact_risk",
+    "exact_risks",
+    "min_exact_risk",
     "fit_plain",
     "fit_target_corrected",
     "fit_source_guided",
@@ -139,17 +141,8 @@ def exact_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     with fsum; ``expected_risk`` is the Monte Carlo reference.
     """
     j, t, s = hypothesis.coordinate, hypothesis.threshold, hypothesis.sign
-    if j >= spec.feature_dim:
-        raise ConfigurationError(
-            f"stump coordinate {j} outside a {spec.feature_dim}-dim domain")
-    n = spec.num_identities
-    if strategy.kind == "balanced":
-        if n < 2:
-            raise DegenerateInputError("balanced pairs need at least two identities")
-        k = strategy.k_neg_per_pos
-        w_pos, w_neg = 1.0 / ((1 + k) * n), k / ((1 + k) * n * (n - 1))
-    else:
-        w_pos = w_neg = 1.0 / (n * n)
+    _check_coordinate(j, spec)
+    w_pos, w_neg = _pair_weights(spec, strategy)
     row = spec.domain_transform.matrix[j]
     r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
     proj = spec.identity_centers @ row
@@ -166,6 +159,141 @@ def exact_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
         w_pos * miss(0.0, 1) if a == b else w_neg * miss(abs(mu), -1)
         for a, mu_row in enumerate((proj[:, None] - proj[None, :]).tolist())
         for b, mu in enumerate(mu_row))
+
+
+def exact_risks(hypotheses, spec: DomainSpec, strategy: PairStrategy,
+                big_m: float) -> list[float]:
+    """``exact_risk`` of each stump, bit for bit, computed for many at once.
+
+    Stumps are grouped by coordinate.  A group takes its miss masses on the
+    distinct components of that coordinate's mixture in one pass of
+    ``exact_risk``'s arithmetic, spreads them over the same n^2 weighted
+    terms and sums each stump's terms with fsum, so no rounding differs.
+    """
+    hyps = list(hypotheses)
+    w_pos, w_neg = _pair_weights(spec, strategy)
+    n = spec.num_identities
+    groups: dict[int, list[int]] = {}
+    for i, h in enumerate(hyps):
+        _check_coordinate(h.coordinate, spec)
+        groups.setdefault(h.coordinate, []).append(i)
+    risks = [0.0] * len(hyps)
+    for j, idx in groups.items():
+        r, mu = _coordinate_mixture(spec, j)
+        x_neg, inv = np.unique(mu, return_inverse=True)
+        x = np.concatenate(([0.0], x_neg))      # component 0: the (a, a) pairs
+        t = np.array([hyps[i].threshold for i in idx])[:, None]
+        plus = np.array([hyps[i].sign == 1 for i in idx])[:, None]
+        miss = _component_misses(x, t, (np.arange(len(x)) == 0) == plus, r)
+        terms = np.concatenate([np.repeat(w_pos * miss[:, :1], n, axis=1),
+                                w_neg * miss[:, 1 + inv]], axis=1)
+        for i, row in zip(idx, terms.tolist()):
+            risks[i] = big_m * math.fsum(row)
+    return risks
+
+
+def min_exact_risk(specs, strategy: PairStrategy, big_m: float) -> float:
+    """min over stumps h of the sum over specs of exact_risk(h, spec).
+
+    One spec gives eps*_T; a source and a target give the ideal joint error.
+    On coordinate j and t >= 0 the sign +1 risk has slope big_m times
+    sum_c v_c f_c(t): f_c is the folded-normal density of component c,
+    v_c its weight, positive for (a, a) pairs and negative for distinct
+    ones.  The sign -1 risk is M minus it, so both are stationary where the
+    slope changes sign.  Its sign changes are bracketed on a grid spaced an
+    eighth of a mixture's width r within 8 widths of each of its |means|,
+    and bisected.  Those roots and t = +-inf are scored under both signs
+    with ``exact_risks``; every t < 0 scores as -inf.  A zero transform row
+    makes |D_j| exactly 0, which the stump calls above t for t < 0 and below
+    it from 0 up, so there t = 0 is scored too.
+    """
+    specs = list(specs)
+    candidates = []
+    for j in range(specs[0].feature_dim):
+        thresholds = [-math.inf, math.inf]
+        mixtures = []                           # (|means|, weights, r) with r > 0
+        for spec in specs:
+            _check_coordinate(j, spec)
+            w_pos, w_neg = _pair_weights(spec, strategy)
+            r, mu = _coordinate_mixture(spec, j)
+            if r == 0.0:        # a zero transform row: |D_j| is exactly 0
+                thresholds.append(0.0)
+                continue
+            mixtures.append((np.append(0.0, mu),
+                             np.append(spec.num_identities * w_pos,
+                                       np.full(len(mu), -w_neg)), r))
+        if mixtures:
+            thresholds += _slope_roots(mixtures)
+        candidates += [StumpHypothesis(j, t, s) for t in thresholds for s in (1, -1)]
+    totals = np.sum([exact_risks(candidates, spec, strategy, big_m)
+                     for spec in specs], axis=0)
+    return float(totals.min())
+
+
+def _slope_roots(mixtures) -> list[float]:
+    """Where sum_c v_c f_c(t), t >= 0, is zero or changes sign on a grid of
+    step r / 8 around each component, bisected to 2^-40 of a step;
+    f_c(t) r sqrt(pi) is exp(-((t - x_c) / r)^2) + exp(-((t + x_c) / r)^2)."""
+    def slope(t):
+        t = t[:, None]
+        return sum((np.exp(-((t - x) / r) ** 2) + np.exp(-((t + x) / r) ** 2)) @ v / r
+                   for x, v, r in mixtures)
+
+    # Each mixture's lattice of step r/8 within 8 widths of its components:
+    # the grid stays small when one mixture is much narrower than another.
+    grid = np.unique(np.concatenate([[0.0], *(
+        r / 8.0 * np.unique(np.floor(8.0 * x / r)[:, None] + np.arange(-64, 66))
+        for x, _, r in mixtures)]))
+    grid = grid[grid >= 0.0]
+    sign = np.sign(slope(grid))
+    k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    lo, hi, lo_sign = grid[k], grid[k + 1], sign[k]
+    for _ in range(40 if len(k) else 0):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(slope(mid)) == lo_sign
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return [*grid[sign == 0].tolist(), *(0.5 * (lo + hi)).tolist()]
+
+
+def _check_coordinate(j: int, spec: DomainSpec) -> None:
+    if j >= spec.feature_dim:
+        raise ConfigurationError(
+            f"stump coordinate {j} outside a {spec.feature_dim}-dim domain")
+
+
+def _pair_weights(spec: DomainSpec, strategy: PairStrategy) -> tuple[float, float]:
+    """The strategy's weight of each (a, a) and of each ordered (a, b), a != b."""
+    n = spec.num_identities
+    if strategy.kind == "balanced":
+        if n < 2:
+            raise DegenerateInputError("balanced pairs need at least two identities")
+        k = strategy.k_neg_per_pos
+        return 1.0 / ((1 + k) * n), k / ((1 + k) * n * (n - 1))
+    return 1.0 / (n * n), 1.0 / (n * n)
+
+
+def _coordinate_mixture(spec: DomainSpec, j: int) -> tuple[float, np.ndarray]:
+    """(r, |mu| of the n (n - 1) ordered distinct identity pairs) of
+    coordinate j, formed as ``exact_risk`` forms them."""
+    row = spec.domain_transform.matrix[j]
+    r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
+    proj = spec.identity_centers @ row
+    mu = np.abs(proj[:, None] - proj[None, :])
+    return r, mu[~np.eye(len(proj), dtype=bool)]
+
+
+def _component_misses(x: np.ndarray, t: np.ndarray, match: np.ndarray,
+                      r: float) -> np.ndarray:
+    """``exact_risk``'s miss mass of components with |mean| x (c,) under
+    thresholds t (b, 1), where match (b, c) says the label is the sign."""
+    indicator = ((x > t) != match).astype(float)
+    if r == 0.0:
+        return indicator
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    lo = erfc(np.where(match, x - t, t - x) / r).astype(float)
+    hi = erfc((x + t) / r).astype(float)
+    miss = np.where(match, 0.5 * (lo - hi), 0.5 * (lo + hi))
+    return np.where(t < 0, indicator, miss)
 
 
 def fit_plain(pairs: PairSet, big_m: float) -> tuple[StumpHypothesis, float]:

@@ -184,27 +184,6 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     ]
 
 
-def sorted_miss_counter(feats: np.ndarray, labels: np.ndarray):
-    """``h.misses(feats, labels)`` for many stumps h on fixed finite rows and
-    +-1 labels: each column is argsorted once with a prefix count of +1
-    labels, so a stump costs one ``searchsorted`` and integer arithmetic."""
-    x = np.asarray(feats, float)
-    n = len(x)
-    order = np.argsort(x, axis=0).T
-    cols = np.take_along_axis(x.T, order, axis=1)
-    pos_below = np.zeros((x.shape[1], n + 1), np.int64)
-    np.cumsum(np.asarray(labels)[order] == 1, axis=1, out=pos_below[:, 1:])
-
-    def misses(h: StumpHypothesis) -> int:
-        below = int(np.searchsorted(cols[h.coordinate], h.threshold, side="right"))
-        pos, n_pos = pos_below[h.coordinate, [below, n]].tolist()
-        # Sign +1 misses the negatives above and positives below; -1 the rest.
-        if h.sign == 1:
-            return (n - below) - (n_pos - pos) + pos
-        return (n_pos - pos) + (below - pos)
-    return misses
-
-
 def random_stump(rng_seed: int, feature_dim: int,
                  threshold_range: tuple[float, float] = (-3.0, 3.0)
                  ) -> StumpHypothesis:

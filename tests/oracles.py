@@ -3,7 +3,8 @@ against.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 double loops, and exact summation.  None of it imports the modules under
-test beyond plain data types.
+test beyond plain data types and the scalar ``exact_risk``, the reference
+the batched and minimized exact risks are checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from pseudobound import StumpHypothesis
+from pseudobound import StumpHypothesis, exact_risk
 
 
 def candidate_thresholds(xs: np.ndarray) -> np.ndarray:
@@ -228,3 +229,27 @@ def mmd_oracle(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
         return math.fsum(terms) / (len(a) * len(b))
 
     return block(x, x) + block(y, y) - 2.0 * block(x, y)
+
+
+def brute_force_min_exact_risk(specs, strategy, big_m: float,
+                               points: int = 2001) -> float:
+    """min over a threshold grid of sum_k exact_risk(h, specs[k]).
+
+    Each coordinate and sign is scored at ``points`` thresholds evenly
+    spaced from 0 to 4 mixture widths past the largest |mean| any spec puts
+    on that coordinate.
+    """
+    best = math.inf
+    for j in range(specs[0].feature_dim):
+        top = 0.0
+        for spec in specs:
+            row = spec.domain_transform.matrix[j]
+            proj = spec.identity_centers @ row
+            width = 2.0 * spec.within_identity_stddev * math.sqrt(float(row @ row))
+            top = max(top, float(proj.max() - proj.min()) + 4.0 * width)
+        for t in np.linspace(0.0, top, points):
+            for s in (1, -1):
+                h = StumpHypothesis(j, float(t), s)
+                best = min(best, sum(exact_risk(h, spec, strategy, big_m)
+                                     for spec in specs))
+    return best

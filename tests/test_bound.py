@@ -38,6 +38,29 @@ def test_alpha_one_endpoint():
     assert report.dd_term == 0.0
 
 
+def test_bound_inputs_reject_risks_outside_their_range():
+    for bad in (dict(epsilon_t_star=-3.0), dict(epsilon_t_star=1.5),
+                dict(epsilon_t_star=math.nan), dict(epsilon_t_star=math.inf),
+                dict(ideal_joint_error=-0.1), dict(ideal_joint_error=2.5),
+                dict(ideal_joint_error=math.nan),
+                dict(big_m=0.5, epsilon_t_star=0.75),
+                dict(big_m=0.5, ideal_joint_error=1.25)):
+        with pytest.raises(pb.ConfigurationError):
+            worked_inputs(**bad)
+    for edge in (dict(epsilon_t_star=1.0, ideal_joint_error=2.0),
+                 dict(big_m=2.0, epsilon_t_star=2.0, ideal_joint_error=4.0)):
+        worked_inputs(**edge)
+
+
+def test_report_vacuous_is_rhs_at_or_above_m_and_not_serialized():
+    report = pb.assemble_bound(worked_inputs())     # rhs 1.657 at M = 1
+    assert report.vacuous
+    tight = pb.assemble_bound(worked_inputs(m=10 ** 7, alpha=1.0))   # rhs 0.039
+    assert tight.rhs < 1.0 and not tight.vacuous
+    assert "vacuous" not in report.to_dict()
+    assert pb.BoundReport.from_dict({**report.to_dict(), "vacuous": False}) == report
+
+
 def test_complexity_term_decreases_with_m():
     assert pb.complexity_term(2000, 2, 0.1) < pb.complexity_term(1000, 2, 0.1)
 
@@ -75,6 +98,52 @@ def test_rhs_monotonicities_on_sweeps():
     m_vals = [rhs(m=m) for m in (250, 500, 1000, 2000, 4000)]
     assert all(a > b for a, b in zip(m_vals, m_vals[1:]))
     assert report.rhs == rhs()
+
+
+def test_oracle_inputs_are_the_exact_population_values():
+    """eps*_T and lambda of the three synthetic configs, to 1e-6; clean and
+    noisy share their domains, shifted's target is rescaled."""
+    from pseudobound.bound import oracle_bound_inputs
+
+    for kind, lam in (("clean", 0.1404973), ("noisy", 0.1404973),
+                      ("shifted", 0.1594816)):
+        inputs, _ = oracle_bound_inputs(pb.default_experiment_config(kind), 0)
+        assert inputs.epsilon_t_star == pytest.approx(0.0702487, abs=1e-6)
+        assert inputs.ideal_joint_error == pytest.approx(lam, abs=1e-6)
+
+
+def test_no_trial_scores_below_the_optimal_target_risk():
+    for kind in ("clean", "noisy", "shifted"):
+        v = pb.validate_theorem(pb.default_experiment_config(kind), trials=500)
+        eps_star = v.report.inputs.epsilon_t_star
+        assert min(r.eps_t_hat for r in v.rows) >= eps_star
+
+
+def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
+    """A non-diagonal align_moments map from the practice pools, composed
+    into the target transform, against 10^6 pairs drawn and mapped member by
+    member (four draws of 250 000, to bound memory)."""
+    from pseudobound.bound import _mapped_pairs, _oracle_target
+
+    cfg = pb.default_experiment_config("practice")
+    seed = cfg.master_seed
+    target = pb.generate_domain(cfg.target, cfg.n_target_samples, pb.derive_seed(seed, 20))
+    source = pb.generate_domain(cfg.source, cfg.n_source_samples, pb.derive_seed(seed, 21))
+    amap = pb.align_moments(source, target)[1]
+    assert np.count_nonzero(amap.matrix - np.diag(np.diag(amap.matrix))) == 12
+    spec = _oracle_target(cfg, seed, amap)
+    stumps = [pb.StumpHypothesis(0, 1.0, 1), pb.StumpHypothesis(1, 0.8, -1),
+              pb.StumpHypothesis(2, 1.5, 1), pb.StumpHypothesis(3, 0.6, -1)]
+    misses = np.zeros(len(stumps), dtype=np.int64)
+    for sub in range(4):
+        pairs = _mapped_pairs(cfg, cfg.target, 250_000, pb.derive_seed(seed, 80, sub), amap)
+        misses += [h.misses(pairs.similarity, pairs.true_labels) for h in stumps]
+    n = 10 ** 6
+    for h, p_hat, exact in zip(stumps, misses / n,
+                               pb.exact_risks(stumps, spec, cfg.strategy, 1.0)):
+        se = math.sqrt(p_hat * (1.0 - p_hat) / (n - 1))
+        assert 0.1 < exact < 0.9
+        assert abs(p_hat - exact) <= 4.0 * se, h
 
 
 def test_lemma2_alpha_one_trivial():
@@ -182,9 +251,10 @@ def _trial_by_trial(cfg, seed, iteration=0):
 
 def test_validate_theorem_blocks_equal_trial_by_trial_fits():
     """Blocked trials (two full blocks and a short one) match drawing, fitting
-    and scoring each trial alone with the public calls, row for row; shifted
-    runs its non-identity domain transform."""
-    from pseudobound.bound import _BLOCK_POINTS, oracle_bound_inputs
+    and scoring each trial alone with the public calls (the scalar
+    ``exact_risk``), row for row; shifted runs its non-identity domain
+    transform."""
+    from pseudobound.bound import _BLOCK_POINTS
 
     for kind in ("noisy", "shifted"):
         cfg = pb.default_experiment_config(kind)
@@ -192,13 +262,12 @@ def test_validate_theorem_blocks_equal_trial_by_trial_fits():
         assert block > 1
         trials = 2 * block + 3
         res = pb.validate_theorem(cfg, trials=trials, rng_seed=5)
-        _, oracle_t = oracle_bound_inputs(cfg, 5)
         assert len(res.rows) == trials
         for t, row in enumerate(res.rows):
             seed = pb.derive_seed(5, t)
             src, tgt = _trial_by_trial(cfg, seed)
             h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
-            eps = pb.empirical_risk_true(h, oracle_t, cfg.risk.big_m)
+            eps = pb.exact_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m)
             assert row.seed == seed
             assert row.eps_t_hat == eps
             assert row.violated == (eps > res.report.rhs)
@@ -275,17 +344,19 @@ def test_lemma3_rows_equal_trial_by_trial_risks():
 # sha256 over the canonical JSON of validate_theorem(clean / noisy / shifted,
 # 500 trials), one line each: the theorem workload's benchmark checksum.
 # Re-pinned when the 1-alpha^2 noise term and the per-row copies of the
-# report left the output: only those keys moved.
+# report left the output (only those keys moved), and when eps*_T, lambda
+# and the trial scores became exact population values (only eps_t_hat,
+# epsilon_t_star, ideal_joint_error, dd_term and rhs moved).
 THEOREM_PINS = {
-    0: "bf6186dda4205c47671f6bdc84e299f388d46fd037a7a3b0a91d55c2cfb8ce4c",
-    8675309: "d1b5ca6aefc7575efc232d6255871a090f7e82fee20125e529af1236a0d91360",
+    0: "757e6c3d7abd5683962054bd3205b3970788a0851459ffaa40bf84bc222f5271",
+    8675309: "fbc18d7204158943cfc736bda8b7c089b7415e8122df4295ac662a94dffa4511",
 }
 
 # sha256 of the same three runs' write_trial_csv text, concatenated: the bytes
 # verify-bound writes.
 TRIAL_CSV_PINS = {
-    0: "ad9101aa8de9f1a05a3038c9200a0e7ef0a0b6f3356e788d0f0c68215e87c99c",
-    8675309: "9ffad911889f76c5664c31986d8942726f3a37f81c24de3305da815a73acec2c",
+    0: "9eecbb1dcd4268e5421015a3cf86ba8a81c723594a899befd9e2b8ffee96bff8",
+    8675309: "42c5f2e1d7c9764cc49799db5b7c7d0d168f03f288301307eb50c32da84dcdd1",
 }
 
 

@@ -131,9 +131,13 @@ def test_cli_verify_bound(tmp_path, capsys):
     assert rows[0] == list(pb.TRIAL_CSV_COLUMNS)
     assert len(rows) == 4
     assert all(r[6] in ("0", "1") for r in rows[1:])
-    printed = capsys.readouterr().out
-    assert "violation_rate=" in printed
-    assert "rhs=" in printed
+    printed = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert set(printed) == {"trials", "violation_rate", "delta", "rhs", "vacuous",
+                            "slack"}
+    rhs = float(printed["rhs"])
+    assert printed["vacuous"] == str(rhs >= cfg.risk.big_m) == "True"
+    worst = max(float(r[5]) for r in rows[1:])
+    assert float(printed["slack"]) == pytest.approx(rhs - worst, abs=1e-8)
 
 
 def test_cli_verify_bound_rejects_negative_seed(tmp_path, capsys):
@@ -238,7 +242,10 @@ def test_cli_run(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert len(payload["iterations"]) == 2
     assert payload["final_report"]["rhs"] > 0
-    assert "final_risk=" in capsys.readouterr().out
+    assert "vacuous" not in payload["final_report"]
+    printed = capsys.readouterr().out
+    assert "final_risk=" in printed
+    assert "vacuous=True " in printed     # noisy at m = 400: rhs 3.77
 
 
 def test_cli_ablate_with_grid_file(tmp_path):
@@ -274,6 +281,21 @@ def test_cli_bound_prints_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rhs"] == pytest.approx(1.657301, abs=1e-5)
+
+
+def test_cli_bound_rejects_risks_outside_their_range(tmp_path, capsys):
+    inputs = {
+        "alpha": 0.5, "beta": 0.5, "m": 1000, "d": 2, "delta": 0.1,
+        "big_m": 1.0, "rho_neg": 0.1, "rho_pos": 0.1, "h_delta_h": 0.2,
+        "ideal_joint_error": 0.05, "epsilon_t_star": 0.0,
+    }
+    path = tmp_path / "inputs.json"
+    for key, value in (("epsilon_t_star", -3.0), ("ideal_joint_error", 2.5)):
+        path.write_text(json.dumps({**inputs, key: value}))
+        assert main(["bound", "--inputs", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pseudobound: error: ConfigurationError: ")
+        assert key in err
 
 
 def _readme_blocks(lang):

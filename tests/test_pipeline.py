@@ -33,13 +33,20 @@ def test_synthetic_run_reports_the_oracle_bound_inputs():
     assert result.final_report.inputs == oracle_bound_inputs(cfg, cfg.master_seed)[0]
 
 
+# Stumps the target risk scorers are compared on: random ones, both signs
+# at +-inf and at 0.
+_PROBE_STUMPS = [pb.random_stump(s, 4, (-1.0, 4.0)) for s in range(40)] + [
+    pb.StumpHypothesis(j, t, s) for j in range(4)
+    for t in (-np.inf, 0.0, np.inf) for s in (1, -1)]
+
+
 def test_identity_member_maps_leave_oracle_inputs_unchanged():
     cfg = pb.default_experiment_config("shifted")
-    plain, oracle_t = oracle_bound_inputs(cfg, 5)
-    mapped, mapped_t = oracle_bound_inputs(cfg, 5, pb.AffineMap.identity(4),
-                                           normalize=False)
+    plain, plain_risks = oracle_bound_inputs(cfg, 5)
+    mapped, mapped_risks = oracle_bound_inputs(cfg, 5, pb.AffineMap.identity(4),
+                                               normalize=False)
     assert mapped == plain
-    assert np.array_equal(mapped_t.similarity, oracle_t.similarity)
+    assert mapped_risks(_PROBE_STUMPS) == plain_risks(_PROBE_STUMPS)
 
 
 def test_practice_default_report_is_pinned():
@@ -92,26 +99,27 @@ def test_synthetic_noisy_run_records_rates_and_filters():
 # sha256 of each run's canonical JSON (to_dict() without wall_time, keys
 # sorted).  No benchmark checksum covers these runs, so a refactor of the
 # loop that moves any output shows up here.  Re-pinned when the linear probe
-# left the config (only config_fingerprint and the linear_probe key moved) and
+# left the config (only config_fingerprint and the linear_probe key moved),
 # when the 1-alpha^2 noise term left the bound report (only its four keys
-# moved).
+# moved) and when the oracle became exact (only target_oracle_risk,
+# epsilon_t_star, ideal_joint_error, dd_term and rhs moved).
 _PINNED_SYNTHETIC = {
     ("noisy", False, pb.FILTER_NONE):
-        "92f226e7b546c28d6c0d80319ff8cc9111598673c718f5ee9ad1d7803c724ac0",
+        "501dd9ace3857b5864c8dd8dca51f310370805dc1da85a12e4d7f18f7b09711c",
     ("noisy", False, pb.OFFLINE_PLUS_ONLINE):
-        "30ae5c8da897befb5d2e9bc94ec417bc75f1c4d8a461e76e4e79880007f12cde",
+        "66b6927cbcd56eb6c846b842f05c04ec13e7268e6d209b9344da0281a2329ea2",
     ("noisy", True, pb.FILTER_NONE):
-        "ff6c7f4acc3a8d598d252aec10f83ccb45f3c757631a0e44b4042bc200fda67b",
+        "c638ef1a9910edefa6097e76c225e7ed74e72ecc13e90b8ff1afa6cda5385b4f",
     ("noisy", True, pb.OFFLINE_PLUS_ONLINE):
-        "82f228090642c8b57c4a931be33c4d5c783ca90d11483a1813aeee2d6858a729",
+        "91abe7765a88736288cbd9b4cd5aa88ca06311f658897f8c7a4b3dd98c717f95",
     ("shifted", False, pb.FILTER_NONE):
-        "9662a83ecd33bfc8e65aad57110483bb32c5cd37ffd1d870ed9c02cdc22a0747",
+        "d5f6b1e650814967ddc30564437f0c2757b53ebb8b943bc516d5b6faa3284088",
     ("shifted", False, pb.OFFLINE_PLUS_ONLINE):
-        "8e55c1fae827a8b59829d1a30834947641ab79dd2ef318c4041b5c18967d8302",
+        "3404c780befd798d07ce9495da3352f08fb050ae352802d98135f007b08b0946",
     ("shifted", True, pb.FILTER_NONE):
-        "d7cb0e0a607af73ca54b13f097462090a1bbe447886b4b2d4af6488f0e52d7fc",
+        "76ae893413c19616831ce47fb5b2cf8614684799f84a7e23ca2ebfe159483438",
     ("shifted", True, pb.OFFLINE_PLUS_ONLINE):
-        "fd1c7ecc07360139259b3b75f955d2df82180cc658778de35206157849685a07",
+        "c47a7e42bd6124ed72c446fd5cfe18f385a7b98e2b28603ef48215ba1d0d6c47",
 }
 
 
@@ -298,15 +306,14 @@ def _practice_align_map(cfg, seed):
 def test_oracle_memo_hit_equals_a_fresh_estimate(use_map, normalize):
     cfg, seed = _small_practice(), 41
     amap = _practice_align_map(cfg, seed) if use_map else None
-    fresh, fresh_t = oracle_bound_inputs(cfg, seed, amap, normalize)
+    fresh, fresh_risks = oracle_bound_inputs(cfg, seed, amap, normalize)
     pipeline._oracle_memo.clear()
-    missed, missed_t = pipeline._oracle_side(cfg, seed, amap, normalize)
-    hit, hit_t = pipeline._oracle_side(cfg, seed, amap, normalize)
+    missed, missed_risks = pipeline._oracle_side(cfg, seed, amap, normalize)
+    hit, hit_risks = pipeline._oracle_side(cfg, seed, amap, normalize)
     assert len(pipeline._oracle_memo) == 1
     assert missed == hit == fresh
-    for pairs in (missed_t, hit_t):
-        assert np.array_equal(pairs.similarity, fresh_t.similarity)
-        assert np.array_equal(pairs.true_labels, fresh_t.true_labels)
+    expected = fresh_risks(_PROBE_STUMPS)
+    assert missed_risks(_PROBE_STUMPS) == hit_risks(_PROBE_STUMPS) == expected
 
 
 def test_oracle_key_covers_every_field_oracle_bound_inputs_reads():
@@ -332,15 +339,15 @@ def test_oracle_key_covers_every_field_oracle_bound_inputs_reads():
     assert key != pipeline._oracle_key(cfg, seed + 1, amap, True)
     assert key != pipeline._oracle_key(cfg, seed, None, True)
     assert key != pipeline._oracle_key(cfg, seed, amap, False)
-    base, base_t = oracle_bound_inputs(cfg, seed, amap, True)
+    base, base_risks = oracle_bound_inputs(cfg, seed, amap, True)
     for name, value in other.items():
         changed = replace(cfg, **{name: value})
         if name in pipeline._ORACLE_FIELDS:
             assert pipeline._oracle_key(changed, seed, amap, True) != key, name
         else:
-            inputs, oracle_t = oracle_bound_inputs(changed, seed, amap, True)
+            inputs, risks = oracle_bound_inputs(changed, seed, amap, True)
             assert inputs == base, name
-            assert np.array_equal(oracle_t.similarity, base_t.similarity), name
+            assert risks(_PROBE_STUMPS) == base_risks(_PROBE_STUMPS), name
 
 
 def test_oracle_memo_stays_within_its_bound(monkeypatch):
@@ -388,10 +395,12 @@ def _practice_cells_digest() -> str:
 
 # Recorded before the oracle memo and the block-wise MMD existed; re-pinned
 # when the linear probe left the config (config_fingerprint and the
-# linear_probe key moved, every other byte of the 32 runs is unchanged) and
-# when the 1-alpha^2 noise term left the bound report (only its four keys
-# moved).
-PRACTICE_CELLS_PIN = "f56263f3c18c58fcddfc365ed9e7ec1b7f42422d40778406dface44547f91a85"
+# linear_probe key moved, every other byte of the 32 runs is unchanged), when
+# the 1-alpha^2 noise term left the bound report (only its four keys moved)
+# and when the oracle became exact where members are not unit-normalized (in
+# those 16 runs only target_oracle_risk, epsilon_t_star, ideal_joint_error,
+# dd_term and rhs moved; the 16 normalized runs are byte-identical).
+PRACTICE_CELLS_PIN = "9864a534368b9778388573104986e151c36d1887e6e87cb7c43a7c7184ab1081"
 
 
 def test_practice_cells_pinned_with_the_memo_cold_and_warm():

@@ -196,6 +196,54 @@ def test_exact_risk_typed_errors_and_one_identity():
         math.erf(0.25), rel=1e-15)
 
 
+def test_exact_risks_equal_exact_risk_bit_for_bit():
+    """The batched scorer against the scalar one: random stumps, t = +-inf,
+    t = 0 and -0.0, t < 0, both signs, all strategies, and a zero transform
+    row (coordinate 1 of the last spec)."""
+    zero_row = pb.DomainSpec(3, 2, np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
+                             0.5, pb.AffineMap(np.diag([1.0, 0.0]), np.array([0.0, 3.0])), 1)
+    edges = [math.inf, -math.inf, 0.0, -0.0, -0.5, 1e-300, 2.0]
+    for spec in (SHIFTED.source, SHIFTED.target, zero_row):
+        q = spec.feature_dim
+        stumps = [pb.random_stump(s, q, (-1.0, 5.0)) for s in range(60)]
+        stumps += [pb.StumpHypothesis(j, t, s) for j in range(q) for t in edges
+                   for s in (1, -1)]
+        for strategy in (STRAT, pb.PairStrategy.balanced(1), pb.PairStrategy.all_pairs()):
+            expected = [pb.exact_risk(h, spec, strategy, 1.5) for h in stumps]
+            assert pb.exact_risks(stumps, spec, strategy, 1.5) == expected
+    assert pb.exact_risks([], SHIFTED.target, STRAT, 1.0) == []
+    with pytest.raises(pb.ConfigurationError, match="coordinate 4"):
+        pb.exact_risks([pb.StumpHypothesis(4, 0.0, 1)], SHIFTED.target, STRAT, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["clean", "shifted"])
+def test_min_exact_risk_against_a_threshold_grid(kind):
+    """eps*_T and lambda lie at or below every point of a 2 001-point
+    threshold grid per coordinate and sign, and within 1e-6 of its minimum
+    (noisy has clean's domains)."""
+    from oracles import brute_force_min_exact_risk
+
+    cfg = pb.default_experiment_config(kind)
+    for specs in ([cfg.target], [cfg.source, cfg.target]):
+        exact = pb.min_exact_risk(specs, cfg.strategy, 1.0)
+        grid = brute_force_min_exact_risk(specs, cfg.strategy, 1.0)
+        assert exact <= grid <= exact + 1e-6
+
+
+def test_min_exact_risk_scores_a_zero_transform_row_at_threshold_zero():
+    """Under ``all``, flat's pairs (three identities, zero transform) sit at
+    |D| = 0 and one in three is positive; lone's (one identity) are all
+    positive and |D| > 0 surely.  Only t = 0 with sign +1 predicts -1 on
+    every flat pair and +1 on every lone pair, for a summed risk of 1/3;
+    t = +-inf score 2/3 at best."""
+    flat = pb.DomainSpec(3, 1, np.array([[0.0], [1.0], [2.0]]), 0.5,
+                         pb.AffineMap(np.zeros((1, 1)), np.zeros(1)), 1)
+    lone = pb.DomainSpec(1, 1, np.zeros((1, 1)), 0.5, pb.AffineMap.identity(1), 2)
+    for specs in ([flat, lone], [lone, flat]):
+        assert pb.min_exact_risk(specs, pb.PairStrategy.all_pairs(), 1.0) == \
+            pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
 def test_fit_plain_beats_random_stumps():
     _, pairs = pb.draw_pair_process(CFG.source, STRAT, 400, 23)
     h, cost = pb.fit_plain(pairs, 1.0)

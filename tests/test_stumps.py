@@ -33,42 +33,6 @@ def test_misses_counts_wrong_predictions():
         assert h.misses(feats, labels) == np.count_nonzero(h.predict(feats) != labels)
 
 
-def test_sorted_miss_counter_matches_misses_on_oracle_pairs():
-    """Sorted-column counts equal StumpHypothesis.misses on a target oracle
-    set for random stumps, thresholds at data values (ties at x == t),
-    thresholds of +-inf, and both signs."""
-    from pseudobound.bound import oracle_bound_inputs
-    from pseudobound.stumps import sorted_miss_counter
-
-    cfg = pb.default_experiment_config("shifted")
-    _, oracle_t = oracle_bound_inputs(cfg, 3)
-    x, y = oracle_t.similarity, oracle_t.true_labels
-    misses = sorted_miss_counter(x, y)
-    rng = np.random.default_rng(11)
-    q = x.shape[1]
-    stumps = [pb.random_stump(s, q, (0.0, 4.0)) for s in range(100)]
-    for _ in range(100):
-        j = int(rng.integers(q))
-        stumps.append(pb.StumpHypothesis(j, float(x[rng.integers(len(x)), j]), 1))
-    for j in range(q):
-        for t in (-np.inf, np.inf, float(x[:, j].min()), float(x[:, j].max()), 0.0):
-            stumps.append(pb.StumpHypothesis(j, t, 1))
-    for h in stumps + [h.flipped() for h in stumps]:
-        assert misses(h) == h.misses(x, y), h
-
-
-def test_sorted_miss_counter_counts_ties_below_threshold():
-    from pseudobound.stumps import sorted_miss_counter
-
-    x = np.array([[1.0], [1.0], [2.0], [2.0], [3.0]])
-    y = np.array([-1, 1, 1, -1, 1], dtype=np.int8)
-    misses = sorted_miss_counter(x, y)
-    for t in (-np.inf, 0.5, 1.0, 1.5, 2.0, 3.0, np.inf):
-        for s in (1, -1):
-            h = pb.StumpHypothesis(0, t, s)
-            assert misses(h) == h.misses(x, y), h
-
-
 def test_stump_validation_and_round_trip():
     with pytest.raises(pb.ConfigurationError):
         pb.StumpHypothesis(0, 0.0, 0)
