@@ -239,11 +239,15 @@ def _slope_roots(mixtures) -> list[float]:
         return sum((np.exp(-((t - x) / r) ** 2) + np.exp(-((t + x) / r) ** 2)) @ v / r
                    for x, v, r in mixtures)
 
-    # Each mixture's lattice of step r/8 within 8 widths of its components:
-    # the grid stays small when one mixture is much narrower than another.
-    grid = np.unique(np.concatenate([[0.0], *(
-        r / 8.0 * np.unique(np.floor(8.0 * x / r)[:, None] + np.arange(-64, 66))
-        for x, _, r in mixtures)]))
+    # Each mixture's lattice of step r/8 within 8 widths of its components
+    # (0 among them), so a narrow mixture does not refine the whole axis;
+    # points repeated across mixtures bracket nothing.  Deduplicated by hand:
+    # np.unique without return_inverse imports numpy.ma, about 1 MB kept.
+    lattices = []
+    for x, _, r in mixtures:
+        k = np.sort((np.floor(8.0 * x / r)[:, None] + np.arange(-64, 66)).ravel())
+        lattices.append(r / 8.0 * k[np.append(True, k[1:] > k[:-1])])
+    grid = np.sort(np.concatenate(lattices))
     grid = grid[grid >= 0.0]
     sign = np.sign(slope(grid))
     k = np.flatnonzero(sign[:-1] * sign[1:] < 0)

@@ -244,6 +244,20 @@ def test_min_exact_risk_scores_a_zero_transform_row_at_threshold_zero():
             pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+def test_exact_oracle_does_not_import_numpy_ma():
+    """np.unique without return_inverse imports numpy.ma, which stays
+    resident (about 1 MB of peak RSS in the benchmark workers)."""
+    import subprocess
+    import sys
+
+    code = ("import sys, pseudobound as pb\n"
+            "cfg = pb.default_experiment_config('shifted')\n"
+            "pb.min_exact_risk([cfg.source, cfg.target], cfg.strategy, 1.0)\n"
+            "pb.exact_risks([pb.StumpHypothesis(0, 1.0, 1)], cfg.target, cfg.strategy, 1.0)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_fit_plain_beats_random_stumps():
     _, pairs = pb.draw_pair_process(CFG.source, STRAT, 400, 23)
     h, cost = pb.fit_plain(pairs, 1.0)
