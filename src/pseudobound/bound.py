@@ -53,7 +53,8 @@ from .risk import (
 from .serial import Serializable
 from .stumps import HypothesisClassInfo, StumpHypothesis, erm_batch
 
-TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated")
+TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated",
+                     "slack")
 
 # Target 0-M risks of a list of stumps, in order.
 RiskScorer = Callable[[list[StumpHypothesis]], list[float]]
@@ -482,8 +483,9 @@ def _fmt(x) -> str:
 
 
 def write_trial_csv(validation: TheoremValidation, fileobj) -> None:
-    """One row per trial: seed, N, C, DD, rhs, eps_T_hat, violated; N, C, DD
-    and rhs are the report's, the same on every row."""
+    """One row per trial: seed, N, C, DD, rhs, eps_T_hat, violated, slack;
+    N, C, DD and rhs are the report's, the same on every row, and slack is
+    rhs - eps_T_hat."""
     rep = validation.report
     terms = [_fmt(x) for x in (rep.noise_term, rep.complexity_term,
                                rep.dd_term, rep.rhs)]
@@ -491,4 +493,4 @@ def write_trial_csv(validation: TheoremValidation, fileobj) -> None:
     writer.writerow(TRIAL_CSV_COLUMNS)
     for r in validation.rows:
         writer.writerow([str(r.seed), *terms, _fmt(r.eps_t_hat),
-                         "1" if r.violated else "0"])
+                         "1" if r.violated else "0", _fmt(rep.rhs - r.eps_t_hat)])

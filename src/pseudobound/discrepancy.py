@@ -6,10 +6,11 @@ an axis-aligned XOR of two half-spaces, so the supremum reduces to integer
 prefix-sum scans.  Source points carry weight +n_T and target points -n_S;
 a region's score is then n_S*n_T times the difference of its two empirical
 probabilities, and everything stays in int64 until the final division.  The
-XOR scan walks each coordinate pair's prefix-sum grid B = _ROW_BLOCK rows at
-a time and scores a block only on the column segments its own points cut,
-so with k1, k2 distinct values per coordinate, n points and m in a block it
-takes O(k1/B*k2 + B*n) time and O(k2 + B*m) memory; no grid is built.
+XOR scan cuts each coordinate pair's prefix-sum grid into blocks of about
+sqrt(k1) rows and scores a block only on the column segments its own points
+cut, all blocks of a group in one batched pass.  With k1, k2 distinct values
+per coordinate and n points it takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time
+and O(k2) memory beyond a fixed group budget; no grid is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .noise import zero_m_costs
 from .stumps import HypothesisClassInfo, StumpHypothesis, erm
 
 MEDIAN_HEURISTIC = "median"
-_ROW_BLOCK = 64   # grid rows per sweep step; of 32-256, fastest at 1024 per side
+_MIN_BLOCK_ROWS = 8          # fewest grid rows in an XOR sweep block
+_GROUP_CELLS = 1 << 17       # int64 cells of one XOR block group (1 MB)
 _CACHED_TRIANGLE_N = 1024   # largest n whose upper-triangle pairs are cached
 
 __all__ = [
@@ -81,43 +83,106 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     return best
 
 
+def _block_rows(k1: int) -> int:
+    """Grid rows per block, about sqrt(k1): a sweep spends k1/B * k2 cells on
+    carry rows and about k1 * B on in-block sums, whose total is least near
+    B = sqrt(k2), and k1 and k2 are alike.  Small pools take one block."""
+    return max(_MIN_BLOCK_ROWS, math.isqrt(k1))
+
+
 def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     """max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|, rank1 sorted.
 
     With G[a, b] the signed weight below both cuts, the XOR region weighs
-    G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come _ROW_BLOCK at a time.  In a
-    block G[a, .] is the carry row above it plus D[a, s], a step function of
-    b that steps only at the block's own columns.  So V = G[-1, .] - 2 carry
-    is reduced to its max and min on each segment those columns start, and
-    each row is scored per segment: a block of m points costs
-    O(k2 + _ROW_BLOCK * m), and no block of the grid is ever built.
+    G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come in blocks of B =
+    _block_rows(k1).  In a block G[a, .] is the carry row above it plus
+    D[a, s], a step function of b that steps only at the block's own columns.
+    So V = G[-1, .] - 2 carry is reduced to its max and min on each segment
+    those columns start, and each row is scored per segment.
+
+    Blocks are scored a group at a time in one batched pass.  One sort of the
+    (block, column) keys gives every block's segments; one (B, blocks,
+    segments) array holds every D, padded with each block's last real segment
+    and row, so a padded cell repeats a real candidate; every carry row is
+    the one above plus the previous block's last D row spread over its
+    segments; one reduceat per extreme reduces V.  With n points that is
+    O(k1/B * k2 + k1 * B + n log n) time.  A group is one block or as many
+    as keep its carry rows and D within _GROUP_CELLS cells, so memory is
+    O(_GROUP_CELLS + k2 + n) at any size.
     """
     k1 = int(rank1[-1]) + 1
-    k2 = int(rank2.max()) + 1
+    width = int(rank2.max()) + 2                # grid columns b = 0..k2
     b_idx = rank2 + 1
-    col = np.zeros(k2 + 1, dtype=np.int64)      # G[-1, b]
+    col = np.zeros(width, dtype=np.int64)       # G[-1, b]
     np.add.at(col, b_idx, weights)
     np.cumsum(col, out=col)
     hi, lo = int(col.max()), int(col.min())     # row a = 0, where G = 0
-    carry = np.zeros(k2 + 1, dtype=np.int64)    # G row above the block
-    firsts = range(0, k1, _ROW_BLOCK)
-    bounds = np.searchsorted(rank1, [*firsts, k1])   # each block's points
-    for i, first in enumerate(firsts):
-        pts = slice(bounds[i], bounds[i + 1])
-        cols, seg = np.unique(b_idx[pts], return_inverse=True)
-        edges = np.concatenate(([0], cols, [k2 + 1]))  # segment bounds in b
-        starts = edges[:-1]
-        d = np.zeros((min(_ROW_BLOCK, k1 - first), len(starts)), dtype=np.int64)
-        np.add.at(d, (rank1[pts] - first, seg + 1), weights[pts])
-        np.cumsum(d, axis=1, out=d)
-        np.cumsum(d, axis=0, out=d)
-        v = col - 2 * carry
-        row = carry[-1] + d[:, -1:]             # G[a, -1]
-        carry += np.repeat(d[-1], np.diff(edges))
-        d *= -2
-        d += row
-        hi = max(hi, int((d + np.maximum.reduceat(v, starts)).max()))
-        lo = min(lo, int((d + np.minimum.reduceat(v, starts)).min()))
+
+    rows = _block_rows(k1)
+    n_blocks = -(-k1 // rows)
+    block = rank1 // rows
+    key = block * width + b_idx                 # (block, column) of each point
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.empty(len(key), dtype=bool)        # first point of each key
+    new[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    ukey = sorted_key[new]                      # each block's columns, in order
+    firsts = np.searchsorted(ukey, np.arange(n_blocks + 1) * width)
+    seg = np.empty(len(key), dtype=np.int64)    # 1-based segment in its block
+    seg[order] = np.cumsum(new)
+    seg -= firsts[block]
+    n_seg = np.diff(firsts) + 1                 # segment 0 lies left of them
+    s_all = int(n_seg.max())
+    group = max(1, _GROUP_CELLS // (width + rows * s_all))
+    bounds = np.searchsorted(rank1, np.arange(n_blocks + 1) * rows)
+
+    buf = np.empty(rows * group * s_all, dtype=np.int64)   # a group's D
+    neg2w = -2 * weights
+    carry = np.zeros(width, dtype=np.int64)     # -2 G at the group's top row
+    for g0 in range(0, n_blocks, group):
+        g1 = min(g0 + group, n_blocks)
+        nb = g1 - g0
+        pts = slice(bounds[g0], bounds[g1])
+        s_max = int(n_seg[g0:g1].max())
+        # d[r, i, s] is -2 D of block g0 + i; past its last segment and its
+        # last row it repeats them, since no weight lands there.
+        d = buf[:rows * nb * s_max].reshape(rows, nb, s_max)
+        d.fill(0)
+        np.add.at(d.ravel(), ((rank1[pts] % rows) * nb + block[pts] - g0) * s_max
+                  + seg[pts], neg2w[pts])
+        np.cumsum(d, axis=2, out=d)
+        for r in range(1, rows):
+            d[r] += d[r - 1]
+
+        # In the group's flattened columns, block i's segment s starts at
+        # starts[at[i] + s]: its base column, then one per distinct column.
+        at = firsts[g0:g1] - firsts[g0] + np.arange(nb)
+        starts = np.insert(ukey[firsts[g0]:firsts[g1]] - g0 * width,
+                           firsts[g0:g1] - firsts[g0], np.arange(nb) * width)
+        real = np.arange(s_max) < n_seg[g0:g1, None]
+        # m[i] is -2 G at the top row of block g0 + i, the carry row above it
+        # plus every earlier block's last D row spread over its segments;
+        # m[nb] tops the next group.
+        m = np.repeat(np.concatenate((carry, d[-1][real])),
+                      np.concatenate((np.ones(width, dtype=np.int64),
+                                      np.diff(starts, append=nb * width))))
+        m = m.reshape(nb + 1, width)
+        for i in range(1, nb + 1):
+            m[i] += m[i - 1]
+        carry = m[nb].copy()
+        top = m[:nb, -1].copy()                 # -2 G[top, -1] of each block
+        v = m[:nb]
+        v += col                                # V = G[-1, .] - 2 carry
+        pick = at[:, None] + np.minimum(np.arange(s_max), n_seg[g0:g1, None] - 1)
+        v_hi = np.maximum.reduceat(v.ravel(), starts)[pick]
+        v_lo = np.minimum.reduceat(v.ravel(), starts)[pick]
+
+        d += ((d[:, :, -1] + top) // -2)[:, :, None]   # + G[a, -1]
+        d += v_hi
+        hi = max(hi, int(d.max()))
+        d += v_lo - v_hi
+        lo = min(lo, int(d.min()))
     return max(hi, -lo)
 
 
@@ -128,9 +193,9 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
     Candidate thresholds are midpoints of consecutive distinct pooled values
     plus +-inf, where the empirical supremum is attained; the value is exact
     for the two empirical distributions.  For n pooled points in q
-    coordinates, k1, k2 distinct values per coordinate, B = _ROW_BLOCK and m
-    points in a block it takes O(q^2 (k1/B k2 + B n)) time and, per
-    coordinate pair, O(k2 + B m) memory, never an (n+1)^2 grid.
+    coordinates with k1, k2 distinct values per coordinate it takes
+    O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n)) time and, per coordinate pair,
+    O(k2 + n) memory beyond a fixed 1 MB group budget, never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)

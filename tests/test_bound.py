@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -352,8 +353,9 @@ THEOREM_PINS = {
     8675309: "fbc18d7204158943cfc736bda8b7c089b7415e8122df4295ac662a94dffa4511",
 }
 
-# sha256 of the same three runs' write_trial_csv text, concatenated: the bytes
-# verify-bound writes.
+# sha256 of the same three runs' write_trial_csv text, concatenated, without
+# its last column (slack, checked cell by cell): the bytes verify-bound wrote
+# before that column was added.
 TRIAL_CSV_PINS = {
     0: "9eecbb1dcd4268e5421015a3cf86ba8a81c723594a899befd9e2b8ffee96bff8",
     8675309: "42c5f2e1d7c9764cc49799db5b7c7d0d168f03f288301307eb50c32da84dcdd1",
@@ -363,15 +365,20 @@ TRIAL_CSV_PINS = {
 @pytest.mark.parametrize("seed", sorted(THEOREM_PINS))
 def test_validate_theorem_outputs_pinned(seed):
     digest = hashlib.sha256()
-    csv_text = io.StringIO()
+    first_columns = io.StringIO()
     for kind in ("clean", "noisy", "shifted"):
         res = pb.validate_theorem(pb.default_experiment_config(kind), trials=500,
                                   rng_seed=seed)
         digest.update(json.dumps(res.to_dict(), sort_keys=True,
                                  separators=(",", ":")).encode() + b"\n")
+        csv_text = io.StringIO()
         pb.write_trial_csv(res, csv_text)
+        rows = list(csv.reader(io.StringIO(csv_text.getvalue())))
+        assert [row[-1] for row in rows] == ["slack", *(
+            f"{res.report.rhs - r.eps_t_hat:.9g}" for r in res.rows)]
+        csv.writer(first_columns).writerows(row[:-1] for row in rows)
     assert digest.hexdigest() == THEOREM_PINS[seed]
-    assert hashlib.sha256(csv_text.getvalue().encode()).hexdigest() == \
+    assert hashlib.sha256(first_columns.getvalue().encode()).hexdigest() == \
         TRIAL_CSV_PINS[seed]
 
 
@@ -425,11 +432,11 @@ def test_trial_csv_format():
     buf = io.StringIO()
     pb.write_trial_csv(res, buf)
     lines = buf.getvalue().strip().split("\r\n")
-    assert lines[0] == "seed,N,C,DD,rhs,eps_T_hat,violated"
+    assert lines[0] == "seed,N,C,DD,rhs,eps_T_hat,violated,slack"
     assert len(lines) == 3
     fields = lines[1].split(",")
-    assert fields[-1] in ("0", "1")
+    assert fields[6] in ("0", "1")
     # reals carry at most 9 significant digits
-    for tok in fields[1:6]:
+    for tok in fields[1:6] + fields[7:]:
         mantissa = tok.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 9

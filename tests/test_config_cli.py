@@ -131,6 +131,8 @@ def test_cli_verify_bound(tmp_path, capsys):
     assert rows[0] == list(pb.TRIAL_CSV_COLUMNS)
     assert len(rows) == 4
     assert all(r[6] in ("0", "1") for r in rows[1:])
+    for r in rows[1:]:
+        assert float(r[7]) == pytest.approx(float(r[4]) - float(r[5]), abs=1e-8)
     printed = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert set(printed) == {"trials", "violation_rate", "delta", "rhs", "vacuous",
                             "slack"}

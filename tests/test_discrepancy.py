@@ -7,7 +7,8 @@ import pytest
 
 import pseudobound as pb
 from oracles import h_delta_h_grid_oracle, h_delta_h_oracle, mmd_oracle
-from pseudobound.discrepancy import _ROW_BLOCK, _exact_sum, _h_delta_h_best
+import pseudobound.discrepancy as discrepancy
+from pseudobound.discrepancy import _block_rows, _exact_sum, _h_delta_h_best
 
 
 INFO2 = pb.HypothesisClassInfo(2)
@@ -55,17 +56,18 @@ def test_h_delta_h_matches_pair_enumeration_oracle():
         assert d_fast == h_delta_h_oracle(a, b)
 
 
-@pytest.mark.parametrize("q", [1, 4])
-@pytest.mark.parametrize("pooled", [2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
-                                    2 * _ROW_BLOCK + 3, 4 * _ROW_BLOCK + 1,
-                                    9 * _ROW_BLOCK + 5])
-def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
-    """Row counts straddling the block size; 2 points is the smallest valid
-    pool.  For q > 1 the last two coordinates of the source agree in sign
-    and those of the target differ, so the best region is a
-    cross-coordinate XOR rather than a slab.  Rounding creates ties and a
-    constant first coordinate leaves a single cut."""
-    rng = np.random.default_rng(pooled * 10 + q)
+def _assert_sweep_exact(x, y):
+    assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
+    assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
+
+
+def _xor_pools(pooled, q, seed):
+    """(features, source count) cases: a continuous pool, the same rounded
+    to one decimal (ties), and the same with a constant first coordinate
+    (a single cut, hence a single block).  For q > 1 the last two
+    coordinates of the source agree in sign and those of the target differ,
+    so the best region is a cross-coordinate XOR rather than a slab."""
+    rng = np.random.default_rng(seed)
     n_s = max(1, pooled // 3)
     pool = rng.standard_normal((pooled, q))
     sign = np.where(np.arange(pooled) < n_s, 1.0, -1.0)
@@ -73,37 +75,135 @@ def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
         pool[:, -1] = np.abs(pool[:, -1]) * np.sign(pool[:, -2]) * sign
     constant = pool.copy()
     constant[:, 0] = 0.25
-    for feats in (pool, np.round(pool, 1), constant):
-        x, y = feats[:n_s], feats[n_s:]
-        assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
-        assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
+    return [(feats, n_s) for feats in (pool, np.round(pool, 1), constant)]
 
 
-@pytest.mark.parametrize("pooled", [_ROW_BLOCK + 7, 4 * _ROW_BLOCK + 1,
-                                    9 * _ROW_BLOCK + 5])
-def test_h_delta_h_column_segments_equal_full_grid(pooled):
-    """Edge cases of the XOR sweep's per-block column segments, in both
-    argument orders.  ``tied``: small-integer columns put several of a
-    block's points in one column, and its integer pair (1, 2) puts every
-    point in one block.  ``filled``: a column cycling through three values
-    makes each block's points fill every column.  Membership follows the
-    sign of a cross-coordinate XOR, 10 % flipped, so an XOR and not a slab
-    attains the best."""
-    rng = np.random.default_rng(pooled)
+def _segment_cases(pooled, seed):
+    """Edge cases of the XOR sweep's per-block column segments.  ``tied``:
+    small-integer columns put several of a block's points in one column,
+    and its integer pair (1, 2) puts every point in one block.  ``filled``:
+    a column cycling through three values makes each block's points fill
+    every column.  Membership follows the sign of a cross-coordinate XOR,
+    10 % flipped, so an XOR and not a slab attains the best."""
+    rng = np.random.default_rng(seed)
     flip = rng.random(pooled) < 0.1
     ints = rng.integers(1, 4, (pooled, 2)) * rng.choice([-1, 1], (pooled, 2))
     rows = np.round(rng.standard_normal(pooled), 2)
     tied = np.column_stack([rows, ints]).astype(float)
     r = rng.permutation(pooled)
     filled = np.column_stack([r, r % 3, ints[:, 1]]).astype(float)
-    cases = [(tied, (rows * ints[:, 0] > 0) != flip),
-             (filled, ((r < pooled // 2) != (r % 3 < 1)) != flip)]
-    for feats, is_source in cases:
+    return [(tied, (rows * ints[:, 0] > 0) != flip),
+            (filled, ((r < pooled // 2) != (r % 3 < 1)) != flip)]
+
+
+@pytest.mark.parametrize("q", [1, 4])
+@pytest.mark.parametrize("pooled", [2, 63, 64, 65, 131, 257, 581])
+def test_h_delta_h_blocked_sweep_equals_full_grid(pooled, q):
+    """Row counts around 64-row blocks, the sweep's block size before it was
+    derived from the input; 2 points is the smallest valid pool."""
+    for feats, n_s in _xor_pools(pooled, q, pooled * 10 + q):
+        _assert_sweep_exact(feats[:n_s], feats[n_s:])
+
+
+@pytest.mark.parametrize("pooled", [71, 257, 581])
+def test_h_delta_h_column_segments_equal_full_grid(pooled):
+    """The column-segment edge cases, in both argument orders."""
+    for feats, is_source in _segment_cases(pooled, pooled):
         x, y = feats[is_source], feats[~is_source]
         slabs = max(h_delta_h_grid_oracle(x[:, [j]], y[:, [j]]) for j in range(3))
         assert h_delta_h_grid_oracle(x, y) > slabs
-        assert _h_delta_h_best(x, y) == h_delta_h_grid_oracle(x, y)
-        assert _h_delta_h_best(y, x) == h_delta_h_grid_oracle(y, x)
+        _assert_sweep_exact(x, y)
+
+
+def _rows_as(blocks, extra, at_least=2):
+    """The least pooled size n >= at_least whose n distinct rows make
+    ``blocks`` blocks of _block_rows(n) rows plus ``extra`` rows."""
+    return next(n for n in range(at_least, 100_000)
+                if n == blocks * _block_rows(n) + extra)
+
+
+_B_STEP = next(n for n in range(3, 100_000) if _block_rows(n) > _block_rows(n - 1))
+DERIVED_SIZES = {
+    "B-1": _rows_as(1, -1),
+    "B": _rows_as(1, 0),
+    "B+1": _rows_as(1, 1),
+    "2B+3": _rows_as(2, 3),
+    "9B+5": _rows_as(9, 5),
+    "9B+5-wide": _rows_as(9, 5, at_least=_B_STEP),
+    "B-step-1": _B_STEP - 1,
+    "B-step": _B_STEP,
+    "BxB+5": next(n for n in range(500, 100_000) if n == _block_rows(n) ** 2 + 5),
+}
+
+
+def test_derived_sizes_straddle_block_boundaries():
+    b = {name: _block_rows(n) for name, n in DERIVED_SIZES.items()}
+    assert DERIVED_SIZES["B-1"] == b["B-1"] - 1
+    assert DERIVED_SIZES["B+1"] == b["B+1"] + 1
+    assert DERIVED_SIZES["9B+5-wide"] == 9 * b["9B+5-wide"] + 5
+    assert b["9B+5-wide"] > b["9B+5"]
+    assert b["B-step"] == b["B-step-1"] + 1
+    assert DERIVED_SIZES["BxB+5"] == b["BxB+5"] ** 2 + 5
+
+
+@pytest.mark.parametrize("q", [1, 4])
+@pytest.mark.parametrize("name", sorted(DERIVED_SIZES))
+def test_h_delta_h_batched_sweep_at_derived_block_sizes(name, q):
+    """Pooled sizes around the derived block size B = _block_rows(k1): one
+    partial, full and overfull block, several blocks with a remainder, the
+    size at which B grows, and as many blocks as rows."""
+    pooled = DERIVED_SIZES[name]
+    for feats, n_s in _xor_pools(pooled, q, pooled * 10 + q + 7):
+        _assert_sweep_exact(feats[:n_s], feats[n_s:])
+
+
+@pytest.mark.parametrize("name", ["2B+3", "9B+5-wide", "BxB+5"])
+def test_h_delta_h_column_segments_at_derived_block_sizes(name):
+    for feats, is_source in _segment_cases(DERIVED_SIZES[name], 3):
+        _assert_sweep_exact(feats[is_source], feats[~is_source])
+
+
+def test_h_delta_h_sweep_in_several_block_groups():
+    """6000 continuous rows against 50 integer columns need more than one
+    group of blocks at the module's cell budget; the grid stays small."""
+    rng = np.random.default_rng(21)
+    pooled = 6000
+    x = np.column_stack([rng.standard_normal(pooled),
+                         rng.integers(0, 50, pooled)]).astype(float)
+    is_source = ((x[:, 0] > 0) != (x[:, 1] < 25)) != (rng.random(pooled) < 0.2)
+    rows = _block_rows(pooled)
+    blocks = np.argsort(np.argsort(x[:, 0])) // rows
+    n_blocks = blocks.max() + 1
+    segments = 1 + max(len(np.unique(x[blocks == i, 1])) for i in range(n_blocks))
+    # a group is _GROUP_CELLS // (k2 + 1 + rows * segments) blocks
+    assert n_blocks * (51 + rows * segments) > discrepancy._GROUP_CELLS
+    _assert_sweep_exact(x[is_source], x[~is_source])
+
+
+@pytest.mark.parametrize("cells", [1, 600])
+def test_h_delta_h_sweep_with_small_group_budget(cells, monkeypatch):
+    """One block per group, and a few per group, give the same integers."""
+    monkeypatch.setattr(discrepancy, "_GROUP_CELLS", cells)
+    for pooled in (DERIVED_SIZES["9B+5"], DERIVED_SIZES["BxB+5"]):
+        for feats, n_s in _xor_pools(pooled, 3, pooled + cells):
+            _assert_sweep_exact(feats[:n_s], feats[n_s:])
+        for feats, is_source in _segment_cases(pooled, cells):
+            _assert_sweep_exact(feats[is_source], feats[~is_source])
+
+
+def test_h_delta_h_memory_at_gap_size():
+    """At 1024 pairs per side, the size the lemma-2 gap check draws, one
+    call peaks under 4 MB."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((1024, 4))
+    b = rng.standard_normal((1024, 4)) + 0.3
+    tracemalloc.start()
+    try:
+        pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_h_delta_h_memory_stays_linear():
