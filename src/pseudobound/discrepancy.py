@@ -134,7 +134,8 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     seg -= firsts[block]
     n_seg = np.diff(firsts) + 1                 # segment 0 lies left of them
     s_all = int(n_seg.max())
-    group = max(1, _GROUP_CELLS // (width + rows * s_all))
+    most = max(1, _GROUP_CELLS // (width + rows * s_all))   # blocks per group
+    group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
     bounds = np.searchsorted(rank1, np.arange(n_blocks + 1) * rows)
 
     buf = np.empty(rows * group * s_all, dtype=np.int64)   # a group's D
@@ -183,6 +184,7 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
         hi = max(hi, int(d.max()))
         d += v_lo - v_hi
         lo = min(lo, int(d.min()))
+        del m, v                                # before the next group's rows
     return max(hi, -lo)
 
 
