@@ -75,11 +75,12 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
         ranks.append(rank)
         best = max(best, int(sums.max() - sums.min()))
 
+    work = np.empty(_GROUP_CELLS, dtype=np.int64)   # every pair's D scratch
     for j1 in range(q):
         for j2 in range(j1 + 1, q):
             order = orders[j1]
             best = max(best, _xor_best(ranks[j1][order], ranks[j2][order],
-                                       weights[order]))
+                                       weights[order], work))
     return best
 
 
@@ -90,7 +91,8 @@ def _block_rows(k1: int) -> int:
     return max(_MIN_BLOCK_ROWS, math.isqrt(k1))
 
 
-def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
+def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
+              work: np.ndarray) -> int:
     """max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|, rank1 sorted.
 
     With G[a, b] the signed weight below both cuts, the XOR region weighs
@@ -108,7 +110,10 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     segments; one reduceat per extreme reduces V.  With n points that is
     O(k1/B * k2 + k1 * B + n log n) time.  A group is one block or as many
     as keep its carry rows and D within _GROUP_CELLS cells, so memory is
-    O(_GROUP_CELLS + k2 + n) at any size.
+    O(_GROUP_CELLS + k2 + n) at any size.  D lives in ``work``, int64
+    scratch of _GROUP_CELLS cells that the caller passes to every coordinate
+    pair, so its pages are touched once a call; a block too large for it
+    gets its own.
     """
     k1 = int(rank1[-1]) + 1
     width = int(rank2.max()) + 2                # grid columns b = 0..k2
@@ -138,7 +143,8 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray) -> int:
     group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
     bounds = np.searchsorted(rank1, np.arange(n_blocks + 1) * rows)
 
-    buf = np.empty(rows * group * s_all, dtype=np.int64)   # a group's D
+    cells = rows * group * s_all                # a group's D at most
+    buf = work if cells <= len(work) else np.empty(cells, dtype=np.int64)
     neg2w = -2 * weights
     carry = np.zeros(width, dtype=np.int64)     # -2 G at the group's top row
     for g0 in range(0, n_blocks, group):
