@@ -10,7 +10,7 @@ XOR scan cuts each coordinate pair's prefix-sum grid into blocks of about
 sqrt(k1) rows and scores a block only on the column segments its own points
 cut, all blocks of a group in one batched pass.  With k1, k2 distinct values
 per coordinate and n points it takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time
-and O(k2) memory beyond a fixed group budget; no grid is built.
+and O(k2 + n) memory beyond a fixed group budget; no grid is built.
 """
 
 from __future__ import annotations
