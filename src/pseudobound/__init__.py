@@ -116,7 +116,6 @@ from .risk import (
     corrected_empirical_risk_target,
     empirical_disagreement,
     empirical_risk_true,
-    exact_risk,
     exact_risks,
     expected_risk,
     fit_plain,

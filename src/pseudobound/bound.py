@@ -44,7 +44,7 @@ from .noise import NO_NOISE, NoiseModel, _flip_labels
 from .risk import (
     RiskConfig,
     _source_guided_problem,
-    exact_risk,
+    empirical_risk_true,
     exact_risks,
     fit_plain,
     min_exact_risk,
@@ -77,6 +77,7 @@ __all__ = [
     "check_lemma2",
     "ConcentrationRow",
     "default_mu_grid",
+    "hoeffding_rhs",
     "check_lemma3_concentration",
     "TheoremTrialRow",
     "TheoremValidation",
@@ -124,10 +125,6 @@ class BoundInputs(Serializable):
         if not 0.0 <= self.epsilon_t_star <= self.big_m:
             raise ConfigurationError(
                 f"epsilon_t_star must lie in [0, big_m], got {self.epsilon_t_star}")
-
-    @property
-    def rho_sum(self) -> float:
-        return self.rho_neg + self.rho_pos
 
 
 def _noise_squared(alpha: float, beta: float, denominator: float) -> float:
@@ -197,7 +194,7 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
     """Check of the alpha-mix risk deviation bound, with zero tolerance.
 
     lhs = |eps_alpha(h) - eps_T(h)| = (1-alpha) |eps_S - eps_T| from the
-    exact population risks (``exact_risk``); rhs uses the empirical class
+    exact population risks (``exact_risks``); rhs uses the empirical class
     distance and joint error measured on gap_n-pair draws (sub-seeds 3 and
     4 of rng_seed).  holds is lhs <= rhs.  Sub-seeds 1 and 2 seeded the
     Monte Carlo risk draws this check used before and are no longer drawn.
@@ -206,8 +203,8 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
     """
     if strategy is None:
         strategy = PairStrategy.balanced(3)
-    eps_t = exact_risk(h, spec_target, strategy, big_m)
-    eps_s = exact_risk(h, spec_source, strategy, big_m)
+    eps_t = exact_risks([h], spec_target, strategy, big_m)[0]
+    eps_s = exact_risks([h], spec_source, strategy, big_m)[0]
     lhs = (1.0 - alpha) * abs(eps_s - eps_t)
     _, src_gap = draw_pair_process(spec_source, strategy, gap_n,
                                    derive_seed(rng_seed, 3))
@@ -301,10 +298,10 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
     labels freshly corrupted) and evaluates the alpha-mix empirical risk.
     Draws come from ``validate_theorem``'s block sampler and seed chain.
     The population center alpha eps_T(h) + (1-alpha) eps_S(h) is exact
-    (``exact_risk``); sub-seeds 1 and 2 of rng_seed, which seeded the two
+    (``exact_risks``); sub-seeds 1 and 2 of rng_seed, which seeded the two
     2^17-pair draws that estimated it before, are retired, and the trials
-    keep their seeds.  Requires synthetic noise mode so the rates entering the denominator are
-    exact.
+    keep their seeds.  Requires synthetic noise mode so the rates entering
+    the denominator are exact.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("concentration check needs synthetic noise mode")
@@ -312,9 +309,9 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
         raise ConfigurationError("trials must be >= 1")
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
     cfg, model = config.risk, config.noise.model
-    center = (cfg.alpha * exact_risk(h, config.target, config.strategy, cfg.big_m)
-              + (1.0 - cfg.alpha) * exact_risk(h, config.source, config.strategy,
-                                               cfg.big_m))
+    eps_t, eps_s = (exact_risks([h], spec, config.strategy, cfg.big_m)[0]
+                    for spec in (config.target, config.source))
+    center = cfg.alpha * eps_t + (1.0 - cfg.alpha) * eps_s
     devs = np.array([abs(source_guided_risk(h, src, tgt, cfg, model) - center)
                      for src, tgt in _trial_pairs(config, trials, rng_seed)])
     rows = []
@@ -361,32 +358,27 @@ def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
 
 
 def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,
-                   normalize: bool = False) -> DomainSpec | PairSet:
-    """The target as the bound's model sees it.  An alignment map is affine,
-    so composed into the target transform (x -> B (A x + b) + c) it leaves a
-    Gaussian pair process; unit normalization does not, and there the target
-    is ``oracle_pairs`` pairs drawn on sub-seed 4."""
-    if normalize:
-        return _mapped_pairs(config, config.target, config.oracle_pairs,
-                             derive_seed(rng_seed, 4), align_map, normalize)
-    spec = config.target
-    if align_map is None:
-        return spec
-    amap = spec.domain_transform
-    return replace(spec, domain_transform=AffineMap(align_map.matrix @ amap.matrix,
-                                                    align_map.apply(amap.offset)))
-
-
-def _risk_scorer(config: ExperimentConfig, target: DomainSpec | PairSet
-                 ) -> RiskScorer:
-    """Exact risks (``exact_risks``) on a domain, miss rates on a pair set."""
+                   normalize: bool = False
+                   ) -> tuple[DomainSpec | PairSet, RiskScorer]:
+    """The target as the bound's model sees it, and the scorer of target
+    risks on it.  An alignment map is affine, so composed into the target
+    transform (x -> B (A x + b) + c) it leaves a Gaussian pair process, whose
+    risks are exact (``exact_risks``); unit normalization does not, and there
+    the target is ``oracle_pairs`` pairs drawn on sub-seed 4, scored by their
+    miss rates (``empirical_risk_true``)."""
     big_m = config.risk.big_m
-    if isinstance(target, DomainSpec):
-        return partial(exact_risks, spec=target, strategy=config.strategy,
-                       big_m=big_m)
-    return lambda hypotheses: [
-        big_m * h.misses(target.similarity, target.true_labels) / len(target)
-        for h in hypotheses]
+    if normalize:
+        pairs = _mapped_pairs(config, config.target, config.oracle_pairs,
+                              derive_seed(rng_seed, 4), align_map, normalize)
+        return pairs, lambda hypotheses: [empirical_risk_true(h, pairs, big_m)
+                                          for h in hypotheses]
+    spec = config.target
+    if align_map is not None:
+        amap = spec.domain_transform
+        spec = replace(spec, domain_transform=AffineMap(
+            align_map.matrix @ amap.matrix, align_map.apply(amap.offset)))
+    return spec, partial(exact_risks, spec=spec, strategy=config.strategy,
+                         big_m=big_m)
 
 
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
@@ -421,14 +413,14 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
     info = HypothesisClassInfo(gap_t.feature_dim)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity, info)
-    target = _oracle_target(config, rng_seed, align_map, normalize)
-    if isinstance(target, DomainSpec):
-        eps_star = min_exact_risk([target], config.strategy, cfg.big_m)
-        lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
-    else:
+    target, target_risks = _oracle_target(config, rng_seed, align_map, normalize)
+    if normalize:
         _, eps_star = fit_plain(target, cfg.big_m)
         oracle_s = draw(config.source, None, config.oracle_pairs, 5)
         _, lam = ideal_joint(oracle_s, target, cfg.big_m)
+    else:
+        eps_star = min_exact_risk([target], config.strategy, cfg.big_m)
+        lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
     model = NO_NOISE if config.noise.model is None else config.noise.model
     inputs = BoundInputs(
         alpha=cfg.alpha, beta=cfg.beta, m=config.m_train, d=info.vc_dimension,
@@ -436,7 +428,7 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
         rho_neg=model.rho_neg, rho_pos=model.rho_pos,
         h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
     )
-    return inputs, _risk_scorer(config, target)
+    return inputs, target_risks
 
 
 def validate_theorem(config: ExperimentConfig, trials: int = 500,

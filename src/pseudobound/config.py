@@ -39,7 +39,6 @@ __all__ = [
     "Toggles",
     "NoiseMode",
     "ExperimentConfig",
-    "default_centers",
     "default_experiment_config",
     "default_toggle_grid",
 ]

@@ -11,7 +11,6 @@ default toggles, to a single theorem-validation trial bit for bit.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,6 @@ from .bound import (
     RiskScorer,
     _oracle_target,
     _rebuild_pairs,
-    _risk_scorer,
     _trial_pairs,
     assemble_bound,
     oracle_bound_inputs,
@@ -56,7 +54,7 @@ from .practice import (
     tukey_fence,
 )
 from .risk import fit_source_guided, fit_target_corrected
-from .serial import Serializable, _plain
+from .serial import Serializable
 from .stumps import StumpHypothesis
 
 __all__ = [
@@ -174,9 +172,8 @@ def _train(source_pairs, target_pairs, config: ExperimentConfig,
 
 def _oracle_key(config: ExperimentConfig, seed: int, align_map, normalize) -> tuple:
     """The config fields oracle_bound_inputs reads, the seed, the member maps."""
-    maps = align_map and (align_map.matrix.tobytes(), align_map.offset.tobytes())
-    return (json.dumps([_plain(getattr(config, f)) for f in _ORACLE_FIELDS]),
-            seed, maps, normalize)
+    return (tuple(getattr(config, f) for f in _ORACLE_FIELDS), seed, align_map,
+            normalize)
 
 
 def _oracle_side(config: ExperimentConfig, seed: int, align_map, normalize
@@ -187,8 +184,8 @@ def _oracle_side(config: ExperimentConfig, seed: int, align_map, normalize
     normalization.  Beyond its bound the memo drops its oldest entry."""
     key = _oracle_key(config, seed, align_map, normalize)
     if key in _oracle_memo:
-        return _oracle_memo[key], _risk_scorer(
-            config, _oracle_target(config, seed, align_map, normalize))
+        return _oracle_memo[key], _oracle_target(config, seed, align_map,
+                                                 normalize)[1]
     inputs, target_risks = oracle_bound_inputs(config, seed, align_map, normalize)
     if len(_oracle_memo) >= _ORACLE_MEMO_SIZE:
         del _oracle_memo[next(iter(_oracle_memo))]

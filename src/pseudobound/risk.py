@@ -29,7 +29,6 @@ __all__ = [
     "source_guided_risk",
     "empirical_disagreement",
     "expected_risk",
-    "exact_risk",
     "exact_risks",
     "min_exact_risk",
     "fit_plain",
@@ -124,9 +123,9 @@ def expected_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     return estimate, stderr
 
 
-def exact_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
-               big_m: float) -> float:
-    """Population 0-M risk of a stump (j, t, s) on the domain's pair process.
+def exact_risks(hypotheses, spec: DomainSpec, strategy: PairStrategy,
+                big_m: float) -> list[float]:
+    """Population 0-M risk of each stump (j, t, s) on the domain's pair process.
 
     A pair of identities (a, b) has member difference N(A (c_a - c_b),
     2 sigma^2 A A^T), A the transform matrix (its offset cancels), so
@@ -137,38 +136,12 @@ def exact_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     / 2, when it is s.  A zero transform row makes D_j the point mass mu,
     scored as 1[|mu| > t].  The (a, b) weights are the strategy's: 1/n^2
     each under ``all``; under ``balanced(k)`` 1/((1+k) n) per (a, a) and
-    k/((1+k) n (n-1)) per ordered (a, b), a != b.  The n^2 terms are summed
-    with fsum; ``expected_risk`` is the Monte Carlo reference.
-    """
-    j, t, s = hypothesis.coordinate, hypothesis.threshold, hypothesis.sign
-    _check_coordinate(j, spec)
-    w_pos, w_neg = _pair_weights(spec, strategy)
-    row = spec.domain_transform.matrix[j]
-    r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
-    proj = spec.identity_centers @ row
-
-    def miss(x: float, label: int) -> float:
-        """Mass of the component with |mean| x on which the stump errs."""
-        if t < 0 or r == 0.0:  # |D_j| > t surely, or D_j is a point mass
-            return float((x > t) != (label == s))
-        if label == s:
-            return 0.5 * (math.erfc((x - t) / r) - math.erfc((x + t) / r))
-        return 0.5 * (math.erfc((t - x) / r) + math.erfc((t + x) / r))
-
-    return big_m * math.fsum(
-        w_pos * miss(0.0, 1) if a == b else w_neg * miss(abs(mu), -1)
-        for a, mu_row in enumerate((proj[:, None] - proj[None, :]).tolist())
-        for b, mu in enumerate(mu_row))
-
-
-def exact_risks(hypotheses, spec: DomainSpec, strategy: PairStrategy,
-                big_m: float) -> list[float]:
-    """``exact_risk`` of each stump, bit for bit, computed for many at once.
+    k/((1+k) n (n-1)) per ordered (a, b), a != b.
 
     Stumps are grouped by coordinate.  A group takes its miss masses on the
-    distinct components of that coordinate's mixture in one pass of
-    ``exact_risk``'s arithmetic, spreads them over the same n^2 weighted
-    terms and sums each stump's terms with fsum, so no rounding differs.
+    distinct components of that coordinate's mixture in one pass, spreads
+    them over the n^2 weighted terms and sums each stump's terms with fsum.
+    ``expected_risk`` is the Monte Carlo reference.
     """
     hyps = list(hypotheses)
     w_pos, w_neg = _pair_weights(spec, strategy)
@@ -193,7 +166,7 @@ def exact_risks(hypotheses, spec: DomainSpec, strategy: PairStrategy,
 
 
 def min_exact_risk(specs, strategy: PairStrategy, big_m: float) -> float:
-    """min over stumps h of the sum over specs of exact_risk(h, spec).
+    """min over stumps h of the sum over specs of h's ``exact_risks``.
 
     One spec gives eps*_T; a source and a target give the ideal joint error.
     On coordinate j and t >= 0 the sign +1 risk has slope big_m times
@@ -208,12 +181,16 @@ def min_exact_risk(specs, strategy: PairStrategy, big_m: float) -> float:
     it from 0 up, so there t = 0 is scored too.
     """
     specs = list(specs)
+    if not specs:
+        raise EmptyInputError("min_exact_risk needs at least one domain")
+    dims = [spec.feature_dim for spec in specs]
+    if len(set(dims)) > 1:
+        raise ConfigurationError(f"min_exact_risk needs one feature_dim, got {dims}")
     candidates = []
     for j in range(specs[0].feature_dim):
         thresholds = [-math.inf, math.inf]
         mixtures = []                           # (|means|, weights, r) with r > 0
         for spec in specs:
-            _check_coordinate(j, spec)
             w_pos, w_neg = _pair_weights(spec, strategy)
             r, mu = _coordinate_mixture(spec, j)
             if r == 0.0:        # a zero transform row: |D_j| is exactly 0
@@ -278,7 +255,7 @@ def _pair_weights(spec: DomainSpec, strategy: PairStrategy) -> tuple[float, floa
 
 def _coordinate_mixture(spec: DomainSpec, j: int) -> tuple[float, np.ndarray]:
     """(r, |mu| of the n (n - 1) ordered distinct identity pairs) of
-    coordinate j, formed as ``exact_risk`` forms them."""
+    coordinate j: the mixture width and component means of ``exact_risks``."""
     row = spec.domain_transform.matrix[j]
     r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
     proj = spec.identity_centers @ row
@@ -288,7 +265,7 @@ def _coordinate_mixture(spec: DomainSpec, j: int) -> tuple[float, np.ndarray]:
 
 def _component_misses(x: np.ndarray, t: np.ndarray, match: np.ndarray,
                       r: float) -> np.ndarray:
-    """``exact_risk``'s miss mass of components with |mean| x (c,) under
+    """``exact_risks``' miss mass of components with |mean| x (c,) under
     thresholds t (b, 1), where match (b, c) says the label is the sign."""
     indicator = ((x > t) != match).astype(float)
     if r == 0.0:

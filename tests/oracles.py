@@ -3,8 +3,7 @@ against.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 double loops, and exact summation.  None of it imports the modules under
-test beyond plain data types and the scalar ``exact_risk``, the reference
-the batched and minimized exact risks are checked against.
+test beyond plain data types.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 
 import numpy as np
 
-from pseudobound import StumpHypothesis, exact_risk
+from pseudobound import StumpHypothesis
 
 
 def candidate_thresholds(xs: np.ndarray) -> np.ndarray:
@@ -229,6 +228,41 @@ def mmd_oracle(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
         return math.fsum(terms) / (len(a) * len(b))
 
     return block(x, x) + block(y, y) - 2.0 * block(x, y)
+
+
+def exact_risk(hypothesis, spec, strategy, big_m: float) -> float:
+    """Population 0-M risk of one stump, one identity pair at a time: the
+    scalar form of ``exact_risks``' formula, which it must equal bit for bit.
+
+    Coordinate j of the (a, b) member difference is N(mu, r^2 / 2) with
+    r = 2 sigma |A_j| and mu = (c_a - c_b) . A_j; the stump misses on the
+    tail mass beyond t when the label is -s and on the rest when it is s.
+    Weights: 1/n^2 each under ``all``; under ``balanced(k)`` 1/((1+k) n)
+    per (a, a) and k/((1+k) n (n-1)) per ordered (a, b), a != b.
+    """
+    j, t, s = hypothesis.coordinate, hypothesis.threshold, hypothesis.sign
+    n = spec.num_identities
+    if strategy.kind == "balanced":
+        k = strategy.k_neg_per_pos
+        w_pos, w_neg = 1.0 / ((1 + k) * n), k / ((1 + k) * n * (n - 1))
+    else:
+        w_pos = w_neg = 1.0 / (n * n)
+    row = spec.domain_transform.matrix[j]
+    r = 2.0 * spec.within_identity_stddev * math.sqrt(math.fsum((row * row).tolist()))
+    proj = spec.identity_centers @ row
+
+    def miss(x: float, label: int) -> float:
+        """Mass of the component with |mean| x on which the stump errs."""
+        if t < 0 or r == 0.0:  # |D_j| > t surely, or D_j is a point mass
+            return float((x > t) != (label == s))
+        if label == s:
+            return 0.5 * (math.erfc((x - t) / r) - math.erfc((x + t) / r))
+        return 0.5 * (math.erfc((t - x) / r) + math.erfc((t + x) / r))
+
+    return big_m * math.fsum(
+        w_pos * miss(0.0, 1) if a == b else w_neg * miss(abs(mu), -1)
+        for a, mu_row in enumerate((proj[:, None] - proj[None, :]).tolist())
+        for b, mu in enumerate(mu_row))
 
 
 def brute_force_min_exact_risk(specs, strategy, big_m: float,

@@ -132,7 +132,7 @@ def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
     source = pb.generate_domain(cfg.source, cfg.n_source_samples, pb.derive_seed(seed, 21))
     amap = pb.align_moments(source, target)[1]
     assert np.count_nonzero(amap.matrix - np.diag(np.diag(amap.matrix))) == 12
-    spec = _oracle_target(cfg, seed, amap)
+    spec, _ = _oracle_target(cfg, seed, amap)
     stumps = [pb.StumpHypothesis(0, 1.0, 1), pb.StumpHypothesis(1, 0.8, -1),
               pb.StumpHypothesis(2, 1.5, 1), pb.StumpHypothesis(3, 0.6, -1)]
     misses = np.zeros(len(stumps), dtype=np.int64)
@@ -252,8 +252,8 @@ def _trial_by_trial(cfg, seed, iteration=0):
 
 def test_validate_theorem_blocks_equal_trial_by_trial_fits():
     """Blocked trials (two full blocks and a short one) match drawing, fitting
-    and scoring each trial alone with the public calls (the scalar
-    ``exact_risk``), row for row; shifted runs its non-identity domain
+    and scoring each trial alone with the public calls (``exact_risks`` of
+    one stump), row for row; shifted runs its non-identity domain
     transform."""
     from pseudobound.bound import _BLOCK_POINTS
 
@@ -268,7 +268,7 @@ def test_validate_theorem_blocks_equal_trial_by_trial_fits():
             seed = pb.derive_seed(5, t)
             src, tgt = _trial_by_trial(cfg, seed)
             h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
-            eps = pb.exact_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m)
+            [eps] = pb.exact_risks([h], cfg.target, cfg.strategy, cfg.risk.big_m)
             assert row.seed == seed
             assert row.eps_t_hat == eps
             assert row.violated == (eps > res.report.rhs)
@@ -328,8 +328,8 @@ def test_lemma3_rows_equal_trial_by_trial_risks():
     trials = 2 * (_BLOCK_POINTS // cfg.m_train) + 3
     h = pb.StumpHypothesis(1, 0.8, 1)
     rows = pb.check_lemma3_concentration(h, cfg, trials=trials, rng_seed=4)
-    eps_t = pb.exact_risk(h, cfg.target, cfg.strategy, cfg.risk.big_m)
-    eps_s = pb.exact_risk(h, cfg.source, cfg.strategy, cfg.risk.big_m)
+    [eps_t] = pb.exact_risks([h], cfg.target, cfg.strategy, cfg.risk.big_m)
+    [eps_s] = pb.exact_risks([h], cfg.source, cfg.strategy, cfg.risk.big_m)
     center = cfg.risk.alpha * eps_t + (1.0 - cfg.risk.alpha) * eps_s
     devs = np.array([
         abs(pb.source_guided_risk(h, *_trial_by_trial(cfg, pb.derive_seed(4, t)),

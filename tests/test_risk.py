@@ -155,7 +155,7 @@ SHIFTED = pb.default_experiment_config("shifted")
 ], ids=["target-plus", "source-negative-threshold", "target-all-minus"])
 def test_exact_risk_within_4_se_of_a_million_pair_draw(spec, strategy, hyp):
     """The shifted target's transform is not the identity; the source's is."""
-    exact = pb.exact_risk(hyp, spec, strategy, 2.0)
+    [exact] = pb.exact_risks([hyp], spec, strategy, 2.0)
     est, se = pb.expected_risk(hyp, spec, strategy, 2.0, oracle_n=10 ** 6, rng_seed=11)
     assert 0.0 < exact < 2.0
     assert abs(est - exact) <= 4.0 * se
@@ -166,9 +166,8 @@ def test_exact_risk_of_a_stump_and_its_flip_sum_to_m():
         for strategy in (STRAT, pb.PairStrategy.balanced(1), pb.PairStrategy.all_pairs()):
             for s in range(20):
                 h = pb.random_stump(s, 4)
-                total = (pb.exact_risk(h, spec, strategy, 1.5)
-                         + pb.exact_risk(h.flipped(), spec, strategy, 1.5))
-                assert abs(total - 1.5) <= 1e-12
+                risk, flipped = pb.exact_risks([h, h.flipped()], spec, strategy, 1.5)
+                assert abs(risk + flipped - 1.5) <= 1e-12
 
 
 def test_exact_risk_scores_a_zero_transform_row_as_a_point_mass():
@@ -181,25 +180,28 @@ def test_exact_risk_scores_a_zero_transform_row_as_a_point_mass():
         for t, s, risk in ((-1e-9, 1, 1.0 - p_pos), (-1e-9, -1, p_pos),
                            (0.0, 1, p_pos), (0.0, -1, 1.0 - p_pos),
                            (2.5, -1, 1.0 - p_pos)):
-            assert pb.exact_risk(pb.StumpHypothesis(1, t, s), spec, strategy, 1.0) == risk
+            assert pb.exact_risks([pb.StumpHypothesis(1, t, s)], spec, strategy,
+                                  1.0) == [risk]
 
 
 def test_exact_risk_typed_errors_and_one_identity():
     spec = pb.DomainSpec(1, 2, np.zeros((1, 2)), 1.0, pb.AffineMap.identity(2), 0)
     h = pb.StumpHypothesis(0, 0.5, 1)
     with pytest.raises(pb.DegenerateInputError):
-        pb.exact_risk(h, spec, STRAT, 1.0)
+        pb.exact_risks([h], spec, STRAT, 1.0)
     with pytest.raises(pb.ConfigurationError, match="coordinate 2"):
-        pb.exact_risk(pb.StumpHypothesis(2, 0.5, 1), spec, pb.PairStrategy.all_pairs(), 1.0)
+        pb.exact_risks([pb.StumpHypothesis(2, 0.5, 1)], spec, pb.PairStrategy.all_pairs(), 1.0)
     # one positive component, D_0 ~ N(0, 2): the stump misses on |D_0| <= 0.5
-    assert pb.exact_risk(h, spec, pb.PairStrategy.all_pairs(), 1.0) == pytest.approx(
-        math.erf(0.25), rel=1e-15)
+    [risk] = pb.exact_risks([h], spec, pb.PairStrategy.all_pairs(), 1.0)
+    assert risk == pytest.approx(math.erf(0.25), rel=1e-15)
 
 
 def test_exact_risks_equal_exact_risk_bit_for_bit():
-    """The batched scorer against the scalar one: random stumps, t = +-inf,
-    t = 0 and -0.0, t < 0, both signs, all strategies, and a zero transform
-    row (coordinate 1 of the last spec)."""
+    """The batched scorer against the scalar reference in oracles.py: random
+    stumps, t = +-inf, t = 0 and -0.0, t < 0, both signs, all strategies, and
+    a zero transform row (coordinate 1 of the last spec)."""
+    from oracles import exact_risk
+
     zero_row = pb.DomainSpec(3, 2, np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
                              0.5, pb.AffineMap(np.diag([1.0, 0.0]), np.array([0.0, 3.0])), 1)
     edges = [math.inf, -math.inf, 0.0, -0.0, -0.5, 1e-300, 2.0]
@@ -209,7 +211,7 @@ def test_exact_risks_equal_exact_risk_bit_for_bit():
         stumps += [pb.StumpHypothesis(j, t, s) for j in range(q) for t in edges
                    for s in (1, -1)]
         for strategy in (STRAT, pb.PairStrategy.balanced(1), pb.PairStrategy.all_pairs()):
-            expected = [pb.exact_risk(h, spec, strategy, 1.5) for h in stumps]
+            expected = [exact_risk(h, spec, strategy, 1.5) for h in stumps]
             assert pb.exact_risks(stumps, spec, strategy, 1.5) == expected
     assert pb.exact_risks([], SHIFTED.target, STRAT, 1.0) == []
     with pytest.raises(pb.ConfigurationError, match="coordinate 4"):
@@ -242,6 +244,17 @@ def test_min_exact_risk_scores_a_zero_transform_row_at_threshold_zero():
     for specs in ([flat, lone], [lone, flat]):
         assert pb.min_exact_risk(specs, pb.PairStrategy.all_pairs(), 1.0) == \
             pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_min_exact_risk_typed_errors():
+    """No domain, or domains of unequal feature_dim in either order."""
+    wide = pb.DomainSpec(3, 6, np.arange(18.0).reshape(3, 6), 0.5,
+                         pb.AffineMap.identity(6), 1)
+    with pytest.raises(pb.EmptyInputError):
+        pb.min_exact_risk([], STRAT, 1.0)
+    for specs in ([SHIFTED.source, wide], [wide, SHIFTED.source]):
+        with pytest.raises(pb.ConfigurationError, match=r"feature_dim, got \[\d, \d\]"):
+            pb.min_exact_risk(specs, STRAT, 1.0)
 
 
 def test_exact_oracle_does_not_import_numpy_ma():

@@ -123,6 +123,12 @@ def test_lemma2_report_with_the_retired_slack_is_rejected_by_name():
         pb.Lemma2Report.from_dict(old)
 
 
+def test_bound_inputs_with_the_retired_rho_sum_is_rejected_by_name():
+    old = {**_bound_inputs().to_dict(), "rho_sum": 0.3}
+    with pytest.raises(pb.ConfigurationError, match="'rho_sum' for BoundInputs"):
+        pb.BoundInputs.from_dict(old)
+
+
 def test_missing_required_key_is_rejected_by_name():
     partial = _bound_inputs().to_dict()
     del partial["epsilon_t_star"]
