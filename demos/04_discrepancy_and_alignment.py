@@ -41,8 +41,7 @@ print(f"two unit-separated points: {closed:.6f} "
 # The class distance looks at similarity features, where stumps live.
 _, src_pairs = pb.draw_pair_process(cfg.source, cfg.strategy, 256, 44)
 _, tgt_pairs = pb.draw_pair_process(cfg.target, cfg.strategy, 256, 45)
-info = pb.HypothesisClassInfo(src_pairs.feature_dim)
-d_hat = pb.h_delta_h_distance(src_pairs.similarity, tgt_pairs.similarity, info)
+d_hat = pb.h_delta_h_distance(src_pairs.similarity, tgt_pairs.similarity)
 print(f"estimated class distance between pair samples: {d_hat:.4f}")
 
 h = pb.random_stump(46, src_pairs.feature_dim, (0.0, 4.0))

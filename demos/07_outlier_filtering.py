@@ -29,10 +29,12 @@ noisy = pb.corrupt_labels(pairs, model, 72)
 
 learner = pb.LinearLearnerConfig(loss_kind=pb.THRESHOLDED_LOGISTIC,
                                  learning_rate=0.2, epochs=120)
-for rule in (pb.FilterRule.none(), pb.FilterRule.tukey()):
-    _, trace, rep = pb.train_linear(noisy, learner, filter_rule=rule, rng_seed=73)
+for tukey_filter in (False, True):
+    _, trace, rep = pb.train_linear(noisy, learner, tukey_filter=tukey_filter,
+                                    rng_seed=73)
     after = rep.estimated_rho_after or rep.estimated_rho_before
-    print(f"filter={rule.kind:5s} kept {rep.kept}/{len(noisy)} "
+    rule = "tukey" if tukey_filter else "none"
+    print(f"filter={rule:5s} kept {rep.kept}/{len(noisy)} "
           f"rho before ({rep.estimated_rho_before.rho_neg:.3f}, "
           f"{rep.estimated_rho_before.rho_pos:.3f}) "
           f"after ({after.rho_neg:.3f}, {after.rho_pos:.3f}) "

@@ -100,7 +100,6 @@ from .practice import (
     THRESHOLDED_LOGISTIC,
     DbscanParams,
     FilterReport,
-    FilterRule,
     LinearLearnerConfig,
     LinearModel,
     batch_objective_and_grad,
@@ -125,10 +124,10 @@ from .risk import (
     source_guided_risk,
 )
 from .stumps import (
-    HypothesisClassInfo,
     StumpHypothesis,
     erm,
     random_stump,
+    vc_dimension,
 )
 
 __version__ = "0.1.0"

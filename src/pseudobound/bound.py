@@ -51,7 +51,7 @@ from .risk import (
     source_guided_risk,
 )
 from .serial import Serializable
-from .stumps import HypothesisClassInfo, StumpHypothesis, erm_batch
+from .stumps import StumpHypothesis, erm_batch, vc_dimension
 
 TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated",
                      "slack")
@@ -64,26 +64,6 @@ RiskScorer = Callable[[list[StumpHypothesis]], list[float]]
 # blocks were no faster per problem (flat from 16 to 160 at m = 400; at m = 2e4
 # blocks of 3 lost to single fits) and cost memory.
 _BLOCK_POINTS = 8192
-
-__all__ = [
-    "TRIAL_CSV_COLUMNS",
-    "BoundInputs",
-    "BoundReport",
-    "noise_term",
-    "complexity_term",
-    "dd_term",
-    "assemble_bound",
-    "Lemma2Report",
-    "check_lemma2",
-    "ConcentrationRow",
-    "default_mu_grid",
-    "hoeffding_rhs",
-    "check_lemma3_concentration",
-    "TheoremTrialRow",
-    "TheoremValidation",
-    "validate_theorem",
-    "write_trial_csv",
-]
 
 
 @dataclass(frozen=True)
@@ -113,8 +93,9 @@ class BoundInputs(Serializable):
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.big_m > 0:
-            raise ConfigurationError(f"big_m must be positive, got {self.big_m}")
+        if not (self.big_m > 0 and math.isfinite(self.big_m)):
+            raise ConfigurationError(
+                f"big_m must be positive and finite, got {self.big_m}")
         NoiseModel(self.rho_neg, self.rho_pos)  # raises InvalidNoiseError
         if not 0.0 <= self.h_delta_h <= 2.0:
             raise ConfigurationError("h_delta_h must lie in [0, 2]")
@@ -198,8 +179,8 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
     distance and joint error measured on gap_n-pair draws (sub-seeds 3 and
     4 of rng_seed).  holds is lhs <= rhs.  Sub-seeds 1 and 2 seeded the
     Monte Carlo risk draws this check used before and are no longer drawn.
-    ``oracle_n``, their size, is accepted and ignored so that existing
-    callers keep working.
+    ``oracle_n``, their size, is accepted and ignored because the gap unit
+    of ``perfbench/units.py`` still passes it.
     """
     if strategy is None:
         strategy = PairStrategy.balanced(3)
@@ -210,8 +191,7 @@ def check_lemma2(h, spec_source: DomainSpec, spec_target: DomainSpec,
                                    derive_seed(rng_seed, 3))
     _, tgt_gap = draw_pair_process(spec_target, strategy, gap_n,
                                    derive_seed(rng_seed, 4))
-    info = HypothesisClassInfo(src_gap.feature_dim)
-    d_hat = h_delta_h_distance(src_gap.similarity, tgt_gap.similarity, info)
+    d_hat = h_delta_h_distance(src_gap.similarity, tgt_gap.similarity)
     _, lam = ideal_joint(src_gap, tgt_gap, big_m)
     rhs = dd_term(alpha, big_m, d_hat, lam)
     return Lemma2Report(
@@ -411,8 +391,7 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
 
     gap_t = draw(config.target, align_map, config.discrepancy_sample, 6)
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
-    info = HypothesisClassInfo(gap_t.feature_dim)
-    d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity, info)
+    d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity)
     target, target_risks = _oracle_target(config, rng_seed, align_map, normalize)
     if normalize:
         _, eps_star = fit_plain(target, cfg.big_m)
@@ -423,8 +402,8 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
         lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
     model = NO_NOISE if config.noise.model is None else config.noise.model
     inputs = BoundInputs(
-        alpha=cfg.alpha, beta=cfg.beta, m=config.m_train, d=info.vc_dimension,
-        delta=config.delta, big_m=cfg.big_m,
+        alpha=cfg.alpha, beta=cfg.beta, m=config.m_train,
+        d=vc_dimension(gap_t.feature_dim), delta=config.delta, big_m=cfg.big_m,
         rho_neg=model.rho_neg, rho_pos=model.rho_pos,
         h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
     )

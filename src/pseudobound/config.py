@@ -30,19 +30,6 @@ _FILTER_MODES = (FILTER_NONE, OFFLINE, OFFLINE_PLUS_ONLINE)
 SYNTHETIC = "synthetic"
 FROM_CLUSTERING = "from_clustering"
 
-__all__ = [
-    "OFFLINE",
-    "OFFLINE_PLUS_ONLINE",
-    "FILTER_NONE",
-    "SYNTHETIC",
-    "FROM_CLUSTERING",
-    "Toggles",
-    "NoiseMode",
-    "ExperimentConfig",
-    "default_experiment_config",
-    "default_toggle_grid",
-]
-
 
 @dataclass(frozen=True)
 class Toggles(Serializable):

@@ -28,21 +28,12 @@ from .errors import (
     NumericError,
 )
 from .noise import zero_m_costs
-from .stumps import HypothesisClassInfo, StumpHypothesis, erm
+from .stumps import StumpHypothesis, erm
 
 MEDIAN_HEURISTIC = "median"
 _MIN_BLOCK_ROWS = 8          # fewest grid rows in an XOR sweep block
 _GROUP_CELLS = 1 << 17       # int64 cells of one XOR block group (1 MB)
 _CACHED_TRIANGLE_N = 1024   # largest n whose upper-triangle pairs are cached
-
-__all__ = [
-    "MEDIAN_HEURISTIC",
-    "h_delta_h_distance",
-    "ideal_joint",
-    "median_heuristic_bandwidth",
-    "mmd_squared",
-    "align_moments",
-]
 
 
 def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
@@ -194,8 +185,8 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
     return max(hi, -lo)
 
 
-def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
-                       class_info: HypothesisClassInfo) -> float:
+def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
+                       ) -> float:
     """Empirical stump-class distance 2 sup |Pr_S[h != h'] - Pr_T[h != h']|.
 
     Candidate thresholds are midpoints of consecutive distinct pooled values
@@ -211,8 +202,6 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray,
         raise EmptyInputError("h_delta_h_distance needs nonempty feature sets")
     if sf.ndim != 2 or tf.ndim != 2 or sf.shape[1] != tf.shape[1]:
         raise ConfigurationError("feature sets must be (n, q) with equal q")
-    if sf.shape[1] != class_info.feature_dim:
-        raise ConfigurationError("feature sets do not match class_info.feature_dim")
     if not (np.isfinite(sf).all() and np.isfinite(tf).all()):
         raise ConfigurationError("h_delta_h_distance inputs must be finite")
     best = _h_delta_h_best(sf, tf)

@@ -181,7 +181,8 @@ class AffineMap(Serializable):
                 and np.array_equal(self.offset, other.offset))
 
     def __hash__(self):
-        return hash((self.matrix.tobytes(), self.offset.tobytes()))
+        # + 0.0 maps -0.0 to +0.0, which array_equal in __eq__ calls equal.
+        return hash(((self.matrix + 0.0).tobytes(), (self.offset + 0.0).tobytes()))
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
@@ -247,7 +248,7 @@ class DomainSpec(Serializable):
 
     def __hash__(self):
         return hash((self.num_identities, self.feature_dim,
-                     self.identity_centers.tobytes(),
+                     (self.identity_centers + 0.0).tobytes(),
                      self.within_identity_stddev, self.domain_transform,
                      self.seed))
 

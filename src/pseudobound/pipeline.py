@@ -57,16 +57,6 @@ from .risk import fit_source_guided, fit_target_corrected
 from .serial import Serializable
 from .stumps import StumpHypothesis
 
-__all__ = [
-    "PipelineModel",
-    "IterationRecord",
-    "ExperimentResult",
-    "run_self_learning",
-    "AblationCell",
-    "AblationTable",
-    "run_ablation",
-]
-
 _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
 _ORACLE_MEMO_SIZE = 256  # oracle estimates kept per process; ablate needs 80
 _ORACLE_FIELDS = ("source", "target", "strategy", "risk", "noise", "delta",

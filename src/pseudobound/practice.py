@@ -34,25 +34,6 @@ THRESHOLDED_LOGISTIC = "thresholded_logistic"
 MAE = "mae"
 _LOSS_KINDS = (LOGISTIC, THRESHOLDED_LOGISTIC, MAE)
 
-__all__ = [
-    "NOISE",
-    "LOGISTIC",
-    "THRESHOLDED_LOGISTIC",
-    "MAE",
-    "DbscanParams",
-    "dbscan",
-    "pseudo_label_from_clusters",
-    "tukey_fence",
-    "filter_top_p",
-    "FilterRule",
-    "FilterReport",
-    "LinearLearnerConfig",
-    "LinearModel",
-    "train_linear",
-    "per_sample_losses",
-    "batch_objective_and_grad",
-]
-
 
 @dataclass(frozen=True)
 class DbscanParams(Serializable):
@@ -168,25 +149,6 @@ def filter_top_p(values, p: float) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class FilterRule:
-    """Which per-epoch loss filter to apply: none or tukey."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("none", "tukey"):
-            raise ConfigurationError(f"unknown filter kind {self.kind!r}")
-
-    @staticmethod
-    def none() -> "FilterRule":
-        return FilterRule("none")
-
-    @staticmethod
-    def tukey() -> "FilterRule":
-        return FilterRule("tukey")
-
-
 @dataclass
 class FilterReport(Serializable):
     """Outcome of loss-based filtering on one training set."""
@@ -283,15 +245,16 @@ def batch_objective_and_grad(feats, labels, weights, bias, cfg: LinearLearnerCon
 
 
 def train_linear(pairs: PairSet, cfg: LinearLearnerConfig,
-                 filter_rule: FilterRule = FilterRule("none"), rng_seed: int = 0
+                 tukey_filter: bool = False, rng_seed: int = 0
                  ) -> tuple[LinearModel, list, FilterReport]:
     """Full-batch gradient descent on similarity features.
 
-    Labels are pseudo-labels when present, true labels otherwise.  With a
-    filter rule, each epoch recomputes per-sample raw losses, masks the
-    flagged samples out of the gradient, and (THRESHOLDED_LOGISTIC) clamps
-    retained losses at that epoch's Tukey fence.  Returns the model, the
-    per-epoch objective trace, and a FilterReport for the final epoch.
+    Labels are pseudo-labels when present, true labels otherwise.  Each
+    epoch recomputes per-sample raw losses; tukey_filter masks the samples
+    above that epoch's Tukey fence out of the gradient, and
+    THRESHOLDED_LOGISTIC clamps retained losses at the fence either way.
+    Returns the model, the per-epoch objective trace, and a FilterReport for
+    the final epoch.
     """
     if len(pairs) == 0:
         raise EmptyInputError("train_linear needs at least one pair")
@@ -304,15 +267,12 @@ def train_linear(pairs: PairSet, cfg: LinearLearnerConfig,
     report = FilterReport(kept=len(pairs), dropped=0, fence=None)
     fence = None
     include = np.ones(len(pairs), bool)
-    needs_fence = cfg.loss_kind == THRESHOLDED_LOGISTIC or filter_rule.kind == "tukey"
+    needs_fence = cfg.loss_kind == THRESHOLDED_LOGISTIC or tukey_filter
     for epoch in range(cfg.epochs):
         raw = per_sample_losses(y * (x @ w + b), cfg.loss_kind)
         if needs_fence:
             fence, _ = tukey_fence(raw)
-        if filter_rule.kind == "tukey":
-            mask = raw > fence
-        else:
-            mask = np.zeros(len(raw), bool)
+        mask = raw > fence if tukey_filter else np.zeros(len(raw), bool)
         include = ~mask
         obj, gw, gb = batch_objective_and_grad(x, y, w, b, cfg, include, fence)
         if not (np.isfinite(obj) and np.isfinite(gw).all() and np.isfinite(gb)):

@@ -22,20 +22,6 @@ from .noise import NoiseModel, corrected_costs, zero_m_costs
 from .serial import Serializable
 from .stumps import StumpHypothesis, erm
 
-__all__ = [
-    "RiskConfig",
-    "empirical_risk_true",
-    "corrected_empirical_risk_target",
-    "source_guided_risk",
-    "empirical_disagreement",
-    "expected_risk",
-    "exact_risks",
-    "min_exact_risk",
-    "fit_plain",
-    "fit_target_corrected",
-    "fit_source_guided",
-]
-
 
 @dataclass(frozen=True)
 class RiskConfig(Serializable):
@@ -50,8 +36,9 @@ class RiskConfig(Serializable):
     beta: float = 0.5
 
     def __post_init__(self):
-        if not self.big_m > 0:
-            raise ConfigurationError(f"big_m must be positive, got {self.big_m}")
+        if not (self.big_m > 0 and math.isfinite(self.big_m)):
+            raise ConfigurationError(
+                f"big_m must be positive and finite, got {self.big_m}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -111,7 +98,9 @@ def expected_risk(hypothesis, spec: DomainSpec, strategy: PairStrategy,
     Draws oracle_n fresh i.i.d. pairs from the domain's pair process; the
     estimate is exact given the draw (M * miss count / n), the standard
     error is the ddof=1 binomial one.  Deterministic in (spec.seed,
-    rng_seed), so two calls with equal arguments agree bit-for-bit.
+    rng_seed), so two calls with equal arguments agree bit-for-bit.  No
+    package path calls it; it stays because ``perfbench/spans.py`` traces it
+    by name, sizing each call by ``oracle_n``.
     """
     if oracle_n < 10_000:
         raise ConfigurationError(f"oracle_n must be at least 10000, got {oracle_n}")

@@ -56,20 +56,11 @@ class StumpHypothesis(Serializable):
         return StumpHypothesis(self.coordinate, self.threshold, -self.sign)
 
 
-@dataclass(frozen=True)
-class HypothesisClassInfo:
-    """Stump class over q coordinates and its VC dimension."""
-
-    feature_dim: int
-
-    def __post_init__(self):
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be >= 1")
-
-    @property
-    def vc_dimension(self) -> int:
-        q = self.feature_dim
-        return 2 if q == 1 else int(math.floor(math.log2(q))) + 2
+def vc_dimension(feature_dim: int) -> int:
+    """VC dimension of the stump class over feature_dim coordinates."""
+    if feature_dim < 1:
+        raise ConfigurationError("feature_dim must be >= 1")
+    return 2 if feature_dim == 1 else int(math.floor(math.log2(feature_dim))) + 2
 
 
 def erm(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray

@@ -107,8 +107,7 @@ def test_criterion_04_disagreement_gap_dominated_exactly(report):
     _, src = pb.draw_pair_process(cfg.source, cfg.strategy, 256, pb.derive_seed(4, 1))
     _, tgt = pb.draw_pair_process(cfg.target, cfg.strategy, 256,
                                   pb.derive_seed(4, 2))
-    info = pb.HypothesisClassInfo(src.feature_dim)
-    d_hat = pb.h_delta_h_distance(src.similarity, tgt.similarity, info)
+    d_hat = pb.h_delta_h_distance(src.similarity, tgt.similarity)
     rhs = 0.5 * big_m * d_hat
     violations = 0
     worst_slack = math.inf

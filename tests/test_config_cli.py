@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -271,14 +272,16 @@ def test_cli_ablate_with_grid_file(tmp_path):
     assert all(r[4] == "1" and r[5] == "0" for r in rows[1:])
 
 
+BOUND_INPUTS = {
+    "alpha": 0.5, "beta": 0.5, "m": 1000, "d": 2, "delta": 0.1,
+    "big_m": 1.0, "rho_neg": 0.1, "rho_pos": 0.1, "h_delta_h": 0.2,
+    "ideal_joint_error": 0.05, "epsilon_t_star": 0.0,
+}
+
+
 def test_cli_bound_prints_report(tmp_path, capsys):
-    inputs = {
-        "alpha": 0.5, "beta": 0.5, "m": 1000, "d": 2, "delta": 0.1,
-        "big_m": 1.0, "rho_neg": 0.1, "rho_pos": 0.1, "h_delta_h": 0.2,
-        "ideal_joint_error": 0.05, "epsilon_t_star": 0.0,
-    }
     path = tmp_path / "inputs.json"
-    path.write_text(json.dumps(inputs))
+    path.write_text(json.dumps(BOUND_INPUTS))
     code = main(["bound", "--inputs", str(path)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -286,18 +289,26 @@ def test_cli_bound_prints_report(tmp_path, capsys):
 
 
 def test_cli_bound_rejects_risks_outside_their_range(tmp_path, capsys):
-    inputs = {
-        "alpha": 0.5, "beta": 0.5, "m": 1000, "d": 2, "delta": 0.1,
-        "big_m": 1.0, "rho_neg": 0.1, "rho_pos": 0.1, "h_delta_h": 0.2,
-        "ideal_joint_error": 0.05, "epsilon_t_star": 0.0,
-    }
     path = tmp_path / "inputs.json"
     for key, value in (("epsilon_t_star", -3.0), ("ideal_joint_error", 2.5)):
-        path.write_text(json.dumps({**inputs, key: value}))
+        path.write_text(json.dumps({**BOUND_INPUTS, key: value}))
         assert main(["bound", "--inputs", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("pseudobound: error: ConfigurationError: ")
         assert key in err
+
+
+def test_cli_bound_rejects_an_infinite_big_m(tmp_path, capsys):
+    """At alpha = 1 an infinite M made dd_term 0 * inf, a NaN rhs."""
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({**BOUND_INPUTS, "alpha": 1.0, "big_m": math.inf}))
+    assert "Infinity" in path.read_text()
+    assert main(["bound", "--inputs", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: ")
+    assert "big_m must be positive and finite" in err
+    with pytest.raises(pb.ConfigurationError, match="finite"):
+        pb.RiskConfig(big_m=math.inf)
 
 
 def _readme_blocks(lang):

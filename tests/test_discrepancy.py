@@ -11,13 +11,10 @@ import pseudobound.discrepancy as discrepancy
 from pseudobound.discrepancy import _block_rows, _exact_sum, _h_delta_h_best
 
 
-INFO2 = pb.HypothesisClassInfo(2)
-
-
 def test_h_delta_h_identical_sets_zero():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 2))
-    assert pb.h_delta_h_distance(x, x.copy(), INFO2) == 0.0
+    assert pb.h_delta_h_distance(x, x.copy()) == 0.0
 
 
 def test_h_delta_h_separated_1d_example():
@@ -25,7 +22,7 @@ def test_h_delta_h_separated_1d_example():
     # (0.5, 10.5), capturing all of one set and none of the other
     src = np.array([[0.0], [1.0]])
     tgt = np.array([[10.0], [11.0]])
-    d = pb.h_delta_h_distance(src, tgt, pb.HypothesisClassInfo(1))
+    d = pb.h_delta_h_distance(src, tgt)
     assert d == 2.0
 
 
@@ -34,8 +31,8 @@ def test_h_delta_h_in_range_and_symmetric():
     for _ in range(10):
         a = rng.standard_normal((15, 2))
         b = rng.standard_normal((10, 2)) + rng.uniform(-1, 1)
-        d_ab = pb.h_delta_h_distance(a, b, INFO2)
-        d_ba = pb.h_delta_h_distance(b, a, INFO2)
+        d_ab = pb.h_delta_h_distance(a, b)
+        d_ba = pb.h_delta_h_distance(b, a)
         assert 0.0 <= d_ab <= 2.0
         assert d_ab == d_ba
 
@@ -52,7 +49,7 @@ def test_h_delta_h_matches_pair_enumeration_oracle():
             # shared values stress the distinct-cut handling
             a = np.round(a, 1)
             b = np.round(b, 1)
-        d_fast = pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(q))
+        d_fast = pb.h_delta_h_distance(a, b)
         assert d_fast == h_delta_h_oracle(a, b)
 
 
@@ -195,7 +192,7 @@ def test_h_delta_h_memory_at_gap_size():
     b = rng.standard_normal((1024, 4)) + 0.3
     tracemalloc.start()
     try:
-        pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(4))
+        pb.h_delta_h_distance(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,7 +206,7 @@ def test_h_delta_h_memory_stays_linear():
     b = rng.standard_normal((2048, 4)) + 0.3
     tracemalloc.start()
     try:
-        pb.h_delta_h_distance(a, b, pb.HypothesisClassInfo(4))
+        pb.h_delta_h_distance(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,18 +215,16 @@ def test_h_delta_h_memory_stays_linear():
 
 def test_h_delta_h_validation():
     with pytest.raises(pb.EmptyInputError):
-        pb.h_delta_h_distance(np.zeros((0, 2)), np.zeros((3, 2)), INFO2)
+        pb.h_delta_h_distance(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(pb.ConfigurationError):
-        pb.h_delta_h_distance(np.zeros((3, 2)), np.zeros((3, 3)), INFO2)
-    with pytest.raises(pb.ConfigurationError):
-        pb.h_delta_h_distance(np.zeros((3, 3)), np.zeros((3, 3)), INFO2)
+        pb.h_delta_h_distance(np.zeros((3, 2)), np.zeros((3, 3)))
     for bad in (np.nan, np.inf):
         feats = np.zeros((3, 2))
         feats[1, 0] = bad
         with pytest.raises(pb.ConfigurationError, match="finite"):
-            pb.h_delta_h_distance(feats, np.zeros((3, 2)), INFO2)
+            pb.h_delta_h_distance(feats, np.zeros((3, 2)))
         with pytest.raises(pb.ConfigurationError, match="finite"):
-            pb.h_delta_h_distance(np.zeros((3, 2)), feats, INFO2)
+            pb.h_delta_h_distance(np.zeros((3, 2)), feats)
 
 
 def pair_set(feats, labels):

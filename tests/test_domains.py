@@ -164,6 +164,23 @@ def test_affine_map_round_trip_and_identity():
     assert not amap.is_identity()
 
 
+def _negate_zeros(a):
+    return np.where(a == 0, -0.0, a)
+
+
+def test_signed_zeros_hash_like_the_equal_values():
+    """__eq__ uses array_equal, which calls -0.0 and +0.0 equal, so the
+    hashes of a map or spec must not see the sign of a zero."""
+    plus = pb.AffineMap.identity(2)
+    minus = pb.AffineMap(_negate_zeros(plus.matrix), _negate_zeros(plus.offset))
+    assert plus.offset.tobytes() != minus.offset.tobytes()
+    assert plus == minus and hash(plus) == hash(minus)
+    spec = small_spec()
+    signed = pb.DomainSpec(3, 2, _negate_zeros(spec.identity_centers), 0.25,
+                           minus, 7)
+    assert spec == signed and hash(spec) == hash(signed)
+
+
 def test_domain_spec_json_round_trip():
     spec = small_spec()
     text = json.dumps(spec.to_dict())

@@ -361,6 +361,24 @@ def test_oracle_memo_stays_within_its_bound(monkeypatch):
     assert [k[1] for k in pipeline._oracle_memo] == [2, 3]   # oldest dropped
 
 
+def test_oracle_memo_keys_ignore_the_sign_of_zeros():
+    cfg, seed = _small_practice(), 44
+    src = cfg.source
+    signed = replace(cfg, source=replace(
+        src, identity_centers=np.where(src.identity_centers == 0, -0.0,
+                                       src.identity_centers),
+        domain_transform=pb.AffineMap(src.domain_transform.matrix,
+                                      -src.domain_transform.offset)))
+    plus = pb.AffineMap.identity(src.feature_dim)
+    minus = pb.AffineMap(plus.matrix, -plus.offset)
+    assert signed.source.identity_centers.tobytes() != src.identity_centers.tobytes()
+    pipeline._oracle_memo.clear()
+    first, _ = pipeline._oracle_side(cfg, seed, plus, False)
+    second, _ = pipeline._oracle_side(signed, seed, minus, False)
+    assert len(pipeline._oracle_memo) == 1
+    assert first == second
+
+
 def test_validate_theorem_never_reads_the_memo():
     cfg = pb.default_experiment_config("noisy")
     fresh = oracle_bound_inputs(cfg, 3)[0]

@@ -184,13 +184,6 @@ def test_filter_top_p_matches_sort_oracle():
     assert set(np.flatnonzero(mask)) == set(worst.tolist())
 
 
-def test_filter_rule_validation():
-    pb.FilterRule.none()
-    pb.FilterRule.tukey()
-    with pytest.raises(pb.ConfigurationError):
-        pb.FilterRule("bogus")
-
-
 def test_per_sample_losses_shapes_and_ranges():
     margins = np.linspace(-3, 3, 7)
     logistic = pb.per_sample_losses(margins, pb.LOGISTIC)
@@ -287,7 +280,7 @@ def test_train_linear_planted_outlier_is_dropped_early():
     planted = pb.PairSet(sim, labels)
     cfg = pb.LinearLearnerConfig(loss_kind=pb.LOGISTIC, learning_rate=1.0,
                                  epochs=30)
-    model, _, report = pb.train_linear(planted, cfg, pb.FilterRule.tukey(),
+    model, _, report = pb.train_linear(planted, cfg, tukey_filter=True,
                                        rng_seed=1)
     # bulk margins sharpen within a few epochs, pushing the plant's loss
     # above the fence; from then on it stays excluded
@@ -342,7 +335,7 @@ def test_train_linear_filter_report_rates():
     noisy = pb.corrupt_labels(pairs, pb.NoiseModel(0.1, 0.2), 4)
     cfg = pb.LinearLearnerConfig(loss_kind=pb.LOGISTIC, epochs=120,
                                  learning_rate=0.5)
-    _, _, report = pb.train_linear(noisy, cfg, pb.FilterRule.tukey(), rng_seed=0)
+    _, _, report = pb.train_linear(noisy, cfg, tukey_filter=True, rng_seed=0)
     before = report.estimated_rho_before
     after = report.estimated_rho_after
     assert after.rho_neg + after.rho_pos < before.rho_neg + before.rho_pos

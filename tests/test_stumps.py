@@ -43,11 +43,13 @@ def test_stump_validation_and_round_trip():
 
 
 def test_vc_dimension():
-    assert pb.HypothesisClassInfo(1).vc_dimension == 2
-    assert pb.HypothesisClassInfo(2).vc_dimension == 3
-    assert pb.HypothesisClassInfo(4).vc_dimension == 4
-    assert pb.HypothesisClassInfo(7).vc_dimension == 4
-    assert pb.HypothesisClassInfo(8).vc_dimension == 5
+    assert pb.vc_dimension(1) == 2
+    assert pb.vc_dimension(2) == 3
+    assert pb.vc_dimension(4) == 4
+    assert pb.vc_dimension(7) == 4
+    assert pb.vc_dimension(8) == 5
+    with pytest.raises(pb.ConfigurationError):
+        pb.vc_dimension(0)
 
 
 def test_erm_realizable_1d():
