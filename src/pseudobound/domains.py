@@ -231,6 +231,9 @@ class DomainSpec(Serializable):
             raise ConfigurationError("domain_transform matrix must be square of side q")
         if self.domain_transform.offset.shape != (q,):
             raise ConfigurationError("domain_transform offset must have length q")
+        if not (np.isfinite(self.domain_transform.matrix).all()
+                and np.isfinite(self.domain_transform.offset).all()):
+            raise ConfigurationError("domain_transform must be finite")
         if int(self.seed) < 0:
             raise ConfigurationError("seed must be a non-negative integer")
 

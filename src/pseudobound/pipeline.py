@@ -58,10 +58,16 @@ from .serial import Serializable
 from .stumps import StumpHypothesis
 
 _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
-_ORACLE_MEMO_SIZE = 256  # oracle estimates kept per process; ablate needs 80
+# Oracle estimates kept per process: one per trial seed and member map, so
+# trial-major ablate needs 4 at a time and criterion 11 (setting-major) 60.
+_ORACLE_MEMO_SIZE = 256
 _ORACLE_FIELDS = ("source", "target", "strategy", "risk", "noise", "delta",
                   "m_train", "oracle_pairs", "discrepancy_sample")
 _oracle_memo: dict[tuple, BoundInputs] = {}
+# MMD^2 values kept per process; one trial of the 16-cell grid on
+# practice.json scores 62 distinct input pairs.
+_MMD_MEMO_SIZE = 256
+_mmd_memo: dict[tuple, float] = {}
 
 
 @dataclass(frozen=True)
@@ -166,21 +172,52 @@ def _oracle_key(config: ExperimentConfig, seed: int, align_map, normalize) -> tu
             normalize)
 
 
+def _remember(memo: dict, size: int, key, value):
+    """Store ``value`` under ``key`` and return it; a memo already holding
+    ``size`` entries first drops its oldest (insertion order)."""
+    if len(memo) >= size:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def _oracle_side(config: ExperimentConfig, seed: int, align_map, normalize
                  ) -> tuple[BoundInputs, RiskScorer]:
     """``oracle_bound_inputs``, reusing the scalar inputs an earlier run
     with the same key estimated; a hit rebuilds only the target risk scorer,
     which redraws the target oracle pairs (sub-seed 4) only under unit
-    normalization.  Beyond its bound the memo drops its oldest entry."""
+    normalization."""
     key = _oracle_key(config, seed, align_map, normalize)
     if key in _oracle_memo:
         return _oracle_memo[key], _oracle_target(config, seed, align_map,
                                                  normalize)[1]
     inputs, target_risks = oracle_bound_inputs(config, seed, align_map, normalize)
-    if len(_oracle_memo) >= _ORACLE_MEMO_SIZE:
-        del _oracle_memo[next(iter(_oracle_memo))]
-    _oracle_memo[key] = inputs
+    _remember(_oracle_memo, _ORACLE_MEMO_SIZE, key, inputs)
     return inputs, target_risks
+
+
+def _content_key(feats: np.ndarray) -> bytes:
+    """sha256 of an array's shape and float64 bytes, which are all that
+    ``mmd_squared`` reads of it."""
+    a = np.ascontiguousarray(feats, dtype=np.float64)
+    digest = hashlib.sha256(str(a.shape).encode())
+    digest.update(a)
+    return digest.digest()
+
+
+def _mmd(x_feats: np.ndarray, y_feats: np.ndarray) -> float:
+    """``mmd_squared`` at the median bandwidth, reusing the value of an
+    earlier call on the same content; a raised error stores nothing.
+    The memo holds the values of one binding of ``mmd_squared``: after a
+    rebinding (a tracing wrapper, a test double) its first miss empties it,
+    so the new binding sees every call a cold run makes."""
+    key = (mmd_squared, _content_key(x_feats), _content_key(y_feats))
+    if key in _mmd_memo:
+        return _mmd_memo[key]
+    value = mmd_squared(x_feats, y_feats)
+    if _mmd_memo and next(iter(_mmd_memo))[0] is not mmd_squared:
+        _mmd_memo.clear()
+    return _remember(_mmd_memo, _MMD_MEMO_SIZE, key, value)
 
 
 def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
@@ -199,6 +236,10 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     iteration.  The oracle inputs depend only on the seed and the member
     maps, so runs in one process share them (``_oracle_side``): 12 of the 16
     cells of a seed in ``ablate`` hit, 40 % of criterion 11, none in one run.
+    The practice MMD diagnostics share a content-keyed memo (``_mmd``):
+    cells of one trial seed share pools and pairs, so ``ablate`` on
+    practice.json computes 1 240 of its 3 120 MMD values and reuses the
+    rest, criterion 11 computes 680 of 920, one run all of its own.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -214,8 +255,8 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         mmd_sample = (None, None)
         if toggles.domain_alignment:
             aligned_pool, align_map = align_moments(source_pool, target_pool)
-            mmd_sample = (mmd_squared(source_pool.features, target_pool.features),
-                          mmd_squared(source_pool.features, aligned_pool.features))
+            mmd_sample = (_mmd(source_pool.features, target_pool.features),
+                          _mmd(source_pool.features, aligned_pool.features))
         normalize = toggles.bounded_loss
         sim_pool = target_pool.replace_features(
             map_members(aligned_pool.features, normalize=normalize))
@@ -293,17 +334,14 @@ def _subsample(pairs: PairSet, config: ExperimentConfig, iteration: int
 def _log_similarity_mmd(record, source_pairs, target_pairs, target_pool):
     """MMD^2 between source and target pair similarity features, before
     (raw target features) and after the run's alignment/normalization;
-    without member maps the two inputs are equal and the value is reused."""
-    cap_s = min(len(source_pairs), _MMD_CAP)
+    without member maps the two inputs are equal and the memo hits."""
+    src_sim = source_pairs.similarity[:min(len(source_pairs), _MMD_CAP)]
     cap_t = min(len(target_pairs), _MMD_CAP)
     raw_sim = similarity_from_members(target_pool.features,
                                       target_pairs.member_indices[:cap_t])
     try:
-        record.mmd_sim_before = mmd_squared(source_pairs.similarity[:cap_s],
-                                            raw_sim)
-        sim = target_pairs.similarity[:cap_t]
-        record.mmd_sim_after = (record.mmd_sim_before if np.array_equal(sim, raw_sim)
-                                else mmd_squared(source_pairs.similarity[:cap_s], sim))
+        record.mmd_sim_before = _mmd(src_sim, raw_sim)
+        record.mmd_sim_after = _mmd(src_sim, target_pairs.similarity[:cap_t])
     except PseudoboundError:
         pass  # degenerate bandwidth on a collapsed draw; leave unlogged
 
@@ -332,23 +370,27 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
     """Run every toggle combination with shared per-trial master seeds.
 
     Trial t of every cell reuses the same derived seed, so pools and draws
-    are identical across cells and comparisons are paired.  A failing run
-    marks its cell instead of aborting the table.
+    are identical across cells and comparisons are paired.  Runs go trial-
+    major (every cell of trial 0, then of trial 1, ...), so the runs sharing
+    a seed meet the oracle and MMD memos back to back; each cell still lists
+    its results and failures in trial order.  A failing run marks its cell
+    instead of aborting the table.
     """
     grid = list(toggle_grid)
     if not grid:
         raise EmptyInputError("toggle grid must be nonempty")
     trial_seeds = [derive_seed(base.master_seed, 30, t)
                    for t in range(base.trials)]
-    cells = []
-    for toggles in grid:
-        finals, failures = [], []
-        for t, s in enumerate(trial_seeds):
+    finals = [[] for _ in grid]
+    failures = [[] for _ in grid]
+    for t, s in enumerate(trial_seeds):
+        for i, toggles in enumerate(grid):
             cfg = replace(base, toggles=toggles, master_seed=s)
             try:
-                finals.append(run_self_learning(cfg).final_risk)
+                finals[i].append(run_self_learning(cfg).final_risk)
             except PseudoboundError as err:
-                failures.append({"trial": t, "error": str(err)})
-        mean = float(np.mean(finals)) if finals else None
-        cells.append(AblationCell(toggles, finals, failures, mean))
-    return AblationTable(cells, trial_seeds)
+                failures[i].append({"trial": t, "error": str(err)})
+    return AblationTable(
+        [AblationCell(toggles, f, fails, float(np.mean(f)) if f else None)
+         for toggles, f, fails in zip(grid, finals, failures)],
+        trial_seeds)

@@ -86,6 +86,23 @@ def test_config_validation():
         replace(base, source=narrow)
 
 
+@pytest.mark.parametrize("part, index", [("offset", (0,)), ("offset", (3,)),
+                                         ("matrix", (1, 2))])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_domain_transform(part, index, bad):
+    """A NaN entry would make the spec unequal to itself, so the oracle
+    memo could never hit, and give draws NaN similarity columns."""
+    d = pb.default_experiment_config("clean").to_dict()
+    transform = d["target"]["domain_transform"]
+    entries = np.array(transform[part])
+    entries[index] = bad
+    transform[part] = entries.tolist()
+    with pytest.raises(pb.ConfigurationError, match="domain_transform must be finite"):
+        pb.ExperimentConfig.from_dict(d)
+    with pytest.raises(pb.ConfigurationError, match="domain_transform must be finite"):
+        pb.ExperimentConfig.from_json(json.dumps(d))
+
+
 def test_noise_mode_constraints():
     with pytest.raises(pb.ConfigurationError):
         pb.NoiseMode(pb.SYNTHETIC)  # needs rates

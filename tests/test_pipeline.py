@@ -271,6 +271,47 @@ def test_ablation_marks_failures_instead_of_aborting():
     assert cell.mean_final_risk is None
 
 
+def test_ablation_runs_trial_major_and_matches_a_cell_major_loop(monkeypatch):
+    """Trial-major order changes neither the table nor any cell's trial
+    order, failures included, against a cell-major loop of direct runs."""
+    base = replace(pb.default_experiment_config("practice"), trials=2)
+    grid = [pb.Toggles(), pb.Toggles.all_off(), synthetic_guided_toggles()]
+    failing = grid[1]
+    real = pipeline.run_self_learning
+    order = []
+
+    def run(cfg):
+        order.append((cfg.master_seed, cfg.toggles))
+        if cfg.toggles == failing:
+            raise pb.PipelineError(f"seed {cfg.master_seed} fails")
+        return real(cfg)
+
+    monkeypatch.setattr(pipeline, "run_self_learning", run)
+    pipeline._oracle_memo.clear()
+    pipeline._mmd_memo.clear()
+    table = pb.run_ablation(base, grid)
+    seeds = table.trial_seeds
+    assert order == [(s, toggles) for s in seeds for toggles in grid]
+
+    pipeline._oracle_memo.clear()
+    pipeline._mmd_memo.clear()
+    cells = []
+    for toggles in grid:
+        finals, failures = [], []
+        for t, s in enumerate(seeds):
+            try:
+                finals.append(run(replace(base, toggles=toggles,
+                                          master_seed=s)).final_risk)
+            except pb.PseudoboundError as err:
+                failures.append({"trial": t, "error": str(err)})
+        cells.append(pb.AblationCell(toggles, finals, failures,
+                                     float(np.mean(finals)) if finals else None))
+    assert table.to_dict() == pb.AblationTable(cells, seeds).to_dict()
+    assert table.cell(failing).failures == [
+        {"trial": t, "error": f"seed {s} fails"} for t, s in enumerate(seeds)]
+    assert all(len(table.cell(tog).final_risks) == 2 for tog in grid[::2])
+
+
 def test_ablation_rejects_empty_grid():
     base = replace(pb.default_experiment_config("noisy"), trials=1)
     with pytest.raises(pb.EmptyInputError):
@@ -293,12 +334,17 @@ def _small_practice():
                    oracle_pairs=10_000, discrepancy_sample=32)
 
 
-def _practice_align_map(cfg, seed):
-    target = pb.generate_domain(cfg.target, cfg.n_target_samples,
-                                pb.derive_seed(seed, 20))
+def _practice_pools(cfg, seed):
+    """The (source, target) sample pools of a practice run."""
     source = pb.generate_domain(cfg.source, cfg.n_source_samples,
                                 pb.derive_seed(seed, 21))
-    return pb.align_moments(source, target)[1]
+    target = pb.generate_domain(cfg.target, cfg.n_target_samples,
+                                pb.derive_seed(seed, 20))
+    return source, target
+
+
+def _practice_align_map(cfg, seed):
+    return pb.align_moments(*_practice_pools(cfg, seed))[1]
 
 
 @pytest.mark.parametrize("use_map, normalize",
@@ -391,6 +437,92 @@ def test_validate_theorem_never_reads_the_memo():
     assert validation.report.inputs == fresh
 
 
+def _counting_mmd(monkeypatch) -> list:
+    """Rebind the pipeline's ``mmd_squared`` to a counting wrapper and
+    empty the MMD memo; returns the list each computed call appends to."""
+    computed = []
+
+    def counted(x, y):
+        computed.append(1)
+        return pb.mmd_squared(x, y)
+
+    monkeypatch.setattr(pipeline, "mmd_squared", counted)
+    pipeline._mmd_memo.clear()
+    return computed
+
+
+@pytest.mark.parametrize("level", ["sample", "similarity"])
+def test_mmd_memo_hit_equals_a_fresh_call(monkeypatch, level):
+    source, target = _practice_pools(_small_practice(), 41)
+    x, y = source.features, target.features
+    if level == "similarity":
+        members = np.random.default_rng(3).integers(0, min(len(x), len(y)),
+                                                    (pipeline._MMD_CAP, 2))
+        x = pb.similarity_from_members(x, members)
+        y = pb.similarity_from_members(y, members[::-1])
+    fresh = pb.mmd_squared(x, y)
+    computed = _counting_mmd(monkeypatch)
+    missed = pipeline._mmd(x, y)
+    hit = pipeline._mmd(x.copy(), y.copy())     # equal content, new arrays
+    assert len(computed) == len(pipeline._mmd_memo) == 1
+    assert missed.hex() == hit.hex() == fresh.hex()
+    monkeypatch.undo()      # a new binding of mmd_squared starts cold
+    assert pipeline._mmd(x, y).hex() == fresh.hex()
+    assert len(computed) == 1 and len(pipeline._mmd_memo) == 1
+    assert next(iter(pipeline._mmd_memo))[0] is pb.mmd_squared
+
+
+def test_mmd_memo_keys_tell_shapes_apart(monkeypatch):
+    a, b = np.arange(8.0), np.arange(8.0)[::-1] ** 0.5
+    wide, tall = a.reshape(2, 4), a.reshape(4, 2)
+    assert wide.tobytes() == tall.tobytes()
+    assert pipeline._content_key(wide) != pipeline._content_key(tall)
+    # the key reads values as float64 in C order, whatever the layout
+    assert pipeline._content_key(np.asfortranarray(wide)) == pipeline._content_key(wide)
+    assert pipeline._content_key(np.arange(8).reshape(2, 4)) == pipeline._content_key(wide)
+    computed = _counting_mmd(monkeypatch)
+    first = pipeline._mmd(wide, b.reshape(2, 4))
+    second = pipeline._mmd(tall, b.reshape(4, 2))
+    assert len(computed) == len(pipeline._mmd_memo) == 2
+    assert first.hex() == pb.mmd_squared(wide, b.reshape(2, 4)).hex()
+    assert second.hex() == pb.mmd_squared(tall, b.reshape(4, 2)).hex()
+
+
+def test_mmd_memo_stays_within_its_bound(monkeypatch):
+    assert pipeline._MMD_MEMO_SIZE >= 4 * 62   # 4 trials of the 16-cell grid
+    _counting_mmd(monkeypatch)
+    monkeypatch.setattr(pipeline, "_MMD_MEMO_SIZE", 2)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((6, 2))
+    xs = [rng.standard_normal((5, 2)) for _ in range(4)]
+    for x in xs:
+        pipeline._mmd(x, y)
+        assert len(pipeline._mmd_memo) <= 2
+    kept = [pipeline._content_key(x) for x in xs[2:]]
+    assert [k[1] for k in pipeline._mmd_memo] == kept   # oldest dropped
+
+
+def test_mmd_memo_skips_a_collapsed_draw(monkeypatch):
+    """Equal members give all-zero similarities, whose median bandwidth is
+    0: the error is neither stored nor logged."""
+    feats = np.ones((6, 3))
+    members = np.array([[0, 1], [2, 3], [4, 5]])
+    pairs = pb.PairSet(pb.similarity_from_members(feats, members), [1, -1, 1],
+                       [1, -1, 1], members)
+    record = pb.IterationRecord(0, pb.StumpHypothesis(0, 0.5, 1),
+                                pb.NoiseModel(0.0, 0.0), 0.0)
+    computed = _counting_mmd(monkeypatch)
+    for _ in range(2):
+        pipeline._log_similarity_mmd(record, pairs, pairs,
+                                     pb.SampleSet(feats, np.arange(6)))
+        assert record.mmd_sim_before is None and record.mmd_sim_after is None
+        assert pipeline._mmd_memo == {}
+    assert len(computed) == 2   # each attempt computes and raises again
+    with pytest.raises(pb.ConfigurationError, match="bandwidth"):
+        pipeline._mmd(pairs.similarity, pairs.similarity)
+    assert pipeline._mmd_memo == {}
+
+
 def _canonical(result) -> str:
     d = result.to_dict()
     d.pop("wall_time")
@@ -399,7 +531,9 @@ def _canonical(result) -> str:
 
 def _practice_cells_digest() -> str:
     """sha256 of the 16 default-grid cells x 2 ablation trial seeds of the
-    practice config at two iterations, in ``run_ablation`` order."""
+    practice config at two iterations, cell-major (each cell's two trials in
+    a row), unlike ``run_ablation``'s trial-major order, so the pin also
+    checks that the memos leave results independent of run order."""
     base = replace(pb.default_experiment_config("practice"), iterations=2)
     digest = hashlib.sha256()
     for toggles in pb.default_toggle_grid():
@@ -423,5 +557,7 @@ PRACTICE_CELLS_PIN = "9864a534368b9778388573104986e151c36d1887e6e87cb7c43a7c7184
 
 def test_practice_cells_pinned_with_the_memo_cold_and_warm():
     pipeline._oracle_memo.clear()
-    assert _practice_cells_digest() == PRACTICE_CELLS_PIN   # 8 misses, 24 hits
+    pipeline._mmd_memo.clear()
+    # oracle: 8 misses, 24 hits; MMD: 52 misses, 108 hits
+    assert _practice_cells_digest() == PRACTICE_CELLS_PIN
     assert _practice_cells_digest() == PRACTICE_CELLS_PIN   # all hits
