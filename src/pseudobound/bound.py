@@ -318,23 +318,15 @@ class TheoremValidation(Serializable):
     report: BoundReport
 
 
-def _rebuild_pairs(pairs: PairSet, feats: np.ndarray) -> PairSet:
-    """The same pairs with similarities recomputed from new member features."""
-    return PairSet(
-        similarity_from_members(feats, pairs.member_indices),
-        pairs.true_labels,
-        pseudo_labels=pairs.pseudo_labels if pairs.has_pseudo else None,
-        member_indices=pairs.member_indices,
-    )
-
-
 def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
                   align_map=None, normalize: bool = False) -> PairSet:
     """n pairs drawn from spec, similarities formed after the member maps."""
     samples, pairs = draw_pair_process(spec, config.strategy, n, seed)
     if align_map is None and not normalize:
         return pairs
-    return _rebuild_pairs(pairs, map_members(samples.features, align_map, normalize))
+    feats = map_members(samples.features, align_map, normalize)
+    return PairSet(similarity_from_members(feats, pairs.member_indices),
+                   pairs.true_labels, member_indices=pairs.member_indices)
 
 
 def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,
@@ -362,27 +354,28 @@ def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,
 
 
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
+                        target: DomainSpec | PairSet,
                         align_map: AffineMap | None = None,
-                        normalize: bool = False) -> tuple[BoundInputs, RiskScorer]:
-    """The bound's oracle quantities for a configuration, and the target
-    risk scorer trials are measured with.
-
-    ``align_map`` and ``normalize`` are the member maps of the model the
-    bound speaks about (see ``map_members``); pair similarities are formed
-    after them, so eps*_T, the class distance and the joint error live in
-    the space that model sees.  m and the noise rates come from the
-    configuration (zero rates without a synthetic model); callers with their
-    own replace them.
+                        normalize: bool = False) -> BoundInputs:
+    """The bound's oracle quantities for a configuration, on ``target``:
+    the target as the bound's model sees it, which ``_oracle_target`` builds,
+    with the scorer trials are measured with, from the same seed and member
+    maps.  ``align_map`` and ``normalize`` are those maps (see
+    ``map_members``); pair similarities are formed after them, so eps*_T,
+    the class distance and the joint error live in the space that model
+    sees.  m and the noise rates come from the configuration (zero rates
+    without a synthetic model); callers with their own replace them.
+    ``run_self_learning`` reads the result through the pipeline's oracle
+    memo (``_Memo``), ``validate_theorem`` directly.
 
     Without normalization the population quantities are exact: eps*_T and
     the joint error lambda are ``min_exact_risk`` of the target (the
-    alignment map composed into its transform) and of source plus target,
-    and the scorer is ``exact_risks`` on that target.  Unit-normalized
-    members are not Gaussian, so there eps*_T is an ERM on ``oracle_pairs``
-    target pairs (sub-seed 4), lambda ``ideal_joint`` on those and as many
-    source pairs (sub-seed 5), and the scorer counts misses on the sub-seed
-    4 pairs.  The class distance is empirical on ``discrepancy_sample``
-    pairs per side either way (sub-seeds 6 target, 7 source).
+    alignment map composed into its transform) and of source plus target.
+    Unit-normalized members are not Gaussian, so there the target is
+    ``oracle_pairs`` pairs (sub-seed 4), eps*_T an ERM on them and lambda
+    ``ideal_joint`` on them and as many source pairs (sub-seed 5).  The
+    class distance is empirical on ``discrepancy_sample`` pairs per side
+    either way (sub-seeds 6 target, 7 source).
     """
     cfg = config.risk
 
@@ -392,7 +385,6 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     gap_t = draw(config.target, align_map, config.discrepancy_sample, 6)
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity)
-    target, target_risks = _oracle_target(config, rng_seed, align_map, normalize)
     if normalize:
         _, eps_star = fit_plain(target, cfg.big_m)
         oracle_s = draw(config.source, None, config.oracle_pairs, 5)
@@ -401,21 +393,21 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
         eps_star = min_exact_risk([target], config.strategy, cfg.big_m)
         lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
     model = NO_NOISE if config.noise.model is None else config.noise.model
-    inputs = BoundInputs(
+    return BoundInputs(
         alpha=cfg.alpha, beta=cfg.beta, m=config.m_train,
         d=vc_dimension(gap_t.feature_dim), delta=config.delta, big_m=cfg.big_m,
         rho_neg=model.rho_neg, rho_pos=model.rho_pos,
         h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
     )
-    return inputs, target_risks
 
 
 def validate_theorem(config: ExperimentConfig, trials: int = 500,
                      rng_seed: int = 0) -> TheoremValidation:
     """Fraction of fresh-draw trials whose achieved target risk beats the rhs.
 
-    The oracle quantities (eps*_T, class distance, joint error) come once
-    per call from ``oracle_bound_inputs``; each trial then redraws the
+    The target and its scorer come once per call from ``_oracle_target``,
+    the oracle quantities (eps*_T, class distance, joint error) from
+    ``oracle_bound_inputs`` on that target; each trial then redraws the
     training set with fresh corruption, fits the alpha-weighted exact ERM,
     and is scored with its exact population risk on the target.  The
     contract is violation_rate <= delta.  Toggles are ignored here: this
@@ -435,8 +427,8 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     cfg, model = config.risk, config.noise.model
-    inputs, target_risks = oracle_bound_inputs(config, rng_seed)
-    report = assemble_bound(inputs)
+    target, target_risks = _oracle_target(config, rng_seed)
+    report = assemble_bound(oracle_bound_inputs(config, rng_seed, target))
     seeds, stumps = [], []
     for block_seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
             config, trials, rng_seed):

@@ -28,7 +28,7 @@ from .bound import (
 )
 from .config import ExperimentConfig, Toggles, default_toggle_grid
 from .domains import derive_seed, draw_pair_process
-from .errors import PseudoboundError
+from .errors import ConfigurationError, PseudoboundError
 from .pipeline import run_ablation, run_self_learning
 from .risk import fit_plain
 from .stumps import random_stump
@@ -59,6 +59,8 @@ def _cmd_lemmas(args) -> int:
     config = ExperimentConfig.load(args.config)
     out = {}
     if args.which == 2:
+        if args.stumps < 1:
+            raise ConfigurationError(f"--stumps must be >= 1, got {args.stumps}")
         rng_stumps = [
             random_stump(derive_seed(args.seed, 91, i), config.target.feature_dim)
             for i in range(args.stumps)

@@ -295,6 +295,8 @@ class PairStrategy(Serializable):
             raise ConfigurationError(f"unknown pair strategy {self.kind!r}")
         if self.kind == "balanced" and self.k_neg_per_pos < 1:
             raise ConfigurationError("k_neg_per_pos must be >= 1")
+        if self.kind == "all" and self.k_neg_per_pos != PairStrategy.k_neg_per_pos:
+            raise ConfigurationError("an 'all' pair strategy takes no k_neg_per_pos")
 
     @staticmethod
     def all_pairs() -> "PairStrategy":

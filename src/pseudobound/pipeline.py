@@ -17,11 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bound import (
-    BoundInputs,
     BoundReport,
-    RiskScorer,
+    _mapped_pairs,
     _oracle_target,
-    _rebuild_pairs,
     _trial_pairs,
     assemble_bound,
     oracle_bound_inputs,
@@ -38,7 +36,6 @@ from .domains import (
     AffineMap,
     PairSet,
     derive_seed,
-    draw_pair_process,
     generate_domain,
     make_rng,
     map_members,
@@ -58,16 +55,35 @@ from .serial import Serializable
 from .stumps import StumpHypothesis
 
 _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
-# Oracle estimates kept per process: one per trial seed and member map, so
-# trial-major ablate needs 4 at a time and criterion 11 (setting-major) 60.
-_ORACLE_MEMO_SIZE = 256
-_ORACLE_FIELDS = ("source", "target", "strategy", "risk", "noise", "delta",
-                  "m_train", "oracle_pairs", "discrepancy_sample")
-_oracle_memo: dict[tuple, BoundInputs] = {}
-# MMD^2 values kept per process; one trial of the 16-cell grid on
-# practice.json scores 62 distinct input pairs.
-_MMD_MEMO_SIZE = 256
-_mmd_memo: dict[tuple, float] = {}
+
+
+class _Memo:
+    """``fn(*args)`` by key, for one binding of ``fn``: at most ``size``
+    values, the oldest dropped first; a raise stores and evicts nothing, and
+    a call with another binding (a tracing wrapper, a test double) first
+    empties the memo, so the new binding sees every call a cold run makes."""
+
+    # One trial of the 16-cell grid on practice.json needs 4 oracle inputs
+    # and 62 MMD values; criterion 11 (setting-major) 60 oracle inputs.
+    size = 256
+
+    def __init__(self):
+        self.fn, self.values = None, {}
+
+    def __call__(self, fn, key, *args):
+        if fn is not self.fn:
+            self.fn, self.values = fn, {}
+        if key in self.values:
+            return self.values[key]
+        value = fn(*args)
+        if len(self.values) >= self.size:
+            del self.values[next(iter(self.values))]
+        self.values[key] = value
+        return value
+
+
+# Per-process memos of the oracle bound inputs and of MMD^2 values.
+_oracle_inputs, _mmd_values = _Memo(), _Memo()
 
 
 @dataclass(frozen=True)
@@ -166,36 +182,6 @@ def _train(source_pairs, target_pairs, config: ExperimentConfig,
     return fit(kept, model), kept, rho_after, report, model
 
 
-def _oracle_key(config: ExperimentConfig, seed: int, align_map, normalize) -> tuple:
-    """The config fields oracle_bound_inputs reads, the seed, the member maps."""
-    return (tuple(getattr(config, f) for f in _ORACLE_FIELDS), seed, align_map,
-            normalize)
-
-
-def _remember(memo: dict, size: int, key, value):
-    """Store ``value`` under ``key`` and return it; a memo already holding
-    ``size`` entries first drops its oldest (insertion order)."""
-    if len(memo) >= size:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-def _oracle_side(config: ExperimentConfig, seed: int, align_map, normalize
-                 ) -> tuple[BoundInputs, RiskScorer]:
-    """``oracle_bound_inputs``, reusing the scalar inputs an earlier run
-    with the same key estimated; a hit rebuilds only the target risk scorer,
-    which redraws the target oracle pairs (sub-seed 4) only under unit
-    normalization."""
-    key = _oracle_key(config, seed, align_map, normalize)
-    if key in _oracle_memo:
-        return _oracle_memo[key], _oracle_target(config, seed, align_map,
-                                                 normalize)[1]
-    inputs, target_risks = oracle_bound_inputs(config, seed, align_map, normalize)
-    _remember(_oracle_memo, _ORACLE_MEMO_SIZE, key, inputs)
-    return inputs, target_risks
-
-
 def _content_key(feats: np.ndarray) -> bytes:
     """sha256 of an array's shape and float64 bytes, which are all that
     ``mmd_squared`` reads of it."""
@@ -206,18 +192,9 @@ def _content_key(feats: np.ndarray) -> bytes:
 
 
 def _mmd(x_feats: np.ndarray, y_feats: np.ndarray) -> float:
-    """``mmd_squared`` at the median bandwidth, reusing the value of an
-    earlier call on the same content; a raised error stores nothing.
-    The memo holds the values of one binding of ``mmd_squared``: after a
-    rebinding (a tracing wrapper, a test double) its first miss empties it,
-    so the new binding sees every call a cold run makes."""
-    key = (mmd_squared, _content_key(x_feats), _content_key(y_feats))
-    if key in _mmd_memo:
-        return _mmd_memo[key]
-    value = mmd_squared(x_feats, y_feats)
-    if _mmd_memo and next(iter(_mmd_memo))[0] is not mmd_squared:
-        _mmd_memo.clear()
-    return _remember(_mmd_memo, _MMD_MEMO_SIZE, key, value)
+    """``mmd_squared`` at the median bandwidth, memoized by content."""
+    return _mmd_values(mmd_squared, (_content_key(x_feats), _content_key(y_feats)),
+                       x_feats, y_feats)
 
 
 def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
@@ -233,13 +210,14 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     iterations), clustering re-runs every iteration on coordinate-re-weighted
     features.  Synthetic mode: clustering, alignment, and normalization are
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
-    iteration.  The oracle inputs depend only on the seed and the member
-    maps, so runs in one process share them (``_oracle_side``): 12 of the 16
-    cells of a seed in ``ablate`` hit, 40 % of criterion 11, none in one run.
-    The practice MMD diagnostics share a content-keyed memo (``_mmd``):
-    cells of one trial seed share pools and pairs, so ``ablate`` on
-    practice.json computes 1 240 of its 3 120 MMD values and reuses the
-    rest, criterion 11 computes 680 of 920, one run all of its own.
+    iteration.  The run builds its target and target risk scorer once
+    (``_oracle_target``); two per-process ``_Memo`` instances spare the rest.
+    The oracle inputs are keyed by the config at default toggles and the
+    member maps, the only way toggles reach them: 12 of the 16 cells of a
+    seed in ``ablate`` hit, 40 % of criterion 11, none in one run.  The
+    practice MMD diagnostics are keyed by input content: ``ablate`` on
+    practice.json computes 1 240 of its 3 120 MMD values, criterion 11 680
+    of 920, one run all of its own.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -260,15 +238,15 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         normalize = toggles.bounded_loss
         sim_pool = target_pool.replace_features(
             map_members(aligned_pool.features, normalize=normalize))
-        src_samples, src_raw = draw_pair_process(
-            config.source, config.strategy, config.max_target_pairs,
-            derive_seed(seed, 22))
-        source_pairs = _rebuild_pairs(
-            src_raw, map_members(src_samples.features, normalize=normalize))
+        source_pairs = _mapped_pairs(config, config.source, config.max_target_pairs,
+                                     derive_seed(seed, 22), normalize=normalize)
         weights = np.ones(config.target.feature_dim)
-    # The member maps are fixed for the run, so the deployed model's oracle
-    # quantities and target risk scorer are too.
-    inputs, target_risks = _oracle_side(config, seed, align_map, normalize)
+    # The member maps are fixed for the run, so the deployed model's target,
+    # its risk scorer and its oracle quantities are too.
+    target, target_risks = _oracle_target(config, seed, align_map, normalize)
+    inputs = _oracle_inputs(
+        oracle_bound_inputs, (replace(config, toggles=Toggles()), align_map, normalize),
+        config, seed, target, align_map, normalize)
 
     records = []
     for it in range(config.iterations):
@@ -372,7 +350,8 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
     Trial t of every cell reuses the same derived seed, so pools and draws
     are identical across cells and comparisons are paired.  Runs go trial-
     major (every cell of trial 0, then of trial 1, ...), so the runs sharing
-    a seed meet the oracle and MMD memos back to back; each cell still lists
+    a seed meet the pipeline's memos (``_Memo``: oracle inputs and MMD
+    values) back to back; each cell still lists
     its results and failures in trial order.  A failing run marks its cell
     instead of aborting the table.
     """

@@ -104,11 +104,12 @@ def test_rhs_monotonicities_on_sweeps():
 def test_oracle_inputs_are_the_exact_population_values():
     """eps*_T and lambda of the three synthetic configs, to 1e-6; clean and
     noisy share their domains, shifted's target is rescaled."""
-    from pseudobound.bound import oracle_bound_inputs
+    from pseudobound.bound import _oracle_target, oracle_bound_inputs
 
     for kind, lam in (("clean", 0.1404973), ("noisy", 0.1404973),
                       ("shifted", 0.1594816)):
-        inputs, _ = oracle_bound_inputs(pb.default_experiment_config(kind), 0)
+        cfg = pb.default_experiment_config(kind)
+        inputs = oracle_bound_inputs(cfg, 0, _oracle_target(cfg, 0)[0])
         assert inputs.epsilon_t_star == pytest.approx(0.0702487, abs=1e-6)
         assert inputs.ideal_joint_error == pytest.approx(lam, abs=1e-6)
 

@@ -254,6 +254,20 @@ def test_cli_lemmas_deviation(tmp_path):
         assert report["lhs"] <= report["rhs"]
 
 
+def test_cli_lemmas_deviation_rejects_zero_stumps(tmp_path, capsys):
+    """Zero stumps would check nothing and pass vacuously."""
+    _, cfg_path = small_noisy_config(tmp_path)
+    out = tmp_path / "lemma2.json"
+    code = main(["lemmas", "--config", cfg_path, "--which", "2",
+                 "--stumps", "0", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("pseudobound: error: ConfigurationError: ")
+    assert "--stumps" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_run(tmp_path, capsys):
     cfg, cfg_path = small_noisy_config(tmp_path, iterations=2)
     out = tmp_path / "run.json"

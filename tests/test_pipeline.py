@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from dataclasses import replace
@@ -8,7 +7,24 @@ import pytest
 
 import pseudobound as pb
 from pseudobound import pipeline
-from pseudobound.bound import oracle_bound_inputs
+from pseudobound.bound import _oracle_target, oracle_bound_inputs
+
+
+def _empty_memos():
+    for memo in (pipeline._oracle_inputs, pipeline._mmd_values):
+        memo.values.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with both pipeline memos empty."""
+    _empty_memos()
+
+
+def fresh_oracle(cfg, seed, align_map=None, normalize=False):
+    """The oracle inputs and target risk scorer, computed outside the memo."""
+    target, target_risks = _oracle_target(cfg, seed, align_map, normalize)
+    return oracle_bound_inputs(cfg, seed, target, align_map, normalize), target_risks
 
 
 def synthetic_guided_toggles(filtering=pb.FILTER_NONE):
@@ -30,7 +46,7 @@ def test_synthetic_single_iteration_equals_theorem_trial():
 def test_synthetic_run_reports_the_oracle_bound_inputs():
     cfg = pb.default_experiment_config("noisy")
     result = pb.run_self_learning(cfg)
-    assert result.final_report.inputs == oracle_bound_inputs(cfg, cfg.master_seed)[0]
+    assert result.final_report.inputs == fresh_oracle(cfg, cfg.master_seed)[0]
 
 
 # Stumps the target risk scorers are compared on: random ones, both signs
@@ -42,9 +58,8 @@ _PROBE_STUMPS = [pb.random_stump(s, 4, (-1.0, 4.0)) for s in range(40)] + [
 
 def test_identity_member_maps_leave_oracle_inputs_unchanged():
     cfg = pb.default_experiment_config("shifted")
-    plain, plain_risks = oracle_bound_inputs(cfg, 5)
-    mapped, mapped_risks = oracle_bound_inputs(cfg, 5, pb.AffineMap.identity(4),
-                                               normalize=False)
+    plain, plain_risks = fresh_oracle(cfg, 5)
+    mapped, mapped_risks = fresh_oracle(cfg, 5, pb.AffineMap.identity(4))
     assert mapped == plain
     assert mapped_risks(_PROBE_STUMPS) == plain_risks(_PROBE_STUMPS)
 
@@ -287,14 +302,11 @@ def test_ablation_runs_trial_major_and_matches_a_cell_major_loop(monkeypatch):
         return real(cfg)
 
     monkeypatch.setattr(pipeline, "run_self_learning", run)
-    pipeline._oracle_memo.clear()
-    pipeline._mmd_memo.clear()
     table = pb.run_ablation(base, grid)
     seeds = table.trial_seeds
     assert order == [(s, toggles) for s in seeds for toggles in grid]
 
-    pipeline._oracle_memo.clear()
-    pipeline._mmd_memo.clear()
+    _empty_memos()
     cells = []
     for toggles in grid:
         finals, failures = [], []
@@ -347,99 +359,121 @@ def _practice_align_map(cfg, seed):
     return pb.align_moments(*_practice_pools(cfg, seed))[1]
 
 
+def test_memo_keeps_its_bound_and_follows_its_binding(monkeypatch):
+    """At most ``size`` values, the oldest dropped first; a raise stores
+    and evicts nothing; a new binding of the function starts cold."""
+    assert pipeline._Memo.size >= 4 * 62   # 4 trials of the 16-cell grid's MMDs
+    monkeypatch.setattr(pipeline._Memo, "size", 2)
+    memo, calls = pipeline._Memo(), []
+
+    def square(x):
+        calls.append(x)
+        if x < 0:
+            raise pb.ConfigurationError("negative")
+        return x * x
+
+    for x in (1, 2, 1, 3):
+        assert memo(square, x, x) == x * x
+        assert len(memo.values) <= 2
+    assert calls == [1, 2, 3]
+    assert list(memo.values) == [2, 3]   # 1, the oldest, dropped first
+    for _ in range(2):
+        with pytest.raises(pb.ConfigurationError):
+            memo(square, -1, -1)
+    assert calls == [1, 2, 3, -1, -1] and list(memo.values) == [2, 3]
+    assert memo(square, 3, 3) == 9 and calls[-1] == -1   # still a hit
+
+    def cube(x):
+        calls.append(x)
+        return x ** 3
+
+    assert memo(cube, 3, 3) == 27 and calls[-1] == 3
+    assert list(memo.values) == [3] and memo.fn is cube
+
+
 @pytest.mark.parametrize("use_map, normalize",
                          [(False, False), (False, True), (True, False), (True, True)])
 def test_oracle_memo_hit_equals_a_fresh_estimate(use_map, normalize):
-    cfg, seed = _small_practice(), 41
-    amap = _practice_align_map(cfg, seed) if use_map else None
-    fresh, fresh_risks = oracle_bound_inputs(cfg, seed, amap, normalize)
-    pipeline._oracle_memo.clear()
-    missed, missed_risks = pipeline._oracle_side(cfg, seed, amap, normalize)
-    hit, hit_risks = pipeline._oracle_side(cfg, seed, amap, normalize)
-    assert len(pipeline._oracle_memo) == 1
-    assert missed == hit == fresh
-    expected = fresh_risks(_PROBE_STUMPS)
-    assert missed_risks(_PROBE_STUMPS) == hit_risks(_PROBE_STUMPS) == expected
+    """A warm run equals a cold one, and the memo's one entry a fresh
+    estimate under the run's member maps."""
+    cfg = replace(_small_practice(), iterations=1, master_seed=41,
+                  toggles=replace(pb.Toggles(), domain_alignment=use_map,
+                                  bounded_loss=normalize))
+    cold = _canonical(pb.run_self_learning(cfg))
+    assert _canonical(pb.run_self_learning(cfg)) == cold
+    amap = _practice_align_map(cfg, 41) if use_map else None
+    fresh = fresh_oracle(cfg, 41, amap, normalize)[0]
+    assert list(pipeline._oracle_inputs.values.values()) == [fresh]
 
 
-def test_oracle_key_covers_every_field_oracle_bound_inputs_reads():
-    """Each config field either enters the memo key or cannot change the
-    oracle estimates; a new field must be placed here before this passes."""
-    cfg, seed = _small_practice(), 43
-    amap = _practice_align_map(cfg, seed)
-    other = {
-        "source": replace(cfg.source, seed=99),
-        "target": replace(cfg.target, seed=99),
-        "strategy": pb.PairStrategy.balanced(2),
-        "risk": replace(cfg.risk, alpha=0.25),
-        "noise": pb.NoiseMode.synthetic(pb.NoiseModel(0.1, 0.2)),
-        "dbscan_params": pb.DbscanParams(0.3, 3),
-        "toggles": pb.Toggles.all_off(),
-        "iterations": 2, "trials": 3, "master_seed": 7, "delta": 0.05,
-        "m_train": 300, "n_target_samples": 50, "n_source_samples": 50,
-        "max_target_pairs": 100, "oracle_pairs": 12_000,
-        "discrepancy_sample": 48, "refine_scale": 3.0,
-    }
-    assert set(other) == {f.name for f in dataclasses.fields(pb.ExperimentConfig)}
-    key = pipeline._oracle_key(cfg, seed, amap, True)
-    assert key != pipeline._oracle_key(cfg, seed + 1, amap, True)
-    assert key != pipeline._oracle_key(cfg, seed, None, True)
-    assert key != pipeline._oracle_key(cfg, seed, amap, False)
-    base, base_risks = oracle_bound_inputs(cfg, seed, amap, True)
-    for name, value in other.items():
-        changed = replace(cfg, **{name: value})
-        if name in pipeline._ORACLE_FIELDS:
-            assert pipeline._oracle_key(changed, seed, amap, True) != key, name
-        else:
-            inputs, risks = oracle_bound_inputs(changed, seed, amap, True)
-            assert inputs == base, name
-            assert risks(_PROBE_STUMPS) == base_risks(_PROBE_STUMPS), name
+def test_configs_differing_only_in_toggles_share_one_oracle_entry():
+    """Toggles reach the oracle only through the member maps: runs whose
+    maps agree share one entry, equal to a fresh estimate with any toggles;
+    each other pair of maps adds its own."""
+    cfg = replace(_small_practice(), iterations=1, master_seed=42)
+    amap = _practice_align_map(cfg, 42)
+    full = pb.Toggles()
+    for toggles in (full, replace(full, source_guided=False),
+                    replace(full, outlier_filtering=pb.FILTER_NONE)):
+        pb.run_self_learning(replace(cfg, toggles=toggles))
+    fresh = fresh_oracle(cfg, 42, amap, True)[0]
+    assert list(pipeline._oracle_inputs.values.values()) == [fresh]
+    off = replace(cfg, toggles=pb.Toggles.all_off())
+    assert fresh_oracle(off, 42, amap, True)[0] == fresh
+    for toggles in (replace(full, domain_alignment=False),
+                    replace(full, bounded_loss=False), pb.Toggles.all_off()):
+        pb.run_self_learning(replace(cfg, toggles=toggles))
+    assert len(pipeline._oracle_inputs.values) == 4
 
 
-def test_oracle_memo_stays_within_its_bound(monkeypatch):
-    cfg = _small_practice()
-    assert pipeline._ORACLE_MEMO_SIZE >= 80   # ablate's 20 trials x 4 maps
-    monkeypatch.setattr(pipeline, "_ORACLE_MEMO_SIZE", 2)
-    pipeline._oracle_memo.clear()
-    for seed in range(4):
-        pipeline._oracle_side(cfg, seed, None, False)
-        assert len(pipeline._oracle_memo) <= 2
-    assert [k[1] for k in pipeline._oracle_memo] == [2, 3]   # oldest dropped
+def test_a_new_binding_of_oracle_bound_inputs_starts_cold(monkeypatch):
+    """A tracing wrapper installed after a warm run sees the oracle call a
+    cold run makes."""
+    cfg = pb.default_experiment_config("noisy")
+    pb.run_self_learning(cfg)
+    seeds = []
+
+    def traced(config, seed, *args):
+        seeds.append(seed)
+        return oracle_bound_inputs(config, seed, *args)
+
+    monkeypatch.setattr(pipeline, "oracle_bound_inputs", traced)
+    inputs = [pb.run_self_learning(cfg).final_report.inputs for _ in range(2)]
+    assert seeds == [cfg.master_seed]
+    assert inputs == [fresh_oracle(cfg, cfg.master_seed)[0]] * 2
 
 
 def test_oracle_memo_keys_ignore_the_sign_of_zeros():
-    cfg, seed = _small_practice(), 44
+    cfg = replace(pb.default_experiment_config("noisy"), master_seed=44)
     src = cfg.source
     signed = replace(cfg, source=replace(
         src, identity_centers=np.where(src.identity_centers == 0, -0.0,
                                        src.identity_centers),
         domain_transform=pb.AffineMap(src.domain_transform.matrix,
                                       -src.domain_transform.offset)))
-    plus = pb.AffineMap.identity(src.feature_dim)
-    minus = pb.AffineMap(plus.matrix, -plus.offset)
     assert signed.source.identity_centers.tobytes() != src.identity_centers.tobytes()
-    pipeline._oracle_memo.clear()
-    first, _ = pipeline._oracle_side(cfg, seed, plus, False)
-    second, _ = pipeline._oracle_side(signed, seed, minus, False)
-    assert len(pipeline._oracle_memo) == 1
+    first = pb.run_self_learning(cfg).final_report
+    second = pb.run_self_learning(signed).final_report
+    assert len(pipeline._oracle_inputs.values) == 1
     assert first == second
 
 
 def test_validate_theorem_never_reads_the_memo():
-    cfg = pb.default_experiment_config("noisy")
-    fresh = oracle_bound_inputs(cfg, 3)[0]
-    key = pipeline._oracle_key(cfg, 3, None, False)
-    pipeline._oracle_memo[key] = replace(fresh, epsilon_t_star=0.5)
-    try:
-        validation = pb.validate_theorem(cfg, trials=2, rng_seed=3)
-    finally:
-        del pipeline._oracle_memo[key]
+    cfg = replace(pb.default_experiment_config("noisy"), master_seed=3)
+    fresh = fresh_oracle(cfg, 3)[0]
+    pb.run_self_learning(cfg)
+    [key] = pipeline._oracle_inputs.values
+    poisoned = replace(fresh, epsilon_t_star=0.5)
+    pipeline._oracle_inputs.values[key] = poisoned
+    assert pb.run_self_learning(cfg).final_report.inputs == poisoned
+    validation = pb.validate_theorem(cfg, trials=2, rng_seed=3)
     assert validation.report.inputs == fresh
 
 
 def _counting_mmd(monkeypatch) -> list:
     """Rebind the pipeline's ``mmd_squared`` to a counting wrapper and
-    empty the MMD memo; returns the list each computed call appends to."""
+    so the MMD memo starts cold; returns the list each computed call
+    appends to."""
     computed = []
 
     def counted(x, y):
@@ -447,7 +481,6 @@ def _counting_mmd(monkeypatch) -> list:
         return pb.mmd_squared(x, y)
 
     monkeypatch.setattr(pipeline, "mmd_squared", counted)
-    pipeline._mmd_memo.clear()
     return computed
 
 
@@ -464,12 +497,12 @@ def test_mmd_memo_hit_equals_a_fresh_call(monkeypatch, level):
     computed = _counting_mmd(monkeypatch)
     missed = pipeline._mmd(x, y)
     hit = pipeline._mmd(x.copy(), y.copy())     # equal content, new arrays
-    assert len(computed) == len(pipeline._mmd_memo) == 1
+    assert len(computed) == len(pipeline._mmd_values.values) == 1
     assert missed.hex() == hit.hex() == fresh.hex()
     monkeypatch.undo()      # a new binding of mmd_squared starts cold
     assert pipeline._mmd(x, y).hex() == fresh.hex()
-    assert len(computed) == 1 and len(pipeline._mmd_memo) == 1
-    assert next(iter(pipeline._mmd_memo))[0] is pb.mmd_squared
+    assert len(computed) == 1 and len(pipeline._mmd_values.values) == 1
+    assert pipeline._mmd_values.fn is pb.mmd_squared
 
 
 def test_mmd_memo_keys_tell_shapes_apart(monkeypatch):
@@ -483,23 +516,9 @@ def test_mmd_memo_keys_tell_shapes_apart(monkeypatch):
     computed = _counting_mmd(monkeypatch)
     first = pipeline._mmd(wide, b.reshape(2, 4))
     second = pipeline._mmd(tall, b.reshape(4, 2))
-    assert len(computed) == len(pipeline._mmd_memo) == 2
+    assert len(computed) == len(pipeline._mmd_values.values) == 2
     assert first.hex() == pb.mmd_squared(wide, b.reshape(2, 4)).hex()
     assert second.hex() == pb.mmd_squared(tall, b.reshape(4, 2)).hex()
-
-
-def test_mmd_memo_stays_within_its_bound(monkeypatch):
-    assert pipeline._MMD_MEMO_SIZE >= 4 * 62   # 4 trials of the 16-cell grid
-    _counting_mmd(monkeypatch)
-    monkeypatch.setattr(pipeline, "_MMD_MEMO_SIZE", 2)
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal((6, 2))
-    xs = [rng.standard_normal((5, 2)) for _ in range(4)]
-    for x in xs:
-        pipeline._mmd(x, y)
-        assert len(pipeline._mmd_memo) <= 2
-    kept = [pipeline._content_key(x) for x in xs[2:]]
-    assert [k[1] for k in pipeline._mmd_memo] == kept   # oldest dropped
 
 
 def test_mmd_memo_skips_a_collapsed_draw(monkeypatch):
@@ -516,11 +535,11 @@ def test_mmd_memo_skips_a_collapsed_draw(monkeypatch):
         pipeline._log_similarity_mmd(record, pairs, pairs,
                                      pb.SampleSet(feats, np.arange(6)))
         assert record.mmd_sim_before is None and record.mmd_sim_after is None
-        assert pipeline._mmd_memo == {}
+        assert pipeline._mmd_values.values == {}
     assert len(computed) == 2   # each attempt computes and raises again
     with pytest.raises(pb.ConfigurationError, match="bandwidth"):
         pipeline._mmd(pairs.similarity, pairs.similarity)
-    assert pipeline._mmd_memo == {}
+    assert pipeline._mmd_values.values == {}
 
 
 def _canonical(result) -> str:
@@ -556,8 +575,6 @@ PRACTICE_CELLS_PIN = "9864a534368b9778388573104986e151c36d1887e6e87cb7c43a7c7184
 
 
 def test_practice_cells_pinned_with_the_memo_cold_and_warm():
-    pipeline._oracle_memo.clear()
-    pipeline._mmd_memo.clear()
     # oracle: 8 misses, 24 hits; MMD: 52 misses, 108 hits
     assert _practice_cells_digest() == PRACTICE_CELLS_PIN
     assert _practice_cells_digest() == PRACTICE_CELLS_PIN   # all hits

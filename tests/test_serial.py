@@ -92,6 +92,17 @@ def test_pair_strategy_all_omits_negative_ratio():
                                                      "k_neg_per_pos": 2}
 
 
+def test_pair_strategy_all_rejects_a_negative_ratio():
+    """A ratio on an ``all`` strategy would be dropped by ``to_dict`` and
+    reload as the default, so it is refused on construction."""
+    with pytest.raises(pb.ConfigurationError, match="k_neg_per_pos"):
+        pb.PairStrategy.from_dict({"kind": "all", "k_neg_per_pos": 5})
+    with pytest.raises(pb.ConfigurationError):
+        pb.PairStrategy("all", 5)
+    strategy = pb.PairStrategy.all_pairs()
+    assert pb.PairStrategy.from_dict(strategy.to_dict()) == strategy
+
+
 def test_noise_estimate_reports_degenerate_and_recomputes_it():
     est = pb.NoiseEstimate(0.6, 0.5, 10, 4)
     d = est.to_dict()
