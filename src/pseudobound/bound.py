@@ -320,13 +320,14 @@ class TheoremValidation(Serializable):
 
 def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
                   align_map=None, normalize: bool = False) -> PairSet:
-    """n pairs drawn from spec, similarities formed after the member maps."""
+    """n pairs drawn from spec, similarities formed after the member maps;
+    mapped pairs keep no member indices, as their members are not kept."""
     samples, pairs = draw_pair_process(spec, config.strategy, n, seed)
     if align_map is None and not normalize:
         return pairs
     feats = map_members(samples.features, align_map, normalize)
     return PairSet(similarity_from_members(feats, pairs.member_indices),
-                   pairs.true_labels, member_indices=pairs.member_indices)
+                   pairs.true_labels)
 
 
 def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,

@@ -11,6 +11,7 @@ configs to good accuracy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +127,9 @@ class ExperimentConfig(Serializable):
             raise ConfigurationError("oracle_pairs must be >= 10000")
         if self.discrepancy_sample < 2:
             raise ConfigurationError("discrepancy_sample must be >= 2")
-        if not self.refine_scale > 0:
-            raise ConfigurationError("refine_scale must be positive")
+        if not (self.refine_scale > 0 and math.isfinite(self.refine_scale)):
+            raise ConfigurationError(
+                f"refine_scale must be positive and finite, got {self.refine_scale}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -261,7 +261,8 @@ def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         n = len(a)
         # Cached pairs take 8 n^2 bytes, so only small sizes are kept.
         i, j = _upper_triangle(n) if n <= _CACHED_TRIANGLE_N else np.triu_indices(n, k=1)
-        diff = np.stack([col.take(i) - col.take(j) for col in a.T], axis=1)
+        diff = np.take(a, i, axis=0)
+        diff -= np.take(a, j, axis=0)
     else:
         diff = np.empty((len(a), len(b), a.shape[1]))
         for k in range(a.shape[1]):

@@ -318,7 +318,8 @@ class PairSet:
     """Column-oriented batch of verification pairs.
 
     ``true_labels`` are +-1; ``pseudo_labels`` are +-1 or ABSENT (0), and
-    stay ABSENT until labels are assigned.
+    stay ABSENT until labels are assigned.  Without ``member_indices`` every
+    row reads (0, 0) from one shared, read-only zero row.
     """
 
     def __init__(self, similarity, true_labels, pseudo_labels=None, member_indices=None):
@@ -336,7 +337,7 @@ class PairSet:
             raise ConfigurationError("pseudo_labels must be +1, -1 or ABSENT")
         self.pseudo_labels = pseudo_labels.astype(np.int8, copy=False)
         if member_indices is None:
-            member_indices = np.zeros((n, 2), dtype=np.int64)
+            member_indices = np.broadcast_to(np.zeros(2, dtype=np.int64), (n, 2))
         self.member_indices = np.asarray(member_indices, dtype=np.int64)
         if self.similarity.ndim != 2:
             raise ConfigurationError("similarity must be a (n, q) array")
@@ -385,7 +386,9 @@ def similarity_from_members(features: np.ndarray, member_indices: np.ndarray) ->
     """Elementwise |a - b| for each (a, b) row of member_indices."""
     feats = np.asarray(features, float)
     idx = np.asarray(member_indices, np.int64)
-    return np.abs(feats[idx[:, 0]] - feats[idx[:, 1]])
+    sim = np.take(feats, idx[:, 0], axis=0)
+    sim -= np.take(feats, idx[:, 1], axis=0)
+    return np.abs(sim, out=sim)
 
 
 def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
@@ -422,7 +425,7 @@ def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
     centers + scale * noise).  An identity transform is skipped: it could
     only turn -0.0 into +0.0, which ``abs`` removes."""
     noise *= spec.within_identity_stddev
-    feats = np.add(noise, spec.identity_centers[ids], out=noise)
+    feats = np.add(noise, np.take(spec.identity_centers, ids, axis=0), out=noise)
     amap = spec.domain_transform
     if not amap.is_identity():
         feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)

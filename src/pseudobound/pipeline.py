@@ -58,21 +58,19 @@ _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
 
 
 class _Memo:
-    """``fn(*args)`` by key, for one binding of ``fn``: at most ``size``
-    values, the oldest dropped first; a raise stores and evicts nothing, and
-    a call with another binding (a tracing wrapper, a test double) first
-    empties the memo, so the new binding sees every call a cold run makes."""
+    """``fn(*args)`` by key, for one binding: at most ``size`` values, the
+    oldest dropped first; a raise stores and evicts nothing, and a call with
+    another binding (a tracing wrapper, a test double) first empties the
+    memo, so the new binding sees every call a cold run makes.  The binding
+    is ``fn`` unless the call names the function that stands for it."""
 
-    # One trial of the 16-cell grid on practice.json needs 4 oracle inputs
-    # and 62 MMD values; criterion 11 (setting-major) 60 oracle inputs.
-    size = 256
+    def __init__(self, size: int):
+        self.size, self.fn, self.values = size, None, {}
 
-    def __init__(self):
-        self.fn, self.values = None, {}
-
-    def __call__(self, fn, key, *args):
-        if fn is not self.fn:
-            self.fn, self.values = fn, {}
+    def __call__(self, fn, key, *args, binding=None):
+        binding = fn if binding is None else binding
+        if binding is not self.fn:
+            self.fn, self.values = binding, {}
         if key in self.values:
             return self.values[key]
         value = fn(*args)
@@ -82,8 +80,11 @@ class _Memo:
         return value
 
 
-# Per-process memos of the oracle bound inputs and of MMD^2 values.
-_oracle_inputs, _mmd_values = _Memo(), _Memo()
+# Per-process memos.  One trial of the 16-cell grid on practice.json needs 4
+# oracle targets (2 of them 30 000-pair draws), 4 oracle inputs and 62 MMD
+# values; 256 values hold the inputs and MMD values of 4 trials.
+_oracle_inputs, _mmd_values = _Memo(256), _Memo(256)
+_oracle_targets = _Memo(4)
 
 
 @dataclass(frozen=True)
@@ -210,14 +211,15 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     iterations), clustering re-runs every iteration on coordinate-re-weighted
     features.  Synthetic mode: clustering, alignment, and normalization are
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
-    iteration.  The run builds its target and target risk scorer once
-    (``_oracle_target``); two per-process ``_Memo`` instances spare the rest.
-    The oracle inputs are keyed by the config at default toggles and the
-    member maps, the only way toggles reach them: 12 of the 16 cells of a
-    seed in ``ablate`` hit, 40 % of criterion 11, none in one run.  The
-    practice MMD diagnostics are keyed by input content: ``ablate`` on
-    practice.json computes 1 240 of its 3 120 MMD values, criterion 11 680
-    of 920, one run all of its own.
+    iteration.  The target with its risk scorer (``_oracle_target``) and
+    the oracle inputs come from per-process ``_Memo`` instances keyed by the
+    config at default toggles and the member maps, the only way toggles
+    reach them: one seed of ``ablate`` builds 4 targets, 2 of them
+    30 000-pair draws, and 4 oracle inputs for its 16 cells; criterion 11
+    3 of each for a seed's 5 runs; one run one of each.  The practice MMD
+    diagnostics are keyed by input content: ``ablate`` on practice.json
+    computes 1 240 of its 3 520 MMD values, criterion 11 640 of 1 120, one
+    run all of its own.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -242,11 +244,15 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
                                      derive_seed(seed, 22), normalize=normalize)
         weights = np.ones(config.target.feature_dim)
     # The member maps are fixed for the run, so the deployed model's target,
-    # its risk scorer and its oracle quantities are too.
-    target, target_risks = _oracle_target(config, seed, align_map, normalize)
-    inputs = _oracle_inputs(
-        oracle_bound_inputs, (replace(config, toggles=Toggles()), align_map, normalize),
-        config, seed, target, align_map, normalize)
+    # its risk scorer and its oracle quantities are too.  The target follows
+    # the binding of oracle_bound_inputs, which a tracer rebinds along with
+    # the draws the target makes.
+    key = (replace(config, toggles=Toggles()), align_map, normalize)
+    target, target_risks = _oracle_targets(
+        _oracle_target, key, config, seed, align_map, normalize,
+        binding=oracle_bound_inputs)
+    inputs = _oracle_inputs(oracle_bound_inputs, key,
+                            config, seed, target, align_map, normalize)
 
     records = []
     for it in range(config.iterations):
@@ -350,8 +356,8 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
     Trial t of every cell reuses the same derived seed, so pools and draws
     are identical across cells and comparisons are paired.  Runs go trial-
     major (every cell of trial 0, then of trial 1, ...), so the runs sharing
-    a seed meet the pipeline's memos (``_Memo``: oracle inputs and MMD
-    values) back to back; each cell still lists
+    a seed meet the pipeline's memos (``_Memo``: oracle targets and inputs,
+    MMD values) back to back; each cell still lists
     its results and failures in trial order.  A failing run marks its cell
     instead of aborting the table.
     """

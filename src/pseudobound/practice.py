@@ -10,7 +10,6 @@ its gradients are checked against finite differences.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,17 +42,27 @@ class DbscanParams(Serializable):
     def __post_init__(self):
         if not self.eps > 0:
             raise ConfigurationError(f"eps must be positive, got {self.eps}")
+        # bool is an int subclass; a float such as 2.5 would act as its ceiling.
+        if isinstance(self.min_pts, bool) or not isinstance(self.min_pts, (int, np.integer)):
+            raise ConfigurationError(f"min_pts must be an integer, got {self.min_pts!r}")
         if self.min_pts < 1:
             raise ConfigurationError(f"min_pts must be >= 1, got {self.min_pts}")
 
 
 def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
-    """Euclidean DBSCAN; returns per-point cluster ids with NOISE = -1.
+    """Euclidean DBSCAN (Ester et al. 1996); returns per-point cluster ids
+    with NOISE = -1.
 
     Neighborhoods are inclusive (distance <= eps) and count the point
-    itself.  Clusters are numbered in scan order of their first core point;
-    a border point reachable from several clusters joins the
-    earliest-numbered one, so output is deterministic in input order.
+    itself.  Clusters are the components of the core-core neighbor graph,
+    numbered in scan order of their first core point; a border point joins
+    the earliest-numbered cluster among its core neighbors, so output is
+    deterministic in input order.  Each cluster grows from its first core
+    point one frontier at a time, by one ``any`` over the frontier's rows of
+    the n x n neighbor matrix, and claims the unlabeled points it reaches;
+    clusters grow in id order, so a border point goes to the earliest.
+    Each core point enters one frontier, so the time is O(n^2), like the
+    matrix.
     """
     x = np.atleast_2d(np.asarray(points, float))
     n = len(x)
@@ -62,22 +71,20 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     diff = x[:, None, :] - x[None, :, :]
     within = np.einsum("ijk,ijk->ij", diff, diff) <= params.eps * params.eps
     core = within.sum(axis=1) >= params.min_pts
-    neighbors = [np.flatnonzero(within[i]) for i in range(n)]
 
     labels = np.full(n, NOISE, dtype=np.int64)
     next_id = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
+    for i in np.flatnonzero(core).tolist():
+        if labels[i] != NOISE:
             continue
         labels[i] = next_id
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            for k in neighbors[j]:
-                if labels[k] == NOISE:
-                    labels[k] = next_id
-                    if core[k]:
-                        queue.append(k)
+        frontier = [i]
+        while len(frontier):
+            reached = within[frontier].any(axis=0)
+            reached &= labels == NOISE
+            new = np.flatnonzero(reached)
+            labels[new] = next_id
+            frontier = new[core[new]]
         next_id += 1
     return labels
 

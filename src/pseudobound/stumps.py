@@ -109,7 +109,7 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         raise ConfigurationError("erm inputs must be finite")
 
     rows = np.arange(b)
-    by_row = rows[:, None]
+    row_start = rows[:, None] * n
     # Cut k puts the sorted points [0, k) below the threshold and [k, n)
     # above; prefix and suffix sums of cp and cn price either side.
     pre_cp = np.zeros((b, n + 1))
@@ -127,17 +127,20 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     best_hi = np.zeros(b)
     for j in range(q):
         xj = x[:, :, j]
+        # order holds flat indices into (b, n) arrays: row r's sorted points
+        # are r * n + their positions, one index for xs, cp and cn.
         order = np.argsort(xj, axis=1)
-        xs = xj[by_row, order]
+        order += row_start
+        xs = xj.take(order)
         tied = xs[:, 1:] <= xs[:, :-1]
         # The order inside a tie group (+-0.0 included) sets the prefix sums'
         # rounding, so rows with a tie sort again stably; others have one order.
         redo = np.flatnonzero(tied.any(axis=1))
         if len(redo):
-            order[redo] = np.argsort(xj[redo], axis=1, kind="stable")
-            xs[redo] = xj[redo[:, None], order[redo]]
-        cpj = cp[by_row, order]
-        cnj = cn[by_row, order]
+            order[redo] = np.argsort(xj[redo], axis=1, kind="stable") + row_start[redo]
+            xs[redo] = xj.take(order[redo])
+        cpj = cp.take(order)
+        cnj = cn.take(order)
         np.cumsum(cpj, axis=1, out=pre_cp[:, 1:])
         np.cumsum(cnj, axis=1, out=pre_cn[:, 1:])
         np.cumsum(cpj[:, ::-1], axis=1, out=suf_cp[:, n - 1::-1])

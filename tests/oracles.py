@@ -214,6 +214,21 @@ def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
+def sq_dists_by_column(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances as ``_sq_dists`` formed them before it gathered
+    whole rows: a's strict upper triangle one column at a time, or every
+    (a, b) pair by per-column outer differences, each row summed by einsum."""
+    if b is None:
+        i, j = np.triu_indices(len(a), k=1)
+        diff = np.stack([col.take(i) - col.take(j) for col in a.T], axis=1)
+    else:
+        diff = np.empty((len(a), len(b), a.shape[1]))
+        for k in range(a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=diff[:, :, k])
+        diff = diff.reshape(-1, a.shape[1])
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def mmd_oracle(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     """Biased-statistic MMD^2 as three explicit double loops."""
     x = np.atleast_2d(np.asarray(x, float))

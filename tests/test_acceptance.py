@@ -312,9 +312,13 @@ def test_criterion_11_good_practice_directions(report):
         "sg_align": pb.Toggles(True, True, False, pb.FILTER_NONE),
         "full_unfiltered": replace(full, outlier_filtering=pb.FILTER_NONE),
     }
-    runs = {name: [pb.run_self_learning(replace(base, toggles=tog, master_seed=s))
-                   for s in seeds]
-            for name, tog in settings.items()}
+    # Seed-major, so the runs sharing a seed meet the pipeline's memos back
+    # to back; each setting still lists its runs in seed order.
+    runs = {name: [] for name in settings}
+    for s in seeds:
+        for name, tog in settings.items():
+            runs[name].append(pb.run_self_learning(replace(base, toggles=tog,
+                                                           master_seed=s)))
     means = {name: float(np.mean([r.final_risk for r in rs]))
              for name, rs in runs.items()}
 

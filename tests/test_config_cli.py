@@ -103,6 +103,18 @@ def test_config_rejects_a_non_finite_domain_transform(part, index, bad):
         pb.ExperimentConfig.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_config_rejects_a_refine_scale_that_is_not_positive_and_finite(bad):
+    """An infinite scale used to load, then overflow the re-weighted
+    features and mark every sample as noise at iteration 1."""
+    d = pb.default_experiment_config("practice").to_dict()
+    d["refine_scale"] = bad
+    with pytest.raises(pb.ConfigurationError, match="refine_scale must be positive"):
+        pb.ExperimentConfig.from_dict(d)
+    with pytest.raises(pb.ConfigurationError, match="refine_scale must be positive"):
+        pb.ExperimentConfig.from_json(json.dumps(d))
+
+
 def test_noise_mode_constraints():
     with pytest.raises(pb.ConfigurationError):
         pb.NoiseMode(pb.SYNTHETIC)  # needs rates

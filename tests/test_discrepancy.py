@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import pseudobound as pb
-from oracles import h_delta_h_grid_oracle, h_delta_h_oracle, mmd_oracle
+from oracles import (
+    h_delta_h_grid_oracle,
+    h_delta_h_oracle,
+    mmd_oracle,
+    sq_dists_by_column,
+)
 import pseudobound.discrepancy as discrepancy
-from pseudobound.discrepancy import _block_rows, _exact_sum, _h_delta_h_best
+from pseudobound.discrepancy import _block_rows, _exact_sum, _h_delta_h_best, _sq_dists
 
 
 def test_h_delta_h_identical_sets_zero():
@@ -306,6 +311,29 @@ def test_median_heuristic():
     assert pb.median_heuristic_bandwidth(x) == 2.0
     with pytest.raises(pb.InsufficientDataError):
         pb.median_heuristic_bandwidth(np.array([[1.0]]))
+
+
+def _hexes(values: np.ndarray) -> list[str]:
+    return [v.hex() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("n, q", [(1, 1), (2, 3), (40, 1), (129, 4), (256, 4)])
+@pytest.mark.parametrize("cached", [True, False])
+def test_sq_dists_equal_the_column_gather_bit_for_bit(n, q, cached, monkeypatch):
+    """Row gathers and per-column gathers give the same differences, so the
+    einsum sums agree to the bit, on contiguous and strided inputs."""
+    if not cached:
+        monkeypatch.setattr(discrepancy, "_CACHED_TRIANGLE_N", 0)
+    rng = np.random.default_rng(n * 10 + q)
+    wide = rng.standard_normal((2 * n, 3 * q)) * 3.0
+    wide[::3] = np.round(wide[::3], 1)          # ties, including -0.0 and 0.0
+    wide[1::7, ::2] *= -0.0
+    inputs = [np.ascontiguousarray(wide[:n, :q]), wide[::2, 1::3],
+              np.asfortranarray(wide[n:, q:2 * q])]
+    for a in inputs:
+        assert _hexes(_sq_dists(a)) == _hexes(sq_dists_by_column(a))
+        b = wide[1::2, :q]
+        assert _hexes(_sq_dists(a, b)) == _hexes(sq_dists_by_column(a, b))
 
 
 def _fsum_outcome(f, terms):

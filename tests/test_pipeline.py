@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 import pseudobound as pb
-from pseudobound import pipeline
+from pseudobound import bound, pipeline
 from pseudobound.bound import _oracle_target, oracle_bound_inputs
 
 
 def _empty_memos():
-    for memo in (pipeline._oracle_inputs, pipeline._mmd_values):
+    for memo in (pipeline._oracle_inputs, pipeline._oracle_targets,
+                 pipeline._mmd_values):
         memo.values.clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with both pipeline memos empty."""
+    """Each test starts with every pipeline memo empty."""
     _empty_memos()
 
 
@@ -359,12 +360,11 @@ def _practice_align_map(cfg, seed):
     return pb.align_moments(*_practice_pools(cfg, seed))[1]
 
 
-def test_memo_keeps_its_bound_and_follows_its_binding(monkeypatch):
+def test_memo_keeps_its_bound_and_follows_its_binding():
     """At most ``size`` values, the oldest dropped first; a raise stores
     and evicts nothing; a new binding of the function starts cold."""
-    assert pipeline._Memo.size >= 4 * 62   # 4 trials of the 16-cell grid's MMDs
-    monkeypatch.setattr(pipeline._Memo, "size", 2)
-    memo, calls = pipeline._Memo(), []
+    assert pipeline._mmd_values.size >= 4 * 62   # 4 trials of the 16-cell grid's MMDs
+    memo, calls = pipeline._Memo(2), []
 
     def square(x):
         calls.append(x)
@@ -441,6 +441,79 @@ def test_a_new_binding_of_oracle_bound_inputs_starts_cold(monkeypatch):
     inputs = [pb.run_self_learning(cfg).final_report.inputs for _ in range(2)]
     assert seeds == [cfg.master_seed]
     assert inputs == [fresh_oracle(cfg, cfg.master_seed)[0]] * 2
+
+
+def _counting_targets(monkeypatch) -> list:
+    """Wrap the pipeline's ``_oracle_target`` so each build appends its
+    ``normalize`` flag to the returned list."""
+    built = []
+
+    def counted(config, seed, align_map, normalize):
+        built.append(normalize)
+        return _oracle_target(config, seed, align_map, normalize)
+
+    monkeypatch.setattr(pipeline, "_oracle_target", counted)
+    return built
+
+
+def test_target_memo_builds_four_targets_per_seed_and_keeps_its_bound(monkeypatch):
+    """One seed of the 16-cell grid builds one target per pair of member
+    maps, 2 of them pair-backed; a second seed replaces all 4."""
+    assert pipeline._oracle_targets.size == 4
+    built = _counting_targets(monkeypatch)
+    base = replace(_small_practice(), iterations=1)
+    for seed in (45, 46):
+        for toggles in pb.default_toggle_grid():
+            pb.run_self_learning(replace(base, toggles=toggles, master_seed=seed))
+        assert len(pipeline._oracle_targets.values) == 4
+        assert {key[0].master_seed for key in pipeline._oracle_targets.values} == {seed}
+    assert sorted(built) == [False] * 4 + [True] * 4
+
+
+@pytest.mark.parametrize("use_map, normalize",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_target_memo_hit_scores_as_a_fresh_target(use_map, normalize):
+    """The stored target scores any stumps as a fresh build does; a
+    pair-backed one keeps no member indices."""
+    cfg = replace(_small_practice(), iterations=1, master_seed=47,
+                  toggles=replace(pb.Toggles(), domain_alignment=use_map,
+                                  bounded_loss=normalize))
+    pb.run_self_learning(cfg)
+    [(target, target_risks)] = pipeline._oracle_targets.values.values()
+    amap = _practice_align_map(cfg, 47) if use_map else None
+    fresh, fresh_risks = _oracle_target(cfg, 47, amap, normalize)
+    stumps = [pb.random_stump(s, cfg.target.feature_dim, (0.0, 2.0)) for s in range(12)]
+    assert [r.hex() for r in target_risks(stumps)] == \
+        [r.hex() for r in fresh_risks(stumps)]
+    if normalize:
+        assert np.array_equal(target.similarity, fresh.similarity)
+        assert np.array_equal(target.true_labels, fresh.true_labels)
+        assert target.member_indices.strides[0] == 0   # one shared zero row
+    else:
+        assert target == fresh
+
+
+def test_a_new_binding_starts_the_target_memo_cold(monkeypatch):
+    """Rebinding oracle_bound_inputs, as a tracer does along with the
+    draws, makes the next run draw its pair-backed target again."""
+    cfg = replace(_small_practice(), iterations=1, master_seed=48)
+    pb.run_self_learning(cfg)
+    sizes = []
+
+    def draw(spec, strategy, n_pairs, rng_seed):
+        sizes.append(n_pairs)
+        return pb.draw_pair_process(spec, strategy, n_pairs, rng_seed)
+
+    def inputs(*args):
+        return oracle_bound_inputs(*args)
+
+    monkeypatch.setattr(bound, "draw_pair_process", draw)
+    monkeypatch.setattr(pipeline, "oracle_bound_inputs", inputs)
+    for _ in range(2):
+        pb.run_self_learning(cfg)
+    # target (sub-seed 4) and joint-error source (sub-seed 5), once
+    assert sizes.count(cfg.oracle_pairs) == 2
+    assert pipeline._oracle_targets.fn is inputs
 
 
 def test_oracle_memo_keys_ignore_the_sign_of_zeros():

@@ -42,6 +42,57 @@ def test_dbscan_matches_brute_force_oracle():
         assert np.array_equal(fast, dbscan_oracle(pts, eps, min_pts))
 
 
+def test_dbscan_matches_brute_force_oracle_up_to_150_points():
+    rng = np.random.default_rng(57)
+    for _ in range(60):
+        n = int(rng.integers(1, 151))
+        q = int(rng.integers(1, 5))
+        pts = np.round(rng.uniform(-3, 3, size=(n, q)), 1)
+        eps = float(rng.uniform(0.2, 1.5))
+        min_pts = int(rng.integers(1, 9))
+        fast = pb.dbscan(pts, pb.DbscanParams(eps, min_pts))
+        assert np.array_equal(fast, dbscan_oracle(pts, eps, min_pts))
+
+
+def test_dbscan_chain_is_one_component():
+    """A shuffled 200-point chain is one cluster, grown one frontier at a
+    time; its two end points are border points of it."""
+    pts = np.random.default_rng(5).permutation(np.arange(200.0))[:, None]
+    labels = pb.dbscan(pts, pb.DbscanParams(1.0, 3))
+    assert labels.tolist() == [0] * 200
+    assert np.array_equal(labels, dbscan_oracle(pts, 1.0, 3))
+
+
+@pytest.mark.parametrize("left_first", [True, False])
+def test_dbscan_border_point_joins_the_earlier_cluster(left_first):
+    """5.0 has core neighbors 4.0 and 6.0 in two clusters but is not core
+    itself; it joins whichever cluster's first core point comes first."""
+    left = [3.0, 3.25, 3.5, 3.75, 4.0]
+    right = [6.0, 6.25, 6.5, 6.75, 7.0]
+    order = left + right if left_first else right + left
+    pts = np.array(order + [5.0])[:, None]
+    labels = pb.dbscan(pts, pb.DbscanParams(1.0, 4))
+    assert labels.tolist() == [0] * 5 + [1] * 5 + [0]
+    assert np.array_equal(labels, dbscan_oracle(pts, 1.0, 4))
+
+
+def test_dbscan_min_pts_one_leaves_no_noise():
+    """Every point is core: clusters are the components of the eps-graph."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        pts = np.round(rng.uniform(-3, 3, size=(int(rng.integers(1, 80)), 2)), 1)
+        labels = pb.dbscan(pts, pb.DbscanParams(0.4, 1))
+        assert (labels != pb.NOISE).all()
+        assert np.array_equal(labels, dbscan_oracle(pts, 0.4, 1))
+
+
+@pytest.mark.parametrize("min_pts", [2.5, 3.0, True, "3"])
+def test_dbscan_params_reject_a_non_integer_min_pts(min_pts):
+    with pytest.raises(pb.ConfigurationError, match="min_pts must be an integer"):
+        pb.DbscanParams(0.5, min_pts)
+    assert pb.DbscanParams(0.5, np.int64(3)).min_pts == 3
+
+
 def test_dbscan_validation():
     with pytest.raises(pb.ConfigurationError):
         pb.DbscanParams(0.0, 2)
