@@ -330,38 +330,13 @@ def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
                    pairs.true_labels)
 
 
-def _oracle_target(config: ExperimentConfig, rng_seed: int, align_map=None,
-                   normalize: bool = False
-                   ) -> tuple[DomainSpec | PairSet, RiskScorer]:
-    """The target as the bound's model sees it, and the scorer of target
-    risks on it.  An alignment map is affine, so composed into the target
-    transform (x -> B (A x + b) + c) it leaves a Gaussian pair process, whose
-    risks are exact (``exact_risks``); unit normalization does not, and there
-    the target is ``oracle_pairs`` pairs drawn on sub-seed 4, scored by their
-    miss rates (``empirical_risk_true``)."""
-    big_m = config.risk.big_m
-    if normalize:
-        pairs = _mapped_pairs(config, config.target, config.oracle_pairs,
-                              derive_seed(rng_seed, 4), align_map, normalize)
-        return pairs, lambda hypotheses: [empirical_risk_true(h, pairs, big_m)
-                                          for h in hypotheses]
-    spec = config.target
-    if align_map is not None:
-        amap = spec.domain_transform
-        spec = replace(spec, domain_transform=AffineMap(
-            align_map.matrix @ amap.matrix, align_map.apply(amap.offset)))
-    return spec, partial(exact_risks, spec=spec, strategy=config.strategy,
-                         big_m=big_m)
-
-
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
-                        target: DomainSpec | PairSet,
                         align_map: AffineMap | None = None,
-                        normalize: bool = False) -> BoundInputs:
-    """The bound's oracle quantities for a configuration, on ``target``:
-    the target as the bound's model sees it, which ``_oracle_target`` builds,
-    with the scorer trials are measured with, from the same seed and member
-    maps.  ``align_map`` and ``normalize`` are those maps (see
+                        normalize: bool = False
+                        ) -> tuple[BoundInputs, RiskScorer]:
+    """The bound's oracle quantities for a configuration, and the scorer of
+    target risks, both on the target as the bound's model sees it.
+    ``align_map`` and ``normalize`` are that model's member maps (see
     ``map_members``); pair similarities are formed after them, so eps*_T,
     the class distance and the joint error live in the space that model
     sees.  m and the noise rates come from the configuration (zero rates
@@ -369,16 +344,19 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     ``run_self_learning`` reads the result through the pipeline's oracle
     memo (``_Memo``), ``validate_theorem`` directly.
 
-    Without normalization the population quantities are exact: eps*_T and
-    the joint error lambda are ``min_exact_risk`` of the target (the
-    alignment map composed into its transform) and of source plus target.
-    Unit-normalized members are not Gaussian, so there the target is
-    ``oracle_pairs`` pairs (sub-seed 4), eps*_T an ERM on them and lambda
-    ``ideal_joint`` on them and as many source pairs (sub-seed 5).  The
-    class distance is empirical on ``discrepancy_sample`` pairs per side
+    An alignment map is affine, so composed into the target transform
+    (x -> B (A x + b) + c) it leaves a Gaussian pair process: without
+    normalization the target is that spec, eps*_T and the joint error
+    lambda are ``min_exact_risk`` of it and of source plus it, and the
+    scorer is ``exact_risks``.  Unit-normalized members are not Gaussian,
+    so there the target is ``oracle_pairs`` pairs (sub-seed 4), eps*_T an
+    ERM on them, lambda ``ideal_joint`` on them and as many source pairs
+    (sub-seed 5), and the scorer their miss rates (``empirical_risk_true``).
+    The class distance is empirical on ``discrepancy_sample`` pairs per side
     either way (sub-seeds 6 target, 7 source).
     """
     cfg = config.risk
+    big_m = cfg.big_m
 
     def draw(spec, amap, n, sub):
         return _mapped_pairs(config, spec, n, derive_seed(rng_seed, sub), amap, normalize)
@@ -387,33 +365,43 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity)
     if normalize:
-        _, eps_star = fit_plain(target, cfg.big_m)
-        oracle_s = draw(config.source, None, config.oracle_pairs, 5)
-        _, lam = ideal_joint(oracle_s, target, cfg.big_m)
+        pairs = draw(config.target, align_map, config.oracle_pairs, 4)
+        _, eps_star = fit_plain(pairs, big_m)
+        _, lam = ideal_joint(draw(config.source, None, config.oracle_pairs, 5),
+                             pairs, big_m)
+
+        def target_risks(hypotheses):
+            return [empirical_risk_true(h, pairs, big_m) for h in hypotheses]
     else:
-        eps_star = min_exact_risk([target], config.strategy, cfg.big_m)
-        lam = min_exact_risk([config.source, target], config.strategy, cfg.big_m)
+        spec = config.target
+        if align_map is not None:
+            amap = spec.domain_transform
+            spec = replace(spec, domain_transform=AffineMap(
+                align_map.matrix @ amap.matrix, align_map.apply(amap.offset)))
+        eps_star = min_exact_risk([spec], config.strategy, big_m)
+        lam = min_exact_risk([config.source, spec], config.strategy, big_m)
+        target_risks = partial(exact_risks, spec=spec, strategy=config.strategy,
+                               big_m=big_m)
     model = NO_NOISE if config.noise.model is None else config.noise.model
     return BoundInputs(
         alpha=cfg.alpha, beta=cfg.beta, m=config.m_train,
-        d=vc_dimension(gap_t.feature_dim), delta=config.delta, big_m=cfg.big_m,
+        d=vc_dimension(gap_t.feature_dim), delta=config.delta, big_m=big_m,
         rho_neg=model.rho_neg, rho_pos=model.rho_pos,
         h_delta_h=d_hat, ideal_joint_error=lam, epsilon_t_star=eps_star,
-    )
+    ), target_risks
 
 
 def validate_theorem(config: ExperimentConfig, trials: int = 500,
                      rng_seed: int = 0) -> TheoremValidation:
     """Fraction of fresh-draw trials whose achieved target risk beats the rhs.
 
-    The target and its scorer come once per call from ``_oracle_target``,
-    the oracle quantities (eps*_T, class distance, joint error) from
-    ``oracle_bound_inputs`` on that target; each trial then redraws the
-    training set with fresh corruption, fits the alpha-weighted exact ERM,
-    and is scored with its exact population risk on the target.  The
-    contract is violation_rate <= delta.  Toggles are ignored here: this
-    path always trains the alpha-weighted stump ERM that the bound speaks
-    about.
+    The oracle quantities (eps*_T, class distance, joint error) and the
+    target risk scorer come from one ``oracle_bound_inputs`` call; each
+    trial then redraws the training set with fresh corruption, fits the
+    alpha-weighted exact ERM, and is scored with its exact population risk
+    on the target.  The contract is violation_rate <= delta.  Toggles are
+    ignored here: this path always trains the alpha-weighted stump ERM that
+    the bound speaks about.
 
     The block sampler makes each trial's own RNG calls (trial t keeps seed
     ``derive_seed(rng_seed, t)``) and builds a block's pairs and costs at
@@ -428,8 +416,8 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     cfg, model = config.risk, config.noise.model
-    target, target_risks = _oracle_target(config, rng_seed)
-    report = assemble_bound(oracle_bound_inputs(config, rng_seed, target))
+    inputs, target_risks = oracle_bound_inputs(config, rng_seed)
+    report = assemble_bound(inputs)
     seeds, stumps = [], []
     for block_seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
             config, trials, rng_seed):

@@ -138,10 +138,6 @@ class ExperimentConfig(Serializable):
     def from_json(text: str) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(json.loads(text))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
     @staticmethod
     def load(path) -> "ExperimentConfig":
         with open(path) as fh:

@@ -217,11 +217,13 @@ def ideal_joint(source_pairs, target_pairs, big_m: float
     """
     if len(source_pairs) == 0 or len(target_pairs) == 0:
         raise EmptyInputError("ideal_joint needs pairs from both domains")
-    s_pos, s_neg = zero_m_costs(source_pairs.true_labels, big_m)
-    t_pos, t_neg = zero_m_costs(target_pairs.true_labels, big_m)
+    # the per-domain cost arrays are freed before the ERM, which sets the
+    # peak memory
+    cost_pos, cost_neg = (
+        np.concatenate([s / len(source_pairs), t / len(target_pairs)])
+        for s, t in zip(zero_m_costs(source_pairs.true_labels, big_m),
+                        zero_m_costs(target_pairs.true_labels, big_m)))
     feats = np.vstack([source_pairs.similarity, target_pairs.similarity])
-    cost_pos = np.concatenate([s_pos / len(source_pairs), t_pos / len(target_pairs)])
-    cost_neg = np.concatenate([s_neg / len(source_pairs), t_neg / len(target_pairs)])
     return erm(feats, cost_pos, cost_neg)
 
 
@@ -348,8 +350,8 @@ def align_moments(source_samples: SampleSet, target_samples: SampleSet
         )
     mu_s = src.mean(axis=0)
     mu_t = tgt.mean(axis=0)
-    cov_s = np.cov(src, rowvar=False)
-    cov_t = np.cov(tgt, rowvar=False)
+    cov_s = np.atleast_2d(np.cov(src, rowvar=False))  # 0-d at q = 1
+    cov_t = np.atleast_2d(np.cov(tgt, rowvar=False))
     matrix = _sqrt_psd(_regularize(cov_s)) @ _invsqrt_psd(_regularize(cov_t))
     offset = mu_s - matrix @ mu_t
     amap = AffineMap(matrix=matrix, offset=offset)

@@ -224,8 +224,11 @@ class DomainSpec(Serializable):
             )
         if not np.isfinite(self.identity_centers).all():
             raise ConfigurationError("identity_centers must be finite")
-        if not self.within_identity_stddev > 0:
-            raise ConfigurationError("within_identity_stddev must be > 0")
+        if not (self.within_identity_stddev > 0
+                and np.isfinite(self.within_identity_stddev)):
+            raise ConfigurationError(
+                f"within_identity_stddev must be positive and finite, "
+                f"got {self.within_identity_stddev}")
         q = self.feature_dim
         if self.domain_transform.matrix.shape != (q, q):
             raise ConfigurationError("domain_transform matrix must be square of side q")

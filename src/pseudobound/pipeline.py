@@ -19,7 +19,6 @@ import numpy as np
 from .bound import (
     BoundReport,
     _mapped_pairs,
-    _oracle_target,
     _trial_pairs,
     assemble_bound,
     oracle_bound_inputs,
@@ -58,19 +57,17 @@ _MMD_CAP = 256  # pair count per side entering similarity-space MMD logging
 
 
 class _Memo:
-    """``fn(*args)`` by key, for one binding: at most ``size`` values, the
+    """``fn(*args)`` by key, for one ``fn``: at most ``size`` values, the
     oldest dropped first; a raise stores and evicts nothing, and a call with
-    another binding (a tracing wrapper, a test double) first empties the
-    memo, so the new binding sees every call a cold run makes.  The binding
-    is ``fn`` unless the call names the function that stands for it."""
+    another ``fn`` (a tracing wrapper, a test double) first empties the
+    memo, so the new function sees every call a cold run makes."""
 
     def __init__(self, size: int):
         self.size, self.fn, self.values = size, None, {}
 
-    def __call__(self, fn, key, *args, binding=None):
-        binding = fn if binding is None else binding
-        if binding is not self.fn:
-            self.fn, self.values = binding, {}
+    def __call__(self, fn, key, *args):
+        if fn is not self.fn:
+            self.fn, self.values = fn, {}
         if key in self.values:
             return self.values[key]
         value = fn(*args)
@@ -81,10 +78,9 @@ class _Memo:
 
 
 # Per-process memos.  One trial of the 16-cell grid on practice.json needs 4
-# oracle targets (2 of them 30 000-pair draws), 4 oracle inputs and 62 MMD
-# values; 256 values hold the inputs and MMD values of 4 trials.
-_oracle_inputs, _mmd_values = _Memo(256), _Memo(256)
-_oracle_targets = _Memo(4)
+# oracle results (bound inputs and target risk scorer; 2 of the targets are
+# 30 000-pair draws) and 62 MMD values; 256 MMD values hold 4 trials.
+_oracles, _mmd_values = _Memo(4), _Memo(256)
 
 
 @dataclass(frozen=True)
@@ -211,15 +207,14 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     iterations), clustering re-runs every iteration on coordinate-re-weighted
     features.  Synthetic mode: clustering, alignment, and normalization are
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
-    iteration.  The target with its risk scorer (``_oracle_target``) and
-    the oracle inputs come from per-process ``_Memo`` instances keyed by the
-    config at default toggles and the member maps, the only way toggles
-    reach them: one seed of ``ablate`` builds 4 targets, 2 of them
-    30 000-pair draws, and 4 oracle inputs for its 16 cells; criterion 11
-    3 of each for a seed's 5 runs; one run one of each.  The practice MMD
-    diagnostics are keyed by input content: ``ablate`` on practice.json
-    computes 1 240 of its 3 520 MMD values, criterion 11 640 of 1 120, one
-    run all of its own.
+    iteration.  The oracle inputs and target risk scorer come from one
+    ``oracle_bound_inputs`` call through a per-process ``_Memo`` keyed by
+    the config at default toggles and the member maps, the only way toggles
+    reach them: one seed of ``ablate`` makes 4 calls for its 16 cells, 2 of
+    them with 30 000-pair target draws; criterion 11 makes 3 for a seed's 5
+    runs; one run one.  The practice MMD diagnostics are keyed by input
+    content: ``ablate`` on practice.json computes 1 240 of its 3 520 MMD
+    values, criterion 11 640 of 1 120, one run all of its own.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -243,16 +238,11 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         source_pairs = _mapped_pairs(config, config.source, config.max_target_pairs,
                                      derive_seed(seed, 22), normalize=normalize)
         weights = np.ones(config.target.feature_dim)
-    # The member maps are fixed for the run, so the deployed model's target,
-    # its risk scorer and its oracle quantities are too.  The target follows
-    # the binding of oracle_bound_inputs, which a tracer rebinds along with
-    # the draws the target makes.
+    # The member maps are fixed for the run, so the deployed model's oracle
+    # quantities and target risk scorer are too.
     key = (replace(config, toggles=Toggles()), align_map, normalize)
-    target, target_risks = _oracle_targets(
-        _oracle_target, key, config, seed, align_map, normalize,
-        binding=oracle_bound_inputs)
-    inputs = _oracle_inputs(oracle_bound_inputs, key,
-                            config, seed, target, align_map, normalize)
+    inputs, target_risks = _oracles(oracle_bound_inputs, key,
+                                    config, seed, align_map, normalize)
 
     records = []
     for it in range(config.iterations):
@@ -356,9 +346,9 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
     Trial t of every cell reuses the same derived seed, so pools and draws
     are identical across cells and comparisons are paired.  Runs go trial-
     major (every cell of trial 0, then of trial 1, ...), so the runs sharing
-    a seed meet the pipeline's memos (``_Memo``: oracle targets and inputs,
-    MMD values) back to back; each cell still lists
-    its results and failures in trial order.  A failing run marks its cell
+    a seed meet the pipeline's memos (``_Memo``: oracle results, MMD
+    values) back to back; each cell still lists its results and failures in
+    trial order.  A failing run marks its cell
     instead of aborting the table.
     """
     grid = list(toggle_grid)

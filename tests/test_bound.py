@@ -104,12 +104,12 @@ def test_rhs_monotonicities_on_sweeps():
 def test_oracle_inputs_are_the_exact_population_values():
     """eps*_T and lambda of the three synthetic configs, to 1e-6; clean and
     noisy share their domains, shifted's target is rescaled."""
-    from pseudobound.bound import _oracle_target, oracle_bound_inputs
+    from pseudobound.bound import oracle_bound_inputs
 
     for kind, lam in (("clean", 0.1404973), ("noisy", 0.1404973),
                       ("shifted", 0.1594816)):
         cfg = pb.default_experiment_config(kind)
-        inputs = oracle_bound_inputs(cfg, 0, _oracle_target(cfg, 0)[0])
+        inputs, _ = oracle_bound_inputs(cfg, 0)
         assert inputs.epsilon_t_star == pytest.approx(0.0702487, abs=1e-6)
         assert inputs.ideal_joint_error == pytest.approx(lam, abs=1e-6)
 
@@ -122,10 +122,11 @@ def test_no_trial_scores_below_the_optimal_target_risk():
 
 
 def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
-    """A non-diagonal align_moments map from the practice pools, composed
-    into the target transform, against 10^6 pairs drawn and mapped member by
+    """The oracle's exact target risks under a non-diagonal align_moments
+    map from the practice pools, which they compose into the target
+    transform, against 10^6 pairs drawn and mapped member by
     member (four draws of 250 000, to bound memory)."""
-    from pseudobound.bound import _mapped_pairs, _oracle_target
+    from pseudobound.bound import _mapped_pairs, oracle_bound_inputs
 
     cfg = pb.default_experiment_config("practice")
     seed = cfg.master_seed
@@ -133,7 +134,7 @@ def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
     source = pb.generate_domain(cfg.source, cfg.n_source_samples, pb.derive_seed(seed, 21))
     amap = pb.align_moments(source, target)[1]
     assert np.count_nonzero(amap.matrix - np.diag(np.diag(amap.matrix))) == 12
-    spec, _ = _oracle_target(cfg, seed, amap)
+    _, target_risks = oracle_bound_inputs(cfg, seed, amap)
     stumps = [pb.StumpHypothesis(0, 1.0, 1), pb.StumpHypothesis(1, 0.8, -1),
               pb.StumpHypothesis(2, 1.5, 1), pb.StumpHypothesis(3, 0.6, -1)]
     misses = np.zeros(len(stumps), dtype=np.int64)
@@ -141,8 +142,7 @@ def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
         pairs = _mapped_pairs(cfg, cfg.target, 250_000, pb.derive_seed(seed, 80, sub), amap)
         misses += [h.misses(pairs.similarity, pairs.true_labels) for h in stumps]
     n = 10 ** 6
-    for h, p_hat, exact in zip(stumps, misses / n,
-                               pb.exact_risks(stumps, spec, cfg.strategy, 1.0)):
+    for h, p_hat, exact in zip(stumps, misses / n, target_risks(stumps)):
         se = math.sqrt(p_hat * (1.0 - p_hat) / (n - 1))
         assert 0.1 < exact < 0.9
         assert abs(p_hat - exact) <= 4.0 * se, h

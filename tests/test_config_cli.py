@@ -104,6 +104,33 @@ def test_config_rejects_a_non_finite_domain_transform(part, index, bad):
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_domain_spec_rejects_a_stddev_that_is_not_positive_and_finite(bad):
+    """JSON ``Infinity`` used to load and end a run in a LinAlgError."""
+    spec = pb.default_experiment_config("practice").source
+    with pytest.raises(pb.ConfigurationError,
+                       match="within_identity_stddev must be positive and finite"):
+        replace(spec, within_identity_stddev=bad)
+    d = pb.default_experiment_config("practice").to_dict()
+    d["source"]["within_identity_stddev"] = bad
+    with pytest.raises(pb.ConfigurationError, match="within_identity_stddev"):
+        pb.ExperimentConfig.from_json(json.dumps(d))
+
+
+def test_cli_run_rejects_an_infinite_stddev_on_one_line(tmp_path, capsys):
+    doc = json.loads((REPO / "configs" / "practice.json").read_text())
+    doc["source"]["within_identity_stddev"] = math.inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))   # writes the literal Infinity
+    assert "Infinity" in path.read_text()
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: "
+                          "within_identity_stddev must be positive and finite")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_config_rejects_a_refine_scale_that_is_not_positive_and_finite(bad):
     """An infinite scale used to load, then overflow the re-weighted
     features and mark every sample as noise at iteration 1."""
@@ -141,7 +168,7 @@ def test_toggles_validation_and_round_trip():
 def small_noisy_config(tmp_path, **overrides):
     cfg = replace(pb.default_experiment_config("noisy"), **overrides)
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(cfg.to_json() + "\n")
     return cfg, str(path)
 
 

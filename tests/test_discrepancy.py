@@ -475,6 +475,19 @@ def test_align_moments_pure_shift_recovers_means():
     assert np.abs(amap.matrix - np.eye(4)).max() < 1e-6
 
 
+def test_align_moments_recovers_a_one_dimensional_affine_shift():
+    """At q = 1 ``np.cov`` returns a 0-d array; the map is still 1x1 and
+    undoes x -> 2x + 3 exactly, as the draws share their noise."""
+    z = np.random.default_rng(5).standard_normal((300, 1))
+    ids = np.zeros(300, dtype=np.int64)
+    src, tgt = pb.SampleSet(z, ids), pb.SampleSet(2.0 * z + 3.0, ids)
+    aligned, amap = pb.align_moments(src, tgt)
+    assert amap.matrix.shape == (1, 1) and amap.offset.shape == (1,)
+    assert amap.matrix[0, 0] == pytest.approx(0.5, rel=1e-5)
+    assert amap.offset[0] == pytest.approx(-1.5, rel=1e-5)
+    assert np.abs(aligned.features - z).max() < 1e-5
+
+
 def test_align_moments_no_shift_near_identity():
     src, tgt = sample_sets(np.zeros(4))
     before = pb.mmd_squared(src.features, tgt.features)

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +9,11 @@ import pytest
 
 import pseudobound as pb
 from pseudobound import bound, pipeline
-from pseudobound.bound import _oracle_target, oracle_bound_inputs
+from pseudobound.bound import oracle_bound_inputs
 
 
 def _empty_memos():
-    for memo in (pipeline._oracle_inputs, pipeline._oracle_targets,
-                 pipeline._mmd_values):
+    for memo in (pipeline._oracles, pipeline._mmd_values):
         memo.values.clear()
 
 
@@ -20,12 +21,6 @@ def _empty_memos():
 def cold_memos():
     """Each test starts with every pipeline memo empty."""
     _empty_memos()
-
-
-def fresh_oracle(cfg, seed, align_map=None, normalize=False):
-    """The oracle inputs and target risk scorer, computed outside the memo."""
-    target, target_risks = _oracle_target(cfg, seed, align_map, normalize)
-    return oracle_bound_inputs(cfg, seed, target, align_map, normalize), target_risks
 
 
 def synthetic_guided_toggles(filtering=pb.FILTER_NONE):
@@ -47,7 +42,7 @@ def test_synthetic_single_iteration_equals_theorem_trial():
 def test_synthetic_run_reports_the_oracle_bound_inputs():
     cfg = pb.default_experiment_config("noisy")
     result = pb.run_self_learning(cfg)
-    assert result.final_report.inputs == fresh_oracle(cfg, cfg.master_seed)[0]
+    assert result.final_report.inputs == oracle_bound_inputs(cfg, cfg.master_seed)[0]
 
 
 # Stumps the target risk scorers are compared on: random ones, both signs
@@ -59,8 +54,8 @@ _PROBE_STUMPS = [pb.random_stump(s, 4, (-1.0, 4.0)) for s in range(40)] + [
 
 def test_identity_member_maps_leave_oracle_inputs_unchanged():
     cfg = pb.default_experiment_config("shifted")
-    plain, plain_risks = fresh_oracle(cfg, 5)
-    mapped, mapped_risks = fresh_oracle(cfg, 5, pb.AffineMap.identity(4))
+    plain, plain_risks = oracle_bound_inputs(cfg, 5)
+    mapped, mapped_risks = oracle_bound_inputs(cfg, 5, pb.AffineMap.identity(4))
     assert mapped == plain
     assert mapped_risks(_PROBE_STUMPS) == plain_risks(_PROBE_STUMPS)
 
@@ -391,6 +386,11 @@ def test_memo_keeps_its_bound_and_follows_its_binding():
     assert list(memo.values) == [3] and memo.fn is cube
 
 
+def _memo_inputs() -> list:
+    """The bound inputs the oracle memo holds, oldest first."""
+    return [inputs for inputs, _ in pipeline._oracles.values.values()]
+
+
 @pytest.mark.parametrize("use_map, normalize",
                          [(False, False), (False, True), (True, False), (True, True)])
 def test_oracle_memo_hit_equals_a_fresh_estimate(use_map, normalize):
@@ -402,8 +402,8 @@ def test_oracle_memo_hit_equals_a_fresh_estimate(use_map, normalize):
     cold = _canonical(pb.run_self_learning(cfg))
     assert _canonical(pb.run_self_learning(cfg)) == cold
     amap = _practice_align_map(cfg, 41) if use_map else None
-    fresh = fresh_oracle(cfg, 41, amap, normalize)[0]
-    assert list(pipeline._oracle_inputs.values.values()) == [fresh]
+    fresh = oracle_bound_inputs(cfg, 41, amap, normalize)[0]
+    assert _memo_inputs() == [fresh]
 
 
 def test_configs_differing_only_in_toggles_share_one_oracle_entry():
@@ -416,14 +416,14 @@ def test_configs_differing_only_in_toggles_share_one_oracle_entry():
     for toggles in (full, replace(full, source_guided=False),
                     replace(full, outlier_filtering=pb.FILTER_NONE)):
         pb.run_self_learning(replace(cfg, toggles=toggles))
-    fresh = fresh_oracle(cfg, 42, amap, True)[0]
-    assert list(pipeline._oracle_inputs.values.values()) == [fresh]
+    fresh = oracle_bound_inputs(cfg, 42, amap, True)[0]
+    assert _memo_inputs() == [fresh]
     off = replace(cfg, toggles=pb.Toggles.all_off())
-    assert fresh_oracle(off, 42, amap, True)[0] == fresh
+    assert oracle_bound_inputs(off, 42, amap, True)[0] == fresh
     for toggles in (replace(full, domain_alignment=False),
                     replace(full, bounded_loss=False), pb.Toggles.all_off()):
         pb.run_self_learning(replace(cfg, toggles=toggles))
-    assert len(pipeline._oracle_inputs.values) == 4
+    assert len(pipeline._oracles.values) == 4
 
 
 def test_a_new_binding_of_oracle_bound_inputs_starts_cold(monkeypatch):
@@ -440,57 +440,71 @@ def test_a_new_binding_of_oracle_bound_inputs_starts_cold(monkeypatch):
     monkeypatch.setattr(pipeline, "oracle_bound_inputs", traced)
     inputs = [pb.run_self_learning(cfg).final_report.inputs for _ in range(2)]
     assert seeds == [cfg.master_seed]
-    assert inputs == [fresh_oracle(cfg, cfg.master_seed)[0]] * 2
+    assert inputs == [oracle_bound_inputs(cfg, cfg.master_seed)[0]] * 2
 
 
-def _counting_targets(monkeypatch) -> list:
-    """Wrap the pipeline's ``_oracle_target`` so each build appends its
-    ``normalize`` flag to the returned list."""
-    built = []
+def _counting_oracles(monkeypatch) -> list:
+    """Rebind the pipeline's ``oracle_bound_inputs`` to a wrapper that
+    appends each call's (seed, normalize) to the returned list."""
+    calls = []
 
     def counted(config, seed, align_map, normalize):
-        built.append(normalize)
-        return _oracle_target(config, seed, align_map, normalize)
+        calls.append((seed, normalize))
+        return oracle_bound_inputs(config, seed, align_map, normalize)
 
-    monkeypatch.setattr(pipeline, "_oracle_target", counted)
-    return built
+    monkeypatch.setattr(pipeline, "oracle_bound_inputs", counted)
+    return calls
 
 
 def test_target_memo_builds_four_targets_per_seed_and_keeps_its_bound(monkeypatch):
     """One seed of the 16-cell grid builds one target per pair of member
     maps, 2 of them pair-backed; a second seed replaces all 4."""
-    assert pipeline._oracle_targets.size == 4
-    built = _counting_targets(monkeypatch)
+    assert pipeline._oracles.size == 4
+    calls = _counting_oracles(monkeypatch)
     base = replace(_small_practice(), iterations=1)
     for seed in (45, 46):
         for toggles in pb.default_toggle_grid():
             pb.run_self_learning(replace(base, toggles=toggles, master_seed=seed))
-        assert len(pipeline._oracle_targets.values) == 4
-        assert {key[0].master_seed for key in pipeline._oracle_targets.values} == {seed}
-    assert sorted(built) == [False] * 4 + [True] * 4
+        assert len(pipeline._oracles.values) == 4
+        assert {key[0].master_seed for key in pipeline._oracles.values} == {seed}
+    assert sorted(normalize for _, normalize in calls) == [False] * 4 + [True] * 4
+
+
+def test_benchmark_selflearn_units_make_four_oracle_calls_per_trial(monkeypatch):
+    """The first 64 selflearn units (4 trials of ``ablate`` on practice.json,
+    the practice default, at seed 0, trial-major) make 16
+    ``oracle_bound_inputs`` calls, 4 per trial."""
+    base = replace(pb.default_experiment_config("practice"), master_seed=0,
+                   trials=4)
+    calls = _counting_oracles(monkeypatch)
+    table = pb.run_ablation(base, pb.default_toggle_grid())
+    assert len(calls) == 16
+    assert Counter(seed for seed, _ in calls) == {s: 4 for s in table.trial_seeds}
 
 
 @pytest.mark.parametrize("use_map, normalize",
                          [(False, False), (False, True), (True, False), (True, True)])
 def test_target_memo_hit_scores_as_a_fresh_target(use_map, normalize):
-    """The stored target scores any stumps as a fresh build does; a
-    pair-backed one keeps no member indices."""
+    """The stored scorer scores any stumps as a fresh build does; a
+    pair-backed target keeps no member indices."""
     cfg = replace(_small_practice(), iterations=1, master_seed=47,
                   toggles=replace(pb.Toggles(), domain_alignment=use_map,
                                   bounded_loss=normalize))
     pb.run_self_learning(cfg)
-    [(target, target_risks)] = pipeline._oracle_targets.values.values()
+    [(_, target_risks)] = pipeline._oracles.values.values()
     amap = _practice_align_map(cfg, 47) if use_map else None
-    fresh, fresh_risks = _oracle_target(cfg, 47, amap, normalize)
+    _, fresh_risks = oracle_bound_inputs(cfg, 47, amap, normalize)
     stumps = [pb.random_stump(s, cfg.target.feature_dim, (0.0, 2.0)) for s in range(12)]
     assert [r.hex() for r in target_risks(stumps)] == \
         [r.hex() for r in fresh_risks(stumps)]
     if normalize:
+        target, fresh = (inspect.getclosurevars(f).nonlocals["pairs"]
+                         for f in (target_risks, fresh_risks))
         assert np.array_equal(target.similarity, fresh.similarity)
         assert np.array_equal(target.true_labels, fresh.true_labels)
         assert target.member_indices.strides[0] == 0   # one shared zero row
     else:
-        assert target == fresh
+        assert target_risks.keywords["spec"] == fresh_risks.keywords["spec"]
 
 
 def test_a_new_binding_starts_the_target_memo_cold(monkeypatch):
@@ -513,7 +527,7 @@ def test_a_new_binding_starts_the_target_memo_cold(monkeypatch):
         pb.run_self_learning(cfg)
     # target (sub-seed 4) and joint-error source (sub-seed 5), once
     assert sizes.count(cfg.oracle_pairs) == 2
-    assert pipeline._oracle_targets.fn is inputs
+    assert pipeline._oracles.fn is inputs
 
 
 def test_oracle_memo_keys_ignore_the_sign_of_zeros():
@@ -527,17 +541,35 @@ def test_oracle_memo_keys_ignore_the_sign_of_zeros():
     assert signed.source.identity_centers.tobytes() != src.identity_centers.tobytes()
     first = pb.run_self_learning(cfg).final_report
     second = pb.run_self_learning(signed).final_report
-    assert len(pipeline._oracle_inputs.values) == 1
+    assert len(pipeline._oracles.values) == 1
     assert first == second
+
+
+def test_one_dimensional_practice_run_fails_typed():
+    """At q = 1 alignment works (``np.cov`` is 0-d there) and the run ends in
+    a typed error, not a traceback: one coordinate cannot separate the pairs."""
+    cfg = pb.default_experiment_config("practice")
+
+    def one_dim(spec):
+        amap = spec.domain_transform
+        return replace(spec, feature_dim=1,
+                       identity_centers=spec.identity_centers[:, :1],
+                       domain_transform=pb.AffineMap(amap.matrix[:1, :1],
+                                                     amap.offset[:1]))
+
+    cfg = replace(cfg, source=one_dim(cfg.source), target=one_dim(cfg.target))
+    assert cfg.toggles.domain_alignment
+    with pytest.raises(pb.PseudoboundError):
+        pb.run_self_learning(cfg)
 
 
 def test_validate_theorem_never_reads_the_memo():
     cfg = replace(pb.default_experiment_config("noisy"), master_seed=3)
-    fresh = fresh_oracle(cfg, 3)[0]
+    fresh = oracle_bound_inputs(cfg, 3)[0]
     pb.run_self_learning(cfg)
-    [key] = pipeline._oracle_inputs.values
+    [(key, (_, target_risks))] = pipeline._oracles.values.items()
     poisoned = replace(fresh, epsilon_t_star=0.5)
-    pipeline._oracle_inputs.values[key] = poisoned
+    pipeline._oracles.values[key] = poisoned, target_risks
     assert pb.run_self_learning(cfg).final_report.inputs == poisoned
     validation = pb.validate_theorem(cfg, trials=2, rng_seed=3)
     assert validation.report.inputs == fresh

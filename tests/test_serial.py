@@ -185,7 +185,8 @@ def test_str_field_takes_only_a_json_string():
 
 def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    replace(pb.default_experiment_config("noisy"), trials=1).save(cfg_path)
+    cfg_path.write_text(
+        replace(pb.default_experiment_config("noisy"), trials=1).to_json() + "\n")
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps([{"source_guide": False}]))
     assert main(["ablate", "--config", str(cfg_path), "--grid", str(grid_path),
