@@ -83,19 +83,13 @@ class BoundInputs(Serializable):
     epsilon_t_star: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigurationError(f"beta must lie in (0, 1), got {self.beta}")
+        RiskConfig(self.big_m, self.alpha, self.beta)  # raises ConfigurationError
         if self.m < 2:
             raise ConfigurationError(f"m must be >= 2, got {self.m}")
         if self.d < 1:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.big_m > 0 and math.isfinite(self.big_m)):
-            raise ConfigurationError(
-                f"big_m must be positive and finite, got {self.big_m}")
         NoiseModel(self.rho_neg, self.rho_pos)  # raises InvalidNoiseError
         if not 0.0 <= self.h_delta_h <= 2.0:
             raise ConfigurationError("h_delta_h must lie in [0, 2]")

@@ -181,8 +181,7 @@ def _domain(seed: int, shifted: bool) -> DomainSpec:
     )
 
 
-def default_experiment_config(kind: str = "practice", master_seed: int = 0
-                              ) -> ExperimentConfig:
+def default_experiment_config(kind: str = "practice") -> ExperimentConfig:
     """Shipped configurations.
 
     clean: synthetic zero noise, no shift.  noisy: synthetic rates
@@ -209,7 +208,6 @@ def default_experiment_config(kind: str = "practice", master_seed: int = 0
         toggles=Toggles() if kind == "practice" else Toggles.all_off(),
         iterations=5 if kind == "practice" else 1,
         trials=20,
-        master_seed=master_seed,
         delta=0.1,
     )
 

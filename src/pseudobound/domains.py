@@ -8,7 +8,7 @@ members share an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,35 +154,47 @@ def rngs_from_states(states: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_PresetSeed(s))) for s in states]
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of an array, which its owner's key can trust."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class _FieldKey:
+    """Equality and hash of a frozen dataclass by one key: every field in
+    order, an array as its shape and bytes (+ 0.0 turns -0.0 into +0.0, as
+    == does)."""
+
+    def _key(self) -> tuple:
+        return tuple((v.shape, (v + 0.0).tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class AffineMap(Serializable):
+class AffineMap(_FieldKey, Serializable):
     """x -> matrix @ x + offset, applied row-wise to (n, q) arrays."""
 
     matrix: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "offset", _frozen(self.offset))
 
     def apply(self, feats: np.ndarray) -> np.ndarray:
         return np.asarray(feats, dtype=float) @ self.matrix.T + self.offset
 
     def is_identity(self) -> bool:
-        q = self.matrix.shape[0]
-        return bool(
-            np.array_equal(self.matrix, np.eye(q)) and not self.offset.any()
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return (np.array_equal(self.matrix, other.matrix)
-                and np.array_equal(self.offset, other.offset))
-
-    def __hash__(self):
-        # + 0.0 maps -0.0 to +0.0, which array_equal in __eq__ calls equal.
-        return hash(((self.matrix + 0.0).tobytes(), (self.offset + 0.0).tobytes()))
+        return self == AffineMap.identity(self.matrix.shape[0])
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
@@ -190,8 +202,9 @@ class AffineMap(Serializable):
 
 
 @dataclass(frozen=True, eq=False)
-class DomainSpec(Serializable):
-    """Full generative description of one domain.
+class DomainSpec(_FieldKey, Serializable):
+    """Full generative description of one domain, validated on construction;
+    its arrays are read-only copies, so it cannot change afterwards.
 
     ``seed`` is the domain's own entropy; every sampling routine mixes it with
     the caller's ``rng_seed`` so that identical (spec, n, rng_seed) triples
@@ -206,12 +219,7 @@ class DomainSpec(Serializable):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "identity_centers", np.asarray(self.identity_centers, dtype=float)
-        )
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "identity_centers", _frozen(self.identity_centers))
         if self.num_identities < 1:
             raise ConfigurationError("num_identities must be >= 1")
         if self.feature_dim < 1:
@@ -239,24 +247,6 @@ class DomainSpec(Serializable):
             raise ConfigurationError("domain_transform must be finite")
         if int(self.seed) < 0:
             raise ConfigurationError("seed must be a non-negative integer")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DomainSpec):
-            return NotImplemented
-        return (
-            self.num_identities == other.num_identities
-            and self.feature_dim == other.feature_dim
-            and np.array_equal(self.identity_centers, other.identity_centers)
-            and self.within_identity_stddev == other.within_identity_stddev
-            and self.domain_transform == other.domain_transform
-            and self.seed == other.seed
-        )
-
-    def __hash__(self):
-        return hash((self.num_identities, self.feature_dim,
-                     (self.identity_centers + 0.0).tobytes(),
-                     self.within_identity_stddev, self.domain_transform,
-                     self.seed))
 
 
 class SampleSet:
@@ -374,7 +364,6 @@ class PairSet:
 def generate_domain(spec: DomainSpec, n: int, rng_seed: int) -> SampleSet:
     """Draw n samples: identity uniform, features center + isotropic noise,
     then the domain transform."""
-    spec.validate()
     if n < 1:
         raise EmptyInputError("generate_domain needs n >= 1")
     rng = make_rng(spec.seed, rng_seed)
@@ -399,7 +388,6 @@ def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     """Identities (b, n_pairs, 2) and normals (b, n_pairs, 2, q) of b pair
     streams; stream i makes on rngs[i] the calls a lone draw makes on
     ``make_rng(spec.seed, rng_seed, 1)``."""
-    spec.validate()
     if n_pairs < 1:
         raise EmptyInputError("draw_pair_process needs n_pairs >= 1")
     n_id = spec.num_identities
@@ -456,12 +444,12 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
             PairSet(sim, labels, member_indices=member))
 
 
-def unit_normalize(features: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def unit_normalize(features: np.ndarray) -> np.ndarray:
     """Project member feature vectors onto the unit sphere (rows of zero norm
     are left untouched)."""
     feats = np.asarray(features, float)
     norms = np.linalg.norm(feats, axis=-1, keepdims=True)
-    return feats / np.maximum(norms, eps)
+    return feats / np.maximum(norms, 1e-12)
 
 
 def map_members(features: np.ndarray, align_map: AffineMap | None = None,

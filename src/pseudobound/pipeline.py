@@ -60,7 +60,8 @@ class _Memo:
     """``fn(*args)`` by key, for one ``fn``: at most ``size`` values, the
     oldest dropped first; a raise stores and evicts nothing, and a call with
     another ``fn`` (a tracing wrapper, a test double) first empties the
-    memo, so the new function sees every call a cold run makes."""
+    memo, so the new function sees every call a cold run makes.  The oracle
+    memo's key is its call's arguments; the MMD memo's, their content."""
 
     def __init__(self, size: int):
         self.size, self.fn, self.values = size, None, {}
@@ -79,7 +80,10 @@ class _Memo:
 
 # Per-process memos.  One trial of the 16-cell grid on practice.json needs 4
 # oracle results (bound inputs and target risk scorer; 2 of the targets are
-# 30 000-pair draws) and 62 MMD values; 256 MMD values hold 4 trials.
+# 30 000-pair draws) and 62 MMD values; 256 MMD values hold 4 trials.  So
+# ``ablate`` on practice.json makes 4 oracle calls per seed and computes
+# 1 240 of its 3 520 MMD values; criterion 11 makes 3 oracle calls per seed
+# and computes 640 of its 1 120 MMD values.
 _oracles, _mmd_values = _Memo(4), _Memo(256)
 
 
@@ -209,12 +213,10 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     bypassed; pair draws are i.i.d. and only the corruption is redrawn per
     iteration.  The oracle inputs and target risk scorer come from one
     ``oracle_bound_inputs`` call through a per-process ``_Memo`` keyed by
-    the config at default toggles and the member maps, the only way toggles
-    reach them: one seed of ``ablate`` makes 4 calls for its 16 cells, 2 of
-    them with 30 000-pair target draws; criterion 11 makes 3 for a seed's 5
-    runs; one run one.  The practice MMD diagnostics are keyed by input
-    content: ``ablate`` on practice.json computes 1 240 of its 3 520 MMD
-    values, criterion 11 640 of 1 120, one run all of its own.
+    that call's own arguments: the config with its toggles at their
+    defaults, the seed and the member maps, the only way toggles reach the
+    oracle.  The practice MMD diagnostics are keyed by input content.  The
+    module comment above ``_oracles`` and the README count the traffic.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -240,9 +242,8 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         weights = np.ones(config.target.feature_dim)
     # The member maps are fixed for the run, so the deployed model's oracle
     # quantities and target risk scorer are too.
-    key = (replace(config, toggles=Toggles()), align_map, normalize)
-    inputs, target_risks = _oracles(oracle_bound_inputs, key,
-                                    config, seed, align_map, normalize)
+    args = (replace(config, toggles=Toggles()), seed, align_map, normalize)
+    inputs, target_risks = _oracles(oracle_bound_inputs, args, *args)
 
     records = []
     for it in range(config.iterations):

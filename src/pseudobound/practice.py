@@ -40,8 +40,8 @@ class DbscanParams(Serializable):
     min_pts: int
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ConfigurationError(f"eps must be positive, got {self.eps}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ConfigurationError(f"eps must be positive and finite, got {self.eps}")
         # bool is an int subclass; a float such as 2.5 would act as its ceiling.
         if isinstance(self.min_pts, bool) or not isinstance(self.min_pts, (int, np.integer)):
             raise ConfigurationError(f"min_pts must be an integer, got {self.min_pts!r}")
@@ -178,12 +178,14 @@ class LinearLearnerConfig(Serializable):
     def __post_init__(self):
         if self.loss_kind not in _LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        if self.l2_penalty < 0:
-            raise ConfigurationError("l2_penalty must be nonnegative")
+        if not (self.l2_penalty >= 0 and math.isfinite(self.l2_penalty)):
+            raise ConfigurationError(
+                f"l2_penalty must be nonnegative and finite, got {self.l2_penalty}")
 
 
 @dataclass(frozen=True)

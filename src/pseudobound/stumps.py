@@ -52,9 +52,6 @@ class StumpHypothesis(Serializable):
         above = np.asarray(feats, float)[:, self.coordinate] > self.threshold
         return int(np.count_nonzero(above != (np.asarray(labels) == self.sign)))
 
-    def flipped(self) -> "StumpHypothesis":
-        return StumpHypothesis(self.coordinate, self.threshold, -self.sign)
-
 
 def vc_dimension(feature_dim: int) -> int:
     """VC dimension of the stump class over feature_dim coordinates."""

@@ -81,6 +81,18 @@ def test_bound_inputs_validation():
     assert back == worked_inputs()
 
 
+@pytest.mark.parametrize("bad", [
+    dict(alpha=-0.1), dict(alpha=1.5), dict(alpha=math.nan), dict(alpha=math.inf),
+    dict(beta=0.0), dict(beta=1.0), dict(beta=math.nan), dict(beta=-math.inf),
+    dict(big_m=0.0), dict(big_m=-1.0), dict(big_m=math.inf), dict(big_m=math.nan)])
+def test_bound_inputs_check_alpha_beta_and_big_m_as_risk_config_does(bad):
+    with pytest.raises(pb.ConfigurationError) as want:
+        pb.RiskConfig(**{"big_m": 1.0, **bad})
+    with pytest.raises(pb.ConfigurationError) as got:
+        worked_inputs(**bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_rhs_monotonicities_on_sweeps():
     base = worked_inputs()
     report = pb.assemble_bound(base)

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
 import shlex
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,6 +129,41 @@ def test_cli_run_rejects_an_infinite_stddev_on_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pseudobound: error: ConfigurationError: "
                           "within_identity_stddev must be positive and finite")
+    assert len(err.splitlines()) == 1
+
+
+def _float_fields():
+    """(valid instance, float field) for every float field of the configs."""
+    for valid in (pb.DbscanParams(0.55, 4), pb.LinearLearnerConfig(),
+                  pb.RiskConfig(1.0), pb.NoiseModel(0.1, 0.2),
+                  pb.default_experiment_config("practice")):
+        hints = typing.get_type_hints(type(valid))
+        for f in dataclasses.fields(valid):
+            if hints[f.name] is float:
+                yield valid, f.name
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("valid, name", list(_float_fields()),
+                         ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_every_float_config_field_rejects_a_non_finite_value(valid, name, bad):
+    with pytest.raises((pb.ConfigurationError, pb.InvalidNoiseError),
+                       match=rf"^{name} must"):
+        replace(valid, **{name: bad})
+
+
+def test_cli_run_rejects_an_infinite_dbscan_radius_on_one_line(tmp_path, capsys):
+    """It used to run and fail at iteration 0 on degenerate rates, naming no
+    field: every point is every point's neighbor."""
+    doc = json.loads((REPO / "configs" / "practice.json").read_text())
+    doc["dbscan_params"]["eps"] = math.inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pseudobound: error: ConfigurationError: eps must be "
+                          "positive and finite")
     assert len(err.splitlines()) == 1
 
 

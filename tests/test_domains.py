@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -169,8 +170,8 @@ def _negate_zeros(a):
 
 
 def test_signed_zeros_hash_like_the_equal_values():
-    """__eq__ uses array_equal, which calls -0.0 and +0.0 equal, so the
-    hashes of a map or spec must not see the sign of a zero."""
+    """-0.0 == +0.0, so neither the equality nor the hash of a map or spec
+    may see the sign of a zero."""
     plus = pb.AffineMap.identity(2)
     minus = pb.AffineMap(_negate_zeros(plus.matrix), _negate_zeros(plus.offset))
     assert plus.offset.tobytes() != minus.offset.tobytes()
@@ -179,6 +180,53 @@ def test_signed_zeros_hash_like_the_equal_values():
     signed = pb.DomainSpec(3, 2, _negate_zeros(spec.identity_centers), 0.25,
                            minus, 7)
     assert spec == signed and hash(spec) == hash(signed)
+
+
+def test_maps_of_equal_bytes_but_other_shapes_differ():
+    square = pb.AffineMap(np.eye(2), np.zeros(2))
+    row = pb.AffineMap(np.eye(2).reshape(1, 4), np.zeros(2))
+    assert square.matrix.tobytes() == row.matrix.tobytes()
+    assert square != row
+
+
+_OTHER_FIELD_VALUES = {
+    "num_identities": 4,
+    "feature_dim": 3,
+    "identity_centers": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]),
+    "within_identity_stddev": 0.5,
+    "domain_transform": pb.AffineMap(np.diag([1.0, 2.0]), np.zeros(2)),
+    "seed": 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_FIELD_VALUES))
+def test_specs_differing_in_one_field_are_unequal(name):
+    """Set behind validation, which rejects a count that disagrees with the
+    centers' shape: the key must still see every field."""
+    assert set(_OTHER_FIELD_VALUES) == {f.name for f in dataclasses.fields(pb.DomainSpec)}
+    spec, other = small_spec(), small_spec()
+    object.__setattr__(other, name, _OTHER_FIELD_VALUES[name])
+    assert spec != other and other != spec
+
+
+def test_a_spec_owns_its_arrays():
+    """Editing the caller's arrays after construction leaves the spec, its
+    hash and its memo entry as they were."""
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    matrix, offset = np.eye(2), np.zeros(2)
+    spec = pb.DomainSpec(3, 2, centers, 0.25, pb.AffineMap(matrix, offset), 7)
+    memo = {spec: 1}
+    before = hash(spec)
+    centers[0, 0], matrix[0, 0], offset[1] = np.nan, 5.0, 1.0
+    assert spec == small_spec() and hash(spec) == before and spec in memo
+
+
+def test_spec_arrays_are_read_only():
+    spec = small_spec(transform=pb.AffineMap(np.eye(2), np.ones(2)))
+    for array in (spec.identity_centers, spec.domain_transform.matrix,
+                  spec.domain_transform.offset):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 def test_domain_spec_json_round_trip():

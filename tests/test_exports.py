@@ -1,7 +1,9 @@
 """The package's import list is its one declaration of the public API."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pseudobound as pb
 
@@ -26,3 +28,20 @@ def test_exact_risk_left_the_namespace():
                          ("practice", "FilterRule")):
         assert not hasattr(pb, name)
         assert not hasattr(importlib.import_module(f"pseudobound.{module}"), name)
+
+
+def test_every_module_reads_every_name_it_imports():
+    """``__init__.py`` is left out: its imports are the public API."""
+    unused = []
+    for path in sorted(Path(pb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []

@@ -54,7 +54,7 @@ def test_empirical_risk_perfect_and_total():
     pairs = pb.PairSet(feats, labels)
     good = pb.StumpHypothesis(0, 1.5, 1)
     assert pb.empirical_risk_true(good, pairs, 3.0) == 0.0
-    assert pb.empirical_risk_true(good.flipped(), pairs, 3.0) == 3.0
+    assert pb.empirical_risk_true(pb.StumpHypothesis(0, 1.5, -1), pairs, 3.0) == 3.0
 
 
 def test_corrected_empirical_risk_worked_example():
@@ -112,7 +112,8 @@ def test_expected_risk_complement_identity():
     h = pb.random_stump(9, 4)
     est, se = pb.expected_risk(h, CFG.target, STRAT, 1.0,
                                oracle_n=2 ** 14, rng_seed=3)
-    est_f, _ = pb.expected_risk(h.flipped(), CFG.target, STRAT, 1.0,
+    flipped = pb.StumpHypothesis(h.coordinate, h.threshold, -h.sign)
+    est_f, _ = pb.expected_risk(flipped, CFG.target, STRAT, 1.0,
                                 oracle_n=2 ** 14, rng_seed=3)
     assert est + est_f == 1.0  # exact: same draw, complementary misses
     assert se > 0
@@ -166,7 +167,8 @@ def test_exact_risk_of_a_stump_and_its_flip_sum_to_m():
         for strategy in (STRAT, pb.PairStrategy.balanced(1), pb.PairStrategy.all_pairs()):
             for s in range(20):
                 h = pb.random_stump(s, 4)
-                risk, flipped = pb.exact_risks([h, h.flipped()], spec, strategy, 1.5)
+                flip = pb.StumpHypothesis(h.coordinate, h.threshold, -h.sign)
+                risk, flipped = pb.exact_risks([h, flip], spec, strategy, 1.5)
                 assert abs(risk + flipped - 1.5) <= 1e-12
 
 

@@ -9,7 +9,6 @@ from pseudobound.stumps import erm_batch
 def test_predict_conventions():
     h = pb.StumpHypothesis(0, 0.5, 1)
     assert h.predict(np.array([1.0])) == 1
-    assert h.flipped().predict(np.array([1.0])) == -1
     # boundary: x == t is NOT greater, so the negative side wins
     assert pb.StumpHypothesis(0, 1.0, 1).predict(np.array([1.0])) == -1
 
