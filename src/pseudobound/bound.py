@@ -399,11 +399,11 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
 
     The block sampler makes each trial's own RNG calls (trial t keeps seed
     ``derive_seed(rng_seed, t)``) and builds a block's pairs and costs at
-    once; one ``erm_batch`` call fits them and one ``exact_risks`` call
-    scores all trials, so each row equals running the trial alone with the
-    public calls.  The seed chain of all trials is built once per call,
-    vectorized (``seed_states``); ``derive_seed`` and ``make_rng`` are its
-    scalar reference.
+    once; one ``erm_batch`` call fits them, stumps only, and one
+    ``exact_risks`` call scores all trials, so each row equals running the
+    trial alone with the public calls.  The seed chain of all trials is
+    built once per call, vectorized (``seed_states``); ``derive_seed`` and
+    ``make_rng`` are its scalar reference.
     """
     if config.noise.kind != SYNTHETIC:
         raise ConfigurationError("theorem validation needs synthetic noise mode")
@@ -416,8 +416,8 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     for block_seeds, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(
             config, trials, rng_seed):
         seeds += block_seeds
-        stumps += [h for h, _ in erm_batch(*_source_guided_problem(
-            src_sim, src_true, tgt_sim, pseudo, cfg, model))]
+        stumps += erm_batch(*_source_guided_problem(
+            src_sim, src_true, tgt_sim, pseudo, cfg, model))
     rows = [TheoremTrialRow(seed, eps_hat, eps_hat > report.rhs)
             for seed, eps_hat in zip(seeds, target_risks(stumps))]
     rate = sum(r.violated for r in rows) / trials

@@ -256,13 +256,16 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), from the cache up to _CACHED_TRIANGLE_N."""
+    return _upper_triangle(n) if n <= _CACHED_TRIANGLE_N else np.triu_indices(n, k=1)
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared distances of all (a, b) row pairs or of a's strict upper
     triangle, each summed by einsum (a per-coordinate sum rounds otherwise)."""
     if b is None:
-        n = len(a)
-        # Cached pairs take 8 n^2 bytes, so only small sizes are kept.
-        i, j = _upper_triangle(n) if n <= _CACHED_TRIANGLE_N else np.triu_indices(n, k=1)
+        i, j = _triangle(len(a))
         diff = np.take(a, i, axis=0)
         diff -= np.take(a, j, axis=0)
     else:

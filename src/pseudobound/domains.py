@@ -191,10 +191,13 @@ class AffineMap(_FieldKey, Serializable):
         object.__setattr__(self, "offset", _frozen(self.offset))
 
     def apply(self, feats: np.ndarray) -> np.ndarray:
-        return np.asarray(feats, dtype=float) @ self.matrix.T + self.offset
+        out = np.asarray(feats, dtype=float) @ self.matrix.T
+        out += self.offset
+        return out
 
-    def is_identity(self) -> bool:
-        return self == AffineMap.identity(self.matrix.shape[0])
+    def is_identity(self) -> bool:  # == AffineMap.identity(q), without building it
+        return (np.array_equal(self.matrix, np.eye(len(self.matrix)))
+                and np.array_equal(self.offset, np.zeros(len(self.matrix))))
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
@@ -390,38 +393,39 @@ def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     ``make_rng(spec.seed, rng_seed, 1)``."""
     if n_pairs < 1:
         raise EmptyInputError("draw_pair_process needs n_pairs >= 1")
-    n_id = spec.num_identities
-    if strategy.kind == "balanced" and n_id < 2:
+    n_id, balanced = spec.num_identities, strategy.kind == "balanced"
+    if balanced and n_id < 2:
         raise DegenerateInputError("balanced pairs need at least two identities")
     ids = np.empty((len(rngs), n_pairs, 2), np.int64)
     noise = np.empty((len(rngs), n_pairs, 2, spec.feature_dim))
+    uniforms = np.empty((len(rngs), n_pairs) if balanced else 0)
     for i, rng in enumerate(rngs):
-        if strategy.kind == "all":
-            ids[i, :, 0] = rng.integers(0, n_id, size=n_pairs)
-            ids[i, :, 1] = rng.integers(0, n_id, size=n_pairs)
-        else:
-            positive = rng.random(n_pairs) < 1.0 / (1 + strategy.k_neg_per_pos)
-            ids[i, :, 0] = ids_a = rng.integers(0, n_id, size=n_pairs)
-            offset = rng.integers(1, n_id, size=n_pairs)
-            ids[i, :, 1] = np.where(positive, ids_a, (ids_a + offset) % n_id)
+        if balanced:
+            rng.random(out=uniforms[i])
+        ids[i, :, 0] = rng.integers(0, n_id, size=n_pairs)
+        ids[i, :, 1] = rng.integers(int(balanced), n_id, size=n_pairs)
         rng.standard_normal(out=noise[i])
+    if balanced:  # a positive repeats the first identity, a negative offsets it
+        first, positive = ids[..., 0], uniforms < 1.0 / (1 + strategy.k_neg_per_pos)
+        ids[..., 1] = np.where(positive, first, (first + ids[..., 1]) % n_id)
     return ids, noise
 
 
 def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features (..., n, 2, q), similarities (..., n, q) and +-1 labels from
-    raw draws, any leading shape.  Consumes ``noise``: the features are built
-    in its buffer (scaled, then offset by the centers: the bits of
-    centers + scale * noise).  An identity transform is skipped: it could
-    only turn -0.0 into +0.0, which ``abs`` removes."""
+    """Features (..., n, 2, q), similarities (..., n, q) and int8 +-1 labels
+    from raw draws, any leading shape, each built in place in one array (the
+    features first in ``noise``'s, which this consumes).  An identity
+    transform is skipped: it could only turn -0.0 into +0.0, as abs does."""
     noise *= spec.within_identity_stddev
     feats = np.add(noise, np.take(spec.identity_centers, ids, axis=0), out=noise)
     amap = spec.domain_transform
     if not amap.is_identity():
         feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)
-    sim = np.abs(feats[..., 0, :] - feats[..., 1, :])
-    labels = np.where(ids[..., 0] == ids[..., 1], 1, -1).astype(np.int8)
+    sim = np.subtract(feats[..., 0, :], feats[..., 1, :])
+    np.abs(sim, out=sim)
+    labels = (ids[..., 0] == ids[..., 1]).view(np.int8)   # 1 or 0, then 1 or -1
+    labels += labels - 1
     return feats, sim, labels
 
 

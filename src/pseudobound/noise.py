@@ -90,10 +90,8 @@ def corrected_costs(pseudo_labels, big_m: float, model: NoiseModel
     corrected loss."""
     yp = np.asarray(pseudo_labels)
     ones = np.ones_like(yp)
-    return (
-        np.asarray(corrected_loss(ones, yp, big_m, model), float),
-        np.asarray(corrected_loss(-ones, yp, big_m, model), float),
-    )
+    return (np.asarray(corrected_loss(ones, yp, big_m, model), float),
+            np.asarray(corrected_loss(-ones, yp, big_m, model), float))
 
 
 def zero_m_costs(labels, big_m: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discrepancy import _sq_dists, _triangle
 from .domains import PairSet, SampleSet, make_rng, similarity_from_members
 from .errors import (
     ConfigurationError,
@@ -49,6 +50,15 @@ class DbscanParams(Serializable):
             raise ConfigurationError(f"min_pts must be >= 1, got {self.min_pts}")
 
 
+def _neighbors(x: np.ndarray, eps: float) -> np.ndarray:
+    """|x_i - x_j| <= eps, i != j from one triangle, i == j as |x_i - x_i|."""
+    within = np.zeros((len(x), len(x)), bool)
+    within[_triangle(len(x))] = _sq_dists(x) <= eps * eps
+    within |= within.T
+    np.fill_diagonal(within, np.isfinite(x).all(axis=1))
+    return within
+
+
 def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     """Euclidean DBSCAN (Ester et al. 1996); returns per-point cluster ids
     with NOISE = -1.
@@ -68,8 +78,7 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     n = len(x)
     if n == 0:
         raise EmptyInputError("dbscan needs at least one point")
-    diff = x[:, None, :] - x[None, :, :]
-    within = np.einsum("ijk,ijk->ij", diff, diff) <= params.eps * params.eps
+    within = _neighbors(x, params.eps)
     core = within.sum(axis=1) >= params.min_pts
 
     labels = np.full(n, NOISE, dtype=np.int64)

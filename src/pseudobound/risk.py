@@ -312,11 +312,8 @@ def _source_guided_problem(src_sim, src_labels, tgt_sim, tgt_pseudo,
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(feats, cost_pos, cost_neg) of the alpha-weighted ERM, target first,
     for any leading batch shape: similarities (..., n, q), labels (..., n)."""
-    t_pos, t_neg = corrected_costs(tgt_pseudo, cfg.big_m, model)
-    s_pos, s_neg = zero_m_costs(src_labels, cfg.big_m)
     w_t = cfg.alpha / tgt_pseudo.shape[-1]
     w_s = (1.0 - cfg.alpha) / src_labels.shape[-1]
-    feats = np.concatenate([tgt_sim, src_sim], axis=-2)
-    cost_pos = np.concatenate([w_t * t_pos, w_s * s_pos], axis=-1)
-    cost_neg = np.concatenate([w_t * t_neg, w_s * s_neg], axis=-1)
-    return feats, cost_pos, cost_neg
+    cost_pos, cost_neg = (np.concatenate([w_t * t, w_s * s], axis=-1) for t, s in zip(
+        corrected_costs(tgt_pseudo, cfg.big_m, model), zero_m_costs(src_labels, cfg.big_m)))
+    return np.concatenate([tgt_sim, src_sim], axis=-2), cost_pos, cost_neg

@@ -6,10 +6,10 @@ arises because the comparison is strictly greater.  ERM takes per-point
 plain, corrected, and alpha-weighted risks.
 
 The scan is batched: ``erm_batch`` fits b problems of equal size with one
-sort and one prefix sum per coordinate, and ``erm`` is its b = 1 case.  An
-interior threshold is the midpoint of the two values around the cut, or
-the lower value where the midpoint rounds up to the upper one or overflows,
-so the returned stump always realizes the cut it was scored on.
+sort and one prefix sum per coordinate and returns stumps; ``erm`` is its
+b = 1 case plus one exact sum of the winner's cost.  A threshold between
+two values is their midpoint, or the lower one where the midpoint rounds
+up or overflows, so a stump always realizes the cut it was scored on.
 """
 
 from __future__ import annotations
@@ -71,30 +71,28 @@ def erm(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     -inf/+inf; an interior threshold is the midpoint of its two values, or
     the lower value where the midpoint rounds up to the upper one or
     overflows.  Ties break toward the smallest coordinate, then the smallest
-    threshold, then sign +1.  The winning cost is re-accumulated with exact
-    summation so the reported value does not depend on scan order.
+    threshold, then sign +1.  The winner's cost, which ``erm_batch`` skips,
+    is summed exactly, so the reported value does not depend on scan order.
     """
-    x = np.asarray(feats, float)
+    x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
     if x.ndim != 2:
         raise ConfigurationError("feats must be a (n, q) array")
-    return erm_batch(x[None], np.asarray(cost_pos, float)[None],
-                     np.asarray(cost_neg, float)[None])[0]
+    [h] = erm_batch(x[None], cp[None], cn[None])
+    return h, math.fsum(np.where(h.predict(x) == 1, cp, cn).tolist())
 
 
 def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
-              ) -> list[tuple[StumpHypothesis, float]]:
-    """``erm`` on b problems of equal size in one scan.
+              ) -> list[StumpHypothesis]:
+    """``erm``'s stumps for b problems of equal size in one scan.
 
     feats is (b, n, q), the costs (b, n).  Each coordinate is sorted once for
     all b problems (O(b q n log n)) with numpy's default (SIMD) argsort; a
     row with a tie, +-0.0 included, is sorted again stably, so every row is
-    in its unique stable order on any CPU.  cumsum accumulates every row in
-    order, so each problem's prefix sums, and hence its stump and cost, are
-    bit-identical to fitting it alone.
+    in its unique stable order on any CPU (a tie-free scan does no tie
+    work).  cumsum accumulates every row in order, so each problem's prefix
+    sums, and hence its stump, are bit-identical to fitting it alone.
     """
-    x = np.asarray(feats, float)
-    cp = np.asarray(cost_pos, float)
-    cn = np.asarray(cost_neg, float)
+    x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
     if x.ndim != 3:
         raise ConfigurationError("feats must be a (b, n, q) array")
     b, n, q = x.shape
@@ -109,19 +107,14 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     row_start = rows[:, None] * n
     # Cut k puts the sorted points [0, k) below the threshold and [k, n)
     # above; prefix and suffix sums of cp and cn price either side.
-    pre_cp = np.zeros((b, n + 1))
-    pre_cn = np.zeros((b, n + 1))
-    suf_cp = np.zeros((b, n + 1))
-    suf_cn = np.zeros((b, n + 1))
+    pre_cp, pre_cn, suf_cp, suf_cn = np.zeros((4, b, n + 1))
     # (cut, sign) costs interleaved with sign +1 first, so argmin's first
     # occurrence realizes the threshold-then-sign tie-break.
     costs = np.empty((b, n + 1, 2))
     flat = costs.reshape(b, 2 * (n + 1))
     best_cost = np.full(b, np.inf)
-    best_j = np.zeros(b, dtype=int)
-    best_k = np.zeros(b, dtype=int)
-    best_lo = np.zeros(b)
-    best_hi = np.zeros(b)
+    best_j, best_k = np.zeros((2, b), dtype=int)
+    best_lo, best_hi = np.zeros((2, b))
     for j in range(q):
         xj = x[:, :, j]
         # order holds flat indices into (b, n) arrays: row r's sorted points
@@ -145,8 +138,8 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         # sign +1: below the cut predicts -1 (pays cn), above predicts +1.
         np.add(pre_cn, suf_cp, out=costs[:, :, 0])
         np.add(pre_cp, suf_cn, out=costs[:, :, 1])
-        # A cut between equal values is not realizable by any threshold.
-        costs[:, 1:n][tied] = np.inf
+        if len(redo):  # a cut between equal values is not realizable
+            costs[:, 1:n][tied] = np.inf
         k = np.argmin(flat, axis=1)
         cost_j = flat[rows, k]
         better = cost_j < best_cost
@@ -166,13 +159,8 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     thresholds[cut == 0] = -np.inf
     thresholds[cut == n] = np.inf
     signs = np.where(best_k % 2 == 0, 1, -1)
-    above = x[rows, :, best_j] > thresholds[:, None]
-    chosen = np.where(above == (signs == 1)[:, None], cp, cn)
-    return [
-        (StumpHypothesis(j, t, s), math.fsum(row))
-        for j, t, s, row in zip(best_j.tolist(), thresholds.tolist(),
-                                signs.tolist(), chosen.tolist())
-    ]
+    return [StumpHypothesis(j, t, s) for j, t, s in zip(
+        best_j.tolist(), thresholds.tolist(), signs.tolist())]
 
 
 def random_stump(rng_seed: int, feature_dim: int,

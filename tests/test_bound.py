@@ -287,6 +287,26 @@ def test_validate_theorem_blocks_equal_trial_by_trial_fits():
             assert row.violated == (eps > res.report.rhs)
 
 
+def test_erm_batch_on_a_theorem_block_equals_per_trial_fits():
+    """One real block of bound trials (shifted, 20 trials): ``erm_batch``
+    returns, threshold bits included, the stump ``fit_source_guided`` fits
+    on each trial's lone draws."""
+    from pseudobound.bound import _trial_blocks
+    from pseudobound.risk import _source_guided_problem
+    from pseudobound.stumps import erm_batch
+
+    cfg = pb.default_experiment_config("shifted")
+    [(seeds, (src_sim, src_true, tgt_sim, _, pseudo))] = _trial_blocks(cfg, 20, 3)
+    stumps = erm_batch(*_source_guided_problem(src_sim, src_true, tgt_sim, pseudo,
+                                               cfg.risk, cfg.noise.model))
+    assert len(stumps) == len(seeds) == 20
+    for h, seed in zip(stumps, seeds):
+        alone, _ = pb.fit_source_guided(*_trial_by_trial(cfg, seed), cfg.risk,
+                                        cfg.noise.model)
+        assert (h.coordinate, h.threshold.hex(), h.sign) == (
+            alone.coordinate, alone.threshold.hex(), alone.sign)
+
+
 @pytest.mark.parametrize("kind,strategy", [
     ("noisy", pb.PairStrategy.balanced(3)),
     ("shifted", pb.PairStrategy.balanced(2)),

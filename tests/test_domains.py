@@ -169,6 +169,57 @@ def _negate_zeros(a):
     return np.where(a == 0, -0.0, a)
 
 
+@pytest.mark.parametrize("amap", [
+    pb.AffineMap.identity(3),
+    pb.AffineMap(_negate_zeros(np.eye(3)), np.full(3, -0.0)),
+    pb.AffineMap(np.eye(3), np.array([0.0, 1e-300, 0.0])),
+    pb.AffineMap(np.array([[1.0, 0.0], [np.nan, 1.0]]), np.zeros(2)),
+    pb.AffineMap(np.eye(2, 3), np.zeros(2)),
+    pb.AffineMap(np.eye(2), np.zeros(3)),
+    pb.AffineMap(np.diag([1.6, 0.7]), np.array([1.6, -1.1])),
+])
+def test_is_identity_is_equality_with_the_identity_map(amap):
+    assert amap.is_identity() == (amap == pb.AffineMap.identity(amap.matrix.shape[0]))
+
+
+def _pairs_from_draws_as_before(spec, ids, noise):
+    """The pair features as formed before they were built in place: the
+    mapped features through ``x @ A.T + b``, labels through where/astype."""
+    feats = noise * spec.within_identity_stddev + np.take(spec.identity_centers, ids, axis=0)
+    amap = spec.domain_transform
+    if amap != pb.AffineMap.identity(spec.feature_dim):
+        flat = feats.reshape(-1, spec.feature_dim)
+        feats = (flat @ amap.matrix.T + amap.offset).reshape(feats.shape)
+    sim = np.abs(feats[..., 0, :] - feats[..., 1, :])
+    return feats, sim, np.where(ids[..., 0] == ids[..., 1], 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("transform", [
+    pb.AffineMap(_negate_zeros(np.eye(3)), np.full(3, -0.0)),     # the identity
+    pb.AffineMap(np.array([[1.6, -0.0, 0.2], [0.0, 0.7, 0.0], [-0.3, 0.0, 1.25]]),
+                 np.array([1.6, -0.0, 0.9])),
+])
+def test_pairs_from_draws_equal_the_old_formula_bytewise(transform):
+    """Features, similarities and int8 labels keep their bytes, -0.0 in the
+    centers, the normals and the transform included."""
+    from pseudobound.domains import _pairs_from_draws
+
+    centers = np.array([[0.0, -0.0, 1.5], [-0.0, 2.0, -0.0], [-0.0, -0.0, 0.0]])
+    spec = pb.DomainSpec(3, 3, centers, 0.5, transform, seed=1)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, 3, size=(2, 60, 2))
+    noise = rng.standard_normal((2, 60, 2, 3))
+    noise[rng.random(noise.shape) < 0.4] = -0.0
+    noise[:, :10, 1] = noise[:, :10, 0]        # members equal coordinate by coordinate
+    expected = _pairs_from_draws_as_before(spec, ids, noise)
+    got = _pairs_from_draws(spec, ids, noise.copy())
+    if transform.is_identity():     # the unmapped features keep their -0.0
+        assert np.signbit(expected[0][expected[0] == 0]).any()
+    assert got[2].dtype == np.int8 and set(got[2].ravel().tolist()) == {-1, 1}
+    for new, old in zip(got, expected):
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
 def test_signed_zeros_hash_like_the_equal_values():
     """-0.0 == +0.0, so neither the equality nor the hash of a map or spec
     may see the sign of a zero."""

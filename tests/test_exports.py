@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pseudobound as pb
@@ -20,6 +23,18 @@ def test_every_exported_function_and_class_is_the_packages_own():
     assert len(exported) > 50
     for name, value in exported.items():
         assert value.__module__.startswith("pseudobound."), name
+
+
+def test_package_import_loads_neither_numpy_random_nor_numpy_ma():
+    """Every benchmark's set-up time includes a fresh ``import pseudobound``;
+    numpy.random and numpy.ma stay unloaded until a draw or a masked array
+    needs them (numpy.ma alone keeps about 1 MB resident)."""
+    src = str(Path(pb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, pseudobound\n"
+            "loaded = [m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_exact_risk_left_the_namespace():

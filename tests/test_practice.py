@@ -3,6 +3,8 @@ import pytest
 
 import pseudobound as pb
 from oracles import dbscan_oracle
+from pseudobound import discrepancy
+from pseudobound.practice import _neighbors
 
 
 def test_dbscan_1d_example():
@@ -52,6 +54,37 @@ def test_dbscan_matches_brute_force_oracle_up_to_150_points():
         min_pts = int(rng.integers(1, 9))
         fast = pb.dbscan(pts, pb.DbscanParams(eps, min_pts))
         assert np.array_equal(fast, dbscan_oracle(pts, eps, min_pts))
+
+
+def _within_by_einsum(x, eps):
+    """The neighbor matrix as first written: the full (n, n, q) difference."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff) <= eps * eps
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_neighbors_equal_the_full_einsum_bit_for_bit(cached, monkeypatch):
+    """One triangle, mirrored, with x - x on the diagonal is the full matrix:
+    boundary distances, ties and -0.0 included, and a non-finite point is
+    nobody's neighbor, its own included."""
+    if not cached:
+        monkeypatch.setattr(discrepancy, "_CACHED_TRIANGLE_N", 0)
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n, q = int(rng.integers(1, 130)), int(rng.integers(1, 5))
+        x = rng.standard_normal((n, q)) * 2.0
+        if trial % 2:
+            x = np.round(x, 1) * np.where(rng.random((n, q)) < 0.3, -1.0, 1.0)
+        eps = 0.5 if trial % 4 == 1 else float(rng.uniform(0.2, 3.0))
+        finite = trial % 3 != 0
+        if not finite:
+            x[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(_neighbors(x, eps), _within_by_einsum(x, eps))
+        if finite:
+            params = pb.DbscanParams(eps, int(rng.integers(1, 5)))
+            assert np.array_equal(pb.dbscan(x, params),
+                                  dbscan_oracle(x, params.eps, params.min_pts))
 
 
 def test_dbscan_chain_is_one_component():

@@ -181,18 +181,19 @@ def _batch_problems(rng, b, n, q, kind):
 def test_erm_batch_equals_erm_problem_by_problem(b, n, q, kind):
     rng = np.random.default_rng(b * 100 + n)
     feats, cp, cn = _batch_problems(rng, b, n, q, kind)
-    fits = erm_batch(feats, cp, cn)
-    assert len(fits) == b
-    for i, (h, cost) in enumerate(fits):
-        alone = pb.erm(feats[i], cp[i], cn[i])
-        assert h == alone[0] and cost == alone[1]
+    stumps = erm_batch(feats, cp, cn)
+    assert len(stumps) == b
+    for i, h in enumerate(stumps):
+        alone, cost = pb.erm(feats[i], cp[i], cn[i])
+        assert (h.coordinate, h.threshold.hex(), h.sign) == (
+            alone.coordinate, alone.threshold.hex(), alone.sign)
         assert cost == erm_grid_oracle(feats[i], cp[i], cn[i])
 
 
 def test_erm_batch_tie_rows_match_stable_scan():
     """Tie-free rows and rows with repeated values or +-0.0 share one batch;
-    every row's stump (threshold bits included) and cost equal a per-row
-    stable-sort scan.  Costs span 17 orders of magnitude, so the order a tie
+    every row's stump (threshold bits included), and ``erm``'s cost of
+    that row, equal a per-row stable-sort scan.  Costs span 17 orders of magnitude, so the order a tie
     group is summed in decides which of two near-equal cuts wins."""
     rng = np.random.default_rng(11)
     b, n, q = 24, 60, 3
@@ -203,13 +204,13 @@ def test_erm_batch_tie_rows_match_stable_scan():
     zeros[rng.random(zeros.shape) < 0.5] *= -1.0
     scale = 10.0 ** rng.integers(-16, 2, size=(2, b, n))
     cp, cn = rng.uniform(-1.0, 1.0, size=(2, b, n)) * scale
-    fits = erm_batch(feats, cp, cn)
+    stumps = erm_batch(feats, cp, cn)
     assert any(np.signbit(feats[i][feats[i] == 0]).any() for i in range(b))
-    for i, (h, cost) in enumerate(fits):
+    for i, h in enumerate(stumps):
         ref_h, ref_cost = erm_stable_scan_oracle(feats[i], cp[i], cn[i])
         assert (h.coordinate, h.threshold.hex(), h.sign) == (
             ref_h.coordinate, ref_h.threshold.hex(), ref_h.sign)
-        assert cost == ref_cost
+        assert pb.erm(feats[i], cp[i], cn[i]) == (ref_h, ref_cost)
 
 
 def test_erm_batch_input_validation():
