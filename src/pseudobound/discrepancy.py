@@ -8,15 +8,19 @@ a region's score is then n_S*n_T times the difference of its two empirical
 probabilities, and everything stays in int64 until the final division.  The
 XOR scan cuts each coordinate pair's prefix-sum grid into blocks of about
 sqrt(k1) rows and scores a block only on the column segments its own points
-cut, all blocks of a group in one batched pass.  With k1, k2 distinct values
-per coordinate and n points it takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time
-and O(k2 + n) memory beyond a fixed group budget; no grid is built.
+cut.  A first pass scores every block's top row; a block's rows differ from
+it by at most its points' summed |weight|, so only blocks that can beat the
+best score so far are scanned, a group at a time in one batched pass.  With
+k1, k2 distinct values per coordinate and n points it takes O(k1^1.5 +
+sqrt(k1)*k2 + n log n) time at worst (when every block must be scanned) and
+O(k2 + n) memory beyond a fixed group budget; no grid is built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -70,8 +74,8 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     for j1 in range(q):
         for j2 in range(j1 + 1, q):
             order = orders[j1]
-            best = max(best, _xor_best(ranks[j1][order], ranks[j2][order],
-                                       weights[order], work))
+            best = _xor_best(ranks[j1][order], ranks[j2][order],
+                             weights[order], work, best)
     return best
 
 
@@ -83,28 +87,29 @@ def _block_rows(k1: int) -> int:
 
 
 def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
-              work: np.ndarray) -> int:
-    """max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|, rank1 sorted.
+              work: np.ndarray, floor: int) -> int:
+    """max(floor, max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|).
 
-    With G[a, b] the signed weight below both cuts, the XOR region weighs
-    G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come in blocks of B =
-    _block_rows(k1).  In a block G[a, .] is the carry row above it plus
-    D[a, s], a step function of b that steps only at the block's own columns.
-    So V = G[-1, .] - 2 carry is reduced to its max and min on each segment
-    those columns start, and each row is scored per segment.
+    rank1 is sorted.  With G[a, b] the signed weight below both cuts, the XOR
+    region weighs F(a, b) = G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come in
+    blocks of B = _block_rows(k1).  In a block G[a, .] is the carry row above
+    it plus D[a, s], a step function of b that steps only at the block's own
+    columns, so F(a, b) = F(top, b) + D[a, -1] - 2 D[a, s]: F along the top
+    row is reduced to its max and min on each segment those columns start,
+    and each row is scored per segment.
 
-    Blocks are scored a group at a time in one batched pass.  One sort of the
-    (block, column) keys gives every block's segments; one (B, blocks,
-    segments) array holds every D, padded with each block's last real segment
-    and row, so a padded cell repeats a real candidate; every carry row is
-    the one above plus the previous block's last D row spread over its
-    segments; one reduceat per extreme reduces V.  With n points that is
-    O(k1/B * k2 + k1 * B + n log n) time.  A group is one block or as many
-    as keep its carry rows and D within _GROUP_CELLS cells, so memory is
-    O(_GROUP_CELLS + k2 + n) at any size.  D lives in ``work``, int64
-    scratch of _GROUP_CELLS cells that the caller passes to every coordinate
-    pair, so its pages are touched once a call; a block too large for it
-    gets its own.
+    The carry pass spreads each block's last D row, summed from its points
+    per segment, into the carry rows and scores each block's top row, a real
+    cut.  Each block point below cut a moves F(a, .) by +-|w| from the top
+    row, so no row beats the top score plus S, the block's summed |w|.  Only
+    blocks whose bound beats the best so far (``floor``, every top row
+    included) get F's per-segment extremes and a scan in ``_block_pass``,
+    best bound first, so pruning is exact.  If the samples are alike every
+    block is scanned: O(k1/B * k2 + k1 * B + n log n) time for n points, as
+    without pruning.  A group of either pass is one block or as many as keep
+    a carry group's rows plus a scan group's D within _GROUP_CELLS cells:
+    O(_GROUP_CELLS + k2 + n) memory.  D lives in ``work``, int64 scratch
+    that the caller passes to every coordinate pair.
     """
     k1 = int(rank1[-1]) + 1
     width = int(rank2.max()) + 2                # grid columns b = 0..k2
@@ -112,7 +117,6 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
     col = np.zeros(width, dtype=np.int64)       # G[-1, b]
     np.add.at(col, b_idx, weights)
     np.cumsum(col, out=col)
-    hi, lo = int(col.max()), int(col.min())     # row a = 0, where G = 0
 
     rows = _block_rows(k1)
     n_blocks = -(-k1 // rows)
@@ -129,60 +133,80 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
     seg[order] = np.cumsum(new)
     seg -= firsts[block]
     n_seg = np.diff(firsts) + 1                 # segment 0 lies left of them
-    s_all = int(n_seg.max())
-    most = max(1, _GROUP_CELLS // (width + rows * s_all))   # blocks per group
-    group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
-    bounds = np.searchsorted(rank1, np.arange(n_blocks + 1) * rows)
-
-    cells = rows * group * s_all                # a group's D at most
-    buf = work if cells <= len(work) else np.empty(cells, dtype=np.int64)
+    # Block i's segments are at[i]..at[i+1] - 1 of one flat list; segment s
+    # starts at column starts[at[i] + s] of the (block, column) flattening.
+    at = firsts + np.arange(n_blocks + 1)
+    starts = np.insert(ukey, firsts[:-1], np.arange(n_blocks) * width)
     neg2w = -2 * weights
-    carry = np.zeros(width, dtype=np.int64)     # -2 G at the group's top row
+    last = np.zeros(at[-1], dtype=np.int64)     # -2 D at each block's last row
+    np.add.at(last, at[block] + seg, neg2w)
+    np.cumsum(last, out=last)
+    last -= np.repeat(last[at[:-1]], n_seg)     # segment 0 holds no point
+
+    # S of each block, then its top score plus S
+    reach = np.add.reduceat(np.abs(weights), np.searchsorted(rank1, np.arange(n_blocks) * rows))
+    f_hi, f_lo = np.empty((2, at[-1]), dtype=np.int64)   # top row's F per segment
+    most = max(1, _GROUP_CELLS // (width + rows * int(n_seg.max())))
+    group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
+    carry = col                                 # V at the group's top row
     for g0 in range(0, n_blocks, group):
         g1 = min(g0 + group, n_blocks)
         nb = g1 - g0
-        pts = slice(bounds[g0], bounds[g1])
-        s_max = int(n_seg[g0:g1].max())
-        # d[r, i, s] is -2 D of block g0 + i; past its last segment and its
-        # last row it repeats them, since no weight lands there.
-        d = buf[:rows * nb * s_max].reshape(rows, nb, s_max)
-        d.fill(0)
-        np.add.at(d.ravel(), ((rank1[pts] % rows) * nb + block[pts] - g0) * s_max
-                  + seg[pts], neg2w[pts])
-        np.cumsum(d, axis=2, out=d)
-        for r in range(1, rows):
-            d[r] += d[r - 1]
-
-        # In the group's flattened columns, block i's segment s starts at
-        # starts[at[i] + s]: its base column, then one per distinct column.
-        at = firsts[g0:g1] - firsts[g0] + np.arange(nb)
-        starts = np.insert(ukey[firsts[g0]:firsts[g1]] - g0 * width,
-                           firsts[g0:g1] - firsts[g0], np.arange(nb) * width)
-        real = np.arange(s_max) < n_seg[g0:g1, None]
-        # m[i] is -2 G at the top row of block g0 + i, the carry row above it
-        # plus every earlier block's last D row spread over its segments;
-        # m[nb] tops the next group.
-        m = np.repeat(np.concatenate((carry, d[-1][real])),
+        cut = starts[at[g0]:at[g1]] - g0 * width
+        # v[i] is V = G[-1, .] - 2 G at the top row of block g0 + i: the carry
+        # row above it plus every earlier block's last D row spread over its
+        # segments; v[nb] tops the next group.
+        v = np.repeat(np.concatenate((carry, last[at[g0]:at[g1]])),
                       np.concatenate((np.ones(width, dtype=np.int64),
-                                      np.diff(starts, append=nb * width))))
-        m = m.reshape(nb + 1, width)
+                                      np.diff(cut, append=nb * width)))
+                      ).reshape(nb + 1, width)
         for i in range(1, nb + 1):
-            m[i] += m[i - 1]
-        carry = m[nb].copy()
-        top = m[:nb, -1].copy()                 # -2 G[top, -1] of each block
-        v = m[:nb]
-        v += col                                # V = G[-1, .] - 2 carry
-        pick = at[:, None] + np.minimum(np.arange(s_max), n_seg[g0:g1, None] - 1)
-        v_hi = np.maximum.reduceat(v.ravel(), starts)[pick]
-        v_lo = np.minimum.reduceat(v.ravel(), starts)[pick]
+            v[i] += v[i - 1]
+        carry, v = v[nb].copy(), v[:nb]
+        v += v[:, -1:] // -2                    # F = V + G[top, -1], as col[-1] = 0
+        score = np.maximum(v.max(axis=1), -v.min(axis=1))
+        floor = max(floor, int(score.max()))
+        reach[g0:g1] += score
+        kept = reach[g0:g1] > floor             # the blocks still worth a scan
+        sel = np.repeat(kept, n_seg[g0:g1])
+        cut = (cut - np.repeat(np.cumsum(~kept) * width, n_seg[g0:g1]))[sel]
+        for j, i in enumerate(np.flatnonzero(kept)):   # moved up in place, not copied
+            v[j] = v[i]
+        v = v[:kept.sum()].ravel()
+        f_hi[at[g0]:at[g1]][sel] = np.maximum.reduceat(v, cut)
+        f_lo[at[g0]:at[g1]][sel] = np.minimum.reduceat(v, cut)
+        del v                                   # before the next group's rows
 
-        d += ((d[:, :, -1] + top) // -2)[:, :, None]   # + G[a, -1]
-        d += v_hi
-        hi = max(hi, int(d.max()))
-        d += v_lo - v_hi
-        lo = min(lo, int(d.min()))
-        del m, v                                # before the next group's rows
-    return max(hi, -lo)
+    scan = np.argsort(-reach, kind="stable")    # best bound first
+    while (scan := scan[reach[scan] > floor]).size:
+        take, scan = np.sort(scan[:group]), scan[group:]
+        pts = np.flatnonzero(np.isin(block, take))
+        s_max = int(n_seg[take].max())
+        pick = at[take, None] + np.minimum(np.arange(s_max), n_seg[take, None] - 1)
+        cells = ((rank1[pts] % rows) * len(take) + np.searchsorted(take, block[pts])) * s_max
+        floor = max(floor, _block_pass(work, rows, cells + seg[pts], neg2w[pts],
+                                       f_hi[pick], f_lo[pick]))
+    return floor
+
+
+def _block_pass(work: np.ndarray, rows: int, cells: np.ndarray, neg2w: np.ndarray,
+                f_hi: np.ndarray, f_lo: np.ndarray) -> int:
+    """max |F| over a group of blocks.  neg2w[p] lands at flat cell cells[p] of
+    d, (rows, blocks, segments); summed, d is each block's -2 D, and d, f_hi and
+    f_lo (F's extremes per segment of the top row) pad with the last segment."""
+    size = rows * f_hi.size
+    d = (work[:size] if size <= len(work) else np.empty(size, dtype=np.int64))
+    d = d.reshape((rows,) + f_hi.shape)
+    d.fill(0)
+    np.add.at(d.ravel(), cells, neg2w)
+    np.cumsum(d, axis=2, out=d)
+    for r in range(1, rows):
+        d[r] += d[r - 1]
+    d += (d[:, :, -1] // -2)[:, :, None]    # F(a, b) = F(top, b) + D[a, -1] - 2 D[a, b]
+    d += f_hi
+    hi = int(d.max())
+    d += f_lo - f_hi
+    return max(hi, -int(d.min()))
 
 
 def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
@@ -193,8 +217,10 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
     plus +-inf, where the empirical supremum is attained; the value is exact
     for the two empirical distributions.  For n pooled points in q
     coordinates with k1, k2 distinct values per coordinate it takes
-    O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n)) time and, per coordinate pair,
-    O(k2 + n) memory beyond a fixed 1 MB group budget, never an (n+1)^2 grid.
+    O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n)) time at worst, less when the XOR
+    sweep's exact bound skips row blocks (as on shifted samples), and, per
+    coordinate pair, O(k2 + n) memory beyond a fixed 1 MB group budget,
+    never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)
@@ -312,11 +338,13 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
         raise EmptyInputError("mmd_squared needs nonempty feature sets")
     if x.shape[1] != y.shape[1]:
         raise ConfigurationError("feature sets must share a dimension")
+    median = isinstance(bandwidth, str) and bandwidth == MEDIAN_HEURISTIC
+    if not (median or isinstance(bandwidth, numbers.Real)
+            and not isinstance(bandwidth, bool) and math.isfinite(bandwidth)):
+        raise ConfigurationError(f"kernel bandwidth must be 'median' or finite, got {bandwidth!r}")
     sq_xx, sq_yy, sq_xy = _sq_dists(x), _sq_dists(y), _sq_dists(x, y)
-    if bandwidth == MEDIAN_HEURISTIC:
-        sigma = _median_distance(np.concatenate([sq_xx, sq_yy, sq_xy]))
-    else:
-        sigma = float(bandwidth)
+    sigma = (_median_distance(np.concatenate([sq_xx, sq_yy, sq_xy])) if median
+             else float(bandwidth))
     if not sigma > 0:
         raise ConfigurationError(f"kernel bandwidth must be positive, got {sigma}")
     scale = -0.5 / (sigma * sigma)

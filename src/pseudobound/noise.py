@@ -87,11 +87,10 @@ def corrected_loss(y_pred, y_pseudo, big_m: float, model: NoiseModel):
 def corrected_costs(pseudo_labels, big_m: float, model: NoiseModel
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (cost if predicted +1, cost if predicted -1) under the
-    corrected loss."""
-    yp = np.asarray(pseudo_labels)
-    ones = np.ones_like(yp)
-    return (np.asarray(corrected_loss(ones, yp, big_m, model), float),
-            np.asarray(corrected_loss(-ones, yp, big_m, model), float))
+    corrected loss, each value computed once and picked by the +-1 label."""
+    pos = np.asarray(pseudo_labels) == 1
+    return tuple(np.where(pos, corrected_loss(y, 1, big_m, model),
+                          corrected_loss(y, -1, big_m, model)) for y in (1, -1))
 
 
 def zero_m_costs(labels, big_m: float) -> tuple[np.ndarray, np.ndarray]:

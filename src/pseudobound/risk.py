@@ -312,8 +312,11 @@ def _source_guided_problem(src_sim, src_labels, tgt_sim, tgt_pseudo,
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(feats, cost_pos, cost_neg) of the alpha-weighted ERM, target first,
     for any leading batch shape: similarities (..., n, q), labels (..., n)."""
-    w_t = cfg.alpha / tgt_pseudo.shape[-1]
-    w_s = (1.0 - cfg.alpha) / src_labels.shape[-1]
-    cost_pos, cost_neg = (np.concatenate([w_t * t, w_s * s], axis=-1) for t, s in zip(
-        corrected_costs(tgt_pseudo, cfg.big_m, model), zero_m_costs(src_labels, cfg.big_m)))
-    return np.concatenate([tgt_sim, src_sim], axis=-2), cost_pos, cost_neg
+    n_t = tgt_pseudo.shape[-1]
+    feats = np.concatenate([tgt_sim, src_sim], axis=-2)
+    costs = np.empty((2,) + feats.shape[:-1])       # cost_pos, cost_neg
+    costs[0, ..., :n_t], costs[1, ..., :n_t] = corrected_costs(tgt_pseudo, cfg.big_m, model)
+    costs[0, ..., n_t:], costs[1, ..., n_t:] = zero_m_costs(src_labels, cfg.big_m)
+    costs[..., :n_t] *= cfg.alpha / n_t
+    costs[..., n_t:] *= (1.0 - cfg.alpha) / src_labels.shape[-1]
+    return feats, costs[0], costs[1]

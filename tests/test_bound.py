@@ -307,6 +307,43 @@ def test_erm_batch_on_a_theorem_block_equals_per_trial_fits():
             alone.coordinate, alone.threshold.hex(), alone.sign)
 
 
+def _concatenated_problem(src_sim, src_labels, tgt_sim, tgt_pseudo, cfg, model):
+    """The source-guided ERM problem as first written: both cost rows from
+    the elementwise corrected loss, scaled, then concatenated."""
+    ones = np.ones_like(tgt_pseudo)
+    target = (np.asarray(pb.corrected_loss(ones, tgt_pseudo, cfg.big_m, model), float),
+              np.asarray(pb.corrected_loss(-ones, tgt_pseudo, cfg.big_m, model), float))
+    w_t = cfg.alpha / tgt_pseudo.shape[-1]
+    w_s = (1.0 - cfg.alpha) / src_labels.shape[-1]
+    cost_pos, cost_neg = (np.concatenate([w_t * t, w_s * s], axis=-1)
+                          for t, s in zip(target, pb.zero_m_costs(src_labels, cfg.big_m)))
+    return np.concatenate([tgt_sim, src_sim], axis=-2), cost_pos, cost_neg
+
+
+@pytest.mark.parametrize("model", [pb.NO_NOISE, pb.NoiseModel(0.1, 0.2),
+                                   pb.NoiseModel(0.3, 0.05)])
+@pytest.mark.parametrize("kind", ["clean", "noisy", "shifted"])
+def test_source_guided_problem_equals_the_concatenated_form_bytewise(kind, model):
+    """A block of trials and one lone trial, under every shipped noise model
+    (clean's rates are NO_NOISE's) and an asymmetric one, at a non-unit M and
+    alpha: features and both cost rows keep every byte."""
+    from dataclasses import replace
+
+    from pseudobound.bound import _trial_blocks
+    from pseudobound.risk import _source_guided_problem
+
+    cfg = pb.default_experiment_config(kind)
+    [(_, (src_sim, src_true, tgt_sim, _, pseudo))] = _trial_blocks(cfg, 20, 3)
+    for risk in (cfg.risk, replace(cfg.risk, big_m=2.5, alpha=0.3)):
+        for args in ((src_sim, src_true, tgt_sim, pseudo),
+                     (src_sim[4], src_true[4], tgt_sim[4], pseudo[4])):
+            got = _source_guided_problem(*args, risk, model)
+            want = _concatenated_problem(*args, risk, model)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("kind,strategy", [
     ("noisy", pb.PairStrategy.balanced(3)),
     ("shifted", pb.PairStrategy.balanced(2)),

@@ -161,21 +161,93 @@ def test_h_delta_h_column_segments_at_derived_block_sizes(name):
         _assert_sweep_exact(feats[is_source], feats[~is_source])
 
 
-def test_h_delta_h_sweep_in_several_block_groups():
+def _count_scans(monkeypatch):
+    """Wrap the XOR sweep's block pass; the list gets each call's block count."""
+    scans = []
+    block_pass = discrepancy._block_pass
+
+    def counting(work, rows, cells, neg2w, f_hi, f_lo):
+        scans.append(len(f_hi))
+        return block_pass(work, rows, cells, neg2w, f_hi, f_lo)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", counting)
+    return scans
+
+
+def test_h_delta_h_sweep_in_several_block_groups(monkeypatch):
     """6000 continuous rows against 50 integer columns need more than one
-    group of blocks at the module's cell budget; the grid stays small."""
+    group of blocks in both passes at the module's cell budget; the grid
+    stays small.  Membership is a fair coin, so the samples are alike, the
+    bound prunes little and the block pass too runs in several groups."""
     rng = np.random.default_rng(21)
     pooled = 6000
     x = np.column_stack([rng.standard_normal(pooled),
                          rng.integers(0, 50, pooled)]).astype(float)
-    is_source = ((x[:, 0] > 0) != (x[:, 1] < 25)) != (rng.random(pooled) < 0.2)
+    is_source = rng.random(pooled) < 0.5
     rows = _block_rows(pooled)
     blocks = np.argsort(np.argsort(x[:, 0])) // rows
     n_blocks = blocks.max() + 1
     segments = 1 + max(len(np.unique(x[blocks == i, 1])) for i in range(n_blocks))
-    # a group is _GROUP_CELLS // (k2 + 1 + rows * segments) blocks
-    assert n_blocks * (51 + rows * segments) > discrepancy._GROUP_CELLS
+    # a carry group's rows and a scan group's D share the budget: groups of
+    # either pass have at most _GROUP_CELLS // (k2 + 1 + rows * segments)
+    # blocks, as equal in size as may be
+    most = discrepancy._GROUP_CELLS // (51 + rows * segments)
+    assert n_blocks > most
+    group = -(-n_blocks // -(-n_blocks // most))
+    scans = _count_scans(monkeypatch)
     _assert_sweep_exact(x[is_source], x[~is_source])
+    # at least four scan groups over the two argument orders, full ones among them
+    assert len(scans) >= 4 and max(scans) == group
+
+
+def _inside_block_xor(n_rows, inside, seed):
+    """Source pairs sit exactly in the XOR of x0 < c and x1 < 5, so that
+    region holds the best score, n_S * n_T.  Each of the n_rows distinct
+    x0 values holds two points, x1 takes ten integer values, and n_S !=
+    n_T.  The row cut c lies ``inside`` (a fraction) of the way through the
+    second-to-last block.  Its top row misses the block's points below c,
+    the next block's top row those above, so for inside > 3/4 the block's
+    top score plus half its summed weight stays below the next top score."""
+    rows = _block_rows(n_rows)
+    n_blocks = -(-n_rows // rows)
+    cut = (n_blocks - 2) * rows + int(inside * rows)
+    assert cut % rows and n_blocks >= 3
+    rng = np.random.default_rng(seed)
+    x0 = np.repeat(np.arange(n_rows, dtype=float), 2)
+    x1 = rng.integers(0, 10, len(x0)).astype(float)
+    is_source = (x0 < cut) != (x1 < 5)
+    x = np.column_stack([x0, x1])
+    assert is_source.sum() != (~is_source).sum()
+    return x[is_source], x[~is_source]
+
+
+@pytest.mark.parametrize("inside", [0.85, 0.95])
+@pytest.mark.parametrize("n_rows", [200, 1000])
+def test_h_delta_h_best_cut_strictly_inside_a_block(n_rows, inside):
+    """The best XOR cut is no block's top row, and only the block it lies in
+    reaches it: the sweep scans that block, ties and unequal weights
+    included, and finds the exact best."""
+    x, y = _inside_block_xor(n_rows, inside, n_rows)
+    _assert_sweep_exact(x, y)
+    assert _h_delta_h_best(x, y) == len(x) * len(y)
+
+
+def test_h_delta_h_sweep_scans_few_blocks_on_shifted_draws(monkeypatch):
+    """On the lemma-2 gap check's shifted draws (1024 pairs a side) the
+    bound leaves at most 30 % of the row blocks to scan."""
+    cfg = pb.default_experiment_config("shifted")
+    scans = _count_scans(monkeypatch)
+    total = 0
+    for unit in range(3):
+        seed = pb.derive_seed(0, 92, unit)
+        x, y = (pb.draw_pair_process(spec, cfg.strategy, 1024, pb.derive_seed(seed, s))[1]
+                .similarity for spec, s in ((cfg.source, 3), (cfg.target, 4)))
+        pb.h_delta_h_distance(x, y)
+        q = x.shape[1]
+        for j in range(q - 1):
+            k1 = len(np.unique(np.concatenate([x[:, j], y[:, j]])))
+            total += (q - 1 - j) * -(-k1 // _block_rows(k1))
+    assert 0 < sum(scans) <= 0.3 * total
 
 
 @pytest.mark.parametrize("cells", [1, 600])
@@ -301,6 +373,14 @@ def test_mmd_separated_exceeds_matched():
 def test_mmd_validation():
     with pytest.raises(pb.ConfigurationError):
         pb.mmd_squared(np.zeros((2, 1)), np.zeros((2, 1)), bandwidth=0.0)
+    # a bandwidth is "median" or a positive finite number; an infinite one
+    # would make every kernel value 1 and the MMD silently 0
+    for bad in ("auto", np.array([1.0, 2.0]), np.array(1.0), math.inf, -math.inf,
+                math.nan, -1.0, True, None):
+        with pytest.raises(pb.ConfigurationError, match="bandwidth"):
+            pb.mmd_squared(np.zeros((2, 1)), np.ones((2, 1)), bandwidth=bad)
+    for good in (1, np.float32(0.5), 2.0, "median"):
+        assert pb.mmd_squared(np.zeros((2, 1)), np.ones((2, 1)), bandwidth=good) > 0
     with pytest.raises(pb.EmptyInputError):
         pb.mmd_squared(np.zeros((0, 1)), np.zeros((2, 1)))
 
