@@ -17,20 +17,20 @@ base = replace(pb.default_experiment_config("practice"),
 grid = [
     pb.Toggles(),                                            # everything on
     pb.Toggles.all_off(),
-    pb.Toggles(True, False, False, pb.FILTER_NONE),          # guidance only
-    pb.Toggles(True, True, False, pb.FILTER_NONE),           # + alignment
-    pb.Toggles(True, True, False, pb.OFFLINE_PLUS_ONLINE),
+    pb.Toggles(True, False, False, False),                   # guidance only
+    pb.Toggles(True, True, False, False),                    # + alignment
+    pb.Toggles(True, True, False, True),                     # + outlier filtering
 ]
 table = pb.run_ablation(base, grid)
 
 print(f"paired seeds: {table.trial_seeds}")
-print(f"{'sg':>3} {'align':>5} {'bound':>5} {'filter':>20} {'mean risk':>10}")
+print(f"{'sg':>3} {'align':>5} {'bound':>5} {'filter':>6} {'mean risk':>10}")
 for cell in table.cells:
     t = cell.toggles
     mean = cell.mean_final_risk
     shown = f"{mean:.4f}" if mean is not None else "all failed"
     print(f"{str(t.source_guided):>3} {str(t.domain_alignment):>5} "
-          f"{str(t.bounded_loss):>5} {t.outlier_filtering:>20} {shown:>10}")
+          f"{str(t.bounded_loss):>5} {str(t.outlier_filtering):>6} {shown:>10}")
 
 full = table.cell(pb.Toggles()).mean_final_risk
 bare = table.cell(pb.Toggles.all_off()).mean_final_risk

@@ -29,13 +29,7 @@ from .bound import (
     write_trial_csv,
 )
 from .config import (
-    FILTER_NONE,
-    FROM_CLUSTERING,
-    OFFLINE,
-    OFFLINE_PLUS_ONLINE,
-    SYNTHETIC,
     ExperimentConfig,
-    NoiseMode,
     Toggles,
     default_experiment_config,
     default_toggle_grid,

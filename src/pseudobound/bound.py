@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import SYNTHETIC, ExperimentConfig
+from .config import ExperimentConfig
 from .discrepancy import h_delta_h_distance, ideal_joint
 from .domains import (
     AffineMap,
@@ -249,7 +249,7 @@ def _trial_blocks(config: ExperimentConfig, trials: int, rng_seed: int,
         uniforms = np.empty(tgt_true.shape)
         for row, rng in zip(uniforms, rngs_from_states(flip_states[rows])):
             rng.random(out=row)
-        pseudo = _flip_labels(tgt_true, uniforms, config.noise.model)
+        pseudo = _flip_labels(tgt_true, uniforms, config.noise)
         yield trial[rows].tolist(), (src_sim, src_true, tgt_sim, tgt_true, pseudo)
 
 
@@ -274,15 +274,15 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
     The population center alpha eps_T(h) + (1-alpha) eps_S(h) is exact
     (``exact_risks``); sub-seeds 1 and 2 of rng_seed, which seeded the two
     2^17-pair draws that estimated it before, are retired, and the trials
-    keep their seeds.  Requires synthetic noise mode so the rates entering
-    the denominator are exact.
+    keep their seeds.  Requires synthetic noise (``config.noise`` set), so
+    the rates entering the denominator are exact.
     """
-    if config.noise.kind != SYNTHETIC:
-        raise ConfigurationError("concentration check needs synthetic noise mode")
+    if config.noise is None:
+        raise ConfigurationError("concentration check needs synthetic noise rates")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
-    cfg, model = config.risk, config.noise.model
+    cfg, model = config.risk, config.noise
     eps_t, eps_s = (exact_risks([h], spec, config.strategy, cfg.big_m)[0]
                     for spec in (config.target, config.source))
     center = cfg.alpha * eps_t + (1.0 - cfg.alpha) * eps_s
@@ -376,7 +376,7 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
         lam = min_exact_risk([config.source, spec], config.strategy, big_m)
         target_risks = partial(exact_risks, spec=spec, strategy=config.strategy,
                                big_m=big_m)
-    model = NO_NOISE if config.noise.model is None else config.noise.model
+    model = NO_NOISE if config.noise is None else config.noise
     return BoundInputs(
         alpha=cfg.alpha, beta=cfg.beta, m=config.m_train,
         d=vc_dimension(gap_t.feature_dim), delta=config.delta, big_m=big_m,
@@ -405,11 +405,11 @@ def validate_theorem(config: ExperimentConfig, trials: int = 500,
     built once per call, vectorized (``seed_states``); ``derive_seed`` and
     ``make_rng`` are its scalar reference.
     """
-    if config.noise.kind != SYNTHETIC:
-        raise ConfigurationError("theorem validation needs synthetic noise mode")
+    if config.noise is None:
+        raise ConfigurationError("theorem validation needs synthetic noise rates")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    cfg, model = config.risk, config.noise.model
+    cfg, model = config.risk, config.noise
     inputs, target_risks = oracle_bound_inputs(config, rng_seed)
     report = assemble_bound(inputs)
     seeds, stumps = [], []

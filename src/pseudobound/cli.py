@@ -123,10 +123,9 @@ def _cmd_ablate(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(names + ["trials_ok", "trials_failed", "mean_final_risk"])
         for cell in table.cells:
-            toggles = [getattr(cell.toggles, name) for name in names]
             mean = cell.mean_final_risk
             writer.writerow(
-                [int(v) if isinstance(v, bool) else v for v in toggles]
+                [int(getattr(cell.toggles, name)) for name in names]
                 + [len(cell.final_risks), len(cell.failures),
                    "" if mean is None else _fmt(mean)])
     print(f"cells={len(table.cells)} trials_per_cell={config.trials}")

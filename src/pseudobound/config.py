@@ -1,4 +1,4 @@
-"""Experiment configuration: domains, toggles, noise mode, and defaults.
+"""Experiment configuration: domains, toggles, noise rates, and defaults.
 
 The default domain places six identity centers on a sphere in R^4 so that
 exactly one pair of centers (the middle two) sits close enough for the
@@ -10,9 +10,10 @@ configs to good accuracy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,72 +24,40 @@ from .practice import DbscanParams
 from .risk import RiskConfig
 from .serial import Serializable
 
-OFFLINE = "offline"
-OFFLINE_PLUS_ONLINE = "offline_plus_online"
-FILTER_NONE = "none"
-_FILTER_MODES = (FILTER_NONE, OFFLINE, OFFLINE_PLUS_ONLINE)
-
-SYNTHETIC = "synthetic"
-FROM_CLUSTERING = "from_clustering"
-
 
 @dataclass(frozen=True)
 class Toggles(Serializable):
-    """Good-practice switches for the self-learning loop."""
+    """Good-practice switches for the self-learning loop.  outlier_filtering
+    drops density-noise points offline and refits without the pairs beyond
+    a Tukey fence online."""
 
     source_guided: bool = True
     domain_alignment: bool = True
     bounded_loss: bool = True
-    outlier_filtering: str = OFFLINE_PLUS_ONLINE
+    outlier_filtering: bool = True
 
     def __post_init__(self):
-        if self.outlier_filtering not in _FILTER_MODES:
-            raise ConfigurationError(
-                f"outlier_filtering must be one of {_FILTER_MODES}, "
-                f"got {self.outlier_filtering!r}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be a bool, got {value!r}")
 
     @staticmethod
     def all_off() -> "Toggles":
-        return Toggles(False, False, False, FILTER_NONE)
-
-
-@dataclass(frozen=True)
-class NoiseMode(Serializable):
-    """How pseudo-label noise arises.
-
-    SYNTHETIC corrupts true pair labels with the given rates and bypasses
-    clustering entirely (controlled bound studies); FROM_CLUSTERING derives
-    pseudo-labels and measured rates from the density clusterer.
-    """
-
-    kind: str
-    model: NoiseModel | None = None
-
-    def __post_init__(self):
-        if self.kind not in (SYNTHETIC, FROM_CLUSTERING):
-            raise ConfigurationError(f"unknown noise mode {self.kind!r}")
-        if self.kind == SYNTHETIC and self.model is None:
-            raise ConfigurationError("synthetic noise mode needs explicit rates")
-        if self.kind == FROM_CLUSTERING and self.model is not None:
-            raise ConfigurationError("from_clustering mode estimates its own rates")
-
-    @staticmethod
-    def synthetic(model: NoiseModel) -> "NoiseMode":
-        return NoiseMode(SYNTHETIC, model)
-
-    @staticmethod
-    def from_clustering() -> "NoiseMode":
-        return NoiseMode(FROM_CLUSTERING)
+        return Toggles(False, False, False, False)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(Serializable):
+    """One experiment.  ``noise`` holds the class rates that corrupt true
+    pair labels, bypassing clustering (controlled bound studies); None
+    derives pseudo-labels and measured rates from the density clusterer."""
+
     source: DomainSpec
     target: DomainSpec
     strategy: PairStrategy
     risk: RiskConfig
-    noise: NoiseMode
+    noise: NoiseModel | None
     dbscan_params: DbscanParams
     toggles: Toggles
     iterations: int = 5
@@ -193,11 +162,11 @@ def default_experiment_config(kind: str = "practice") -> ExperimentConfig:
         raise ConfigurationError(f"unknown default config kind {kind!r}")
     shifted = kind in ("shifted", "practice")
     if kind == "clean":
-        noise = NoiseMode.synthetic(NoiseModel(0.0, 0.0))
+        noise = NoiseModel(0.0, 0.0)
     elif kind in ("noisy", "shifted"):
-        noise = NoiseMode.synthetic(NoiseModel(0.1, 0.2))
+        noise = NoiseModel(0.1, 0.2)
     else:
-        noise = NoiseMode.from_clustering()
+        noise = None
     return ExperimentConfig(
         source=_domain(seed=11, shifted=False),
         target=_domain(seed=23, shifted=shifted),
@@ -213,17 +182,6 @@ def default_experiment_config(kind: str = "practice") -> ExperimentConfig:
 
 
 def default_toggle_grid() -> list:
-    """Full 2^4 grid over the binary practices, with outlier_filtering
-    binarized to none vs offline-plus-online."""
-    grid = []
-    for sg in (False, True):
-        for da in (False, True):
-            for bl in (False, True):
-                for of in (False, True):
-                    grid.append(Toggles(
-                        source_guided=sg,
-                        domain_alignment=da,
-                        bounded_loss=bl,
-                        outlier_filtering=OFFLINE_PLUS_ONLINE if of else FILTER_NONE,
-                    ))
-    return grid
+    """Full 2^4 grid over the practices in field order, source_guided
+    changing slowest and outlier_filtering fastest."""
+    return [Toggles(*bits) for bits in itertools.product((False, True), repeat=4)]

@@ -87,8 +87,12 @@ def corrected_loss(y_pred, y_pseudo, big_m: float, model: NoiseModel):
 def corrected_costs(pseudo_labels, big_m: float, model: NoiseModel
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (cost if predicted +1, cost if predicted -1) under the
-    corrected loss, each value computed once and picked by the +-1 label."""
-    pos = np.asarray(pseudo_labels) == 1
+    corrected loss, each value computed once and picked by the +-1 label.
+    Any other label (ABSENT) raises DegenerateInputError."""
+    labels = np.asarray(pseudo_labels)
+    pos = labels == 1
+    if not (pos | (labels == -1)).all():
+        raise DegenerateInputError("corrected_costs needs +-1 pseudo-labels")
     return tuple(np.where(pos, corrected_loss(y, 1, big_m, model),
                           corrected_loss(y, -1, big_m, model)) for y in (1, -1))
 

@@ -23,13 +23,7 @@ from .bound import (
     assemble_bound,
     oracle_bound_inputs,
 )
-from .config import (
-    FILTER_NONE,
-    FROM_CLUSTERING,
-    OFFLINE_PLUS_ONLINE,
-    ExperimentConfig,
-    Toggles,
-)
+from .config import ExperimentConfig, Toggles
 from .discrepancy import align_moments, mmd_squared
 from .domains import (
     AffineMap,
@@ -164,7 +158,7 @@ def _train(source_pairs, target_pairs, config: ExperimentConfig,
         return fit_target_corrected(pairs, config.risk.big_m, model)[0]
 
     h = fit(target_pairs, model)
-    if config.toggles.outlier_filtering != OFFLINE_PLUS_ONLINE:
+    if not config.toggles.outlier_filtering:
         return h, target_pairs, None, None, model
     fence, mask = tukey_fence(_hinge_losses(h, target_pairs))
     report = FilterReport(kept=int((~mask).sum()), dropped=int(mask.sum()),
@@ -177,8 +171,7 @@ def _train(source_pairs, target_pairs, config: ExperimentConfig,
         rho_after = estimate_noise_rates(kept)
     except PseudoboundError:
         rho_after = None
-    if config.noise.kind == FROM_CLUSTERING and rho_after is not None \
-            and not rho_after.degenerate:
+    if config.noise is None and rho_after is not None and not rho_after.degenerate:
         model = rho_after.as_model()
     return fit(kept, model), kept, rho_after, report, model
 
@@ -206,12 +199,12 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     pairs where members are unit-normalized) and records it;
     the modes differ in where the pairs come from and in the practice-only
     diagnostics and bound inputs.  Practice mode
-    (clustering noise): fixed per-run sample pools; alignment and
+    (``config.noise`` None): fixed per-run sample pools; alignment and
     normalization are computed once (their inputs do not change across
     iterations), clustering re-runs every iteration on coordinate-re-weighted
-    features.  Synthetic mode: clustering, alignment, and normalization are
-    bypassed; pair draws are i.i.d. and only the corruption is redrawn per
-    iteration.  The oracle inputs and target risk scorer come from one
+    features.  Synthetic mode (``config.noise`` set): clustering, alignment,
+    and normalization are bypassed; pair draws are i.i.d. and only the
+    corruption is redrawn per iteration.  The oracle inputs and target risk scorer come from one
     ``oracle_bound_inputs`` call through a per-process ``_Memo`` keyed by
     that call's own arguments: the config with its toggles at their
     defaults, the seed and the member maps, the only way toggles reach the
@@ -221,7 +214,7 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
     seed = config.master_seed
     toggles = config.toggles
-    practice = config.noise.kind == FROM_CLUSTERING
+    practice = config.noise is None
     align_map, normalize = None, False
     if practice:
         target_pool = generate_domain(config.target, config.n_target_samples,
@@ -253,12 +246,12 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
                                         config.dbscan_params)
                 target_pairs = _subsample(pseudo_label_from_clusters(
                     sim_pool, cluster_labels,
-                    keep_noise_as_singletons=toggles.outlier_filtering == FILTER_NONE,
+                    keep_noise_as_singletons=not toggles.outlier_filtering,
                 ), config, it)
             else:
                 source_pairs, target_pairs = next(_trial_pairs(config, 1, seed, it))
             rho_before = estimate_noise_rates(target_pairs)
-            model = rho_before.as_model() if practice else config.noise.model
+            model = rho_before.as_model() if practice else config.noise
             h, kept, rho_after, filter_report, model = _train(
                 source_pairs, target_pairs, config, model)
         except PseudoboundError as err:

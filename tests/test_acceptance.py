@@ -308,9 +308,9 @@ def test_criterion_11_good_practice_directions(report):
     settings = {
         "full": full,
         "all_off": pb.Toggles.all_off(),
-        "sg_only": pb.Toggles(True, False, False, pb.FILTER_NONE),
-        "sg_align": pb.Toggles(True, True, False, pb.FILTER_NONE),
-        "full_unfiltered": replace(full, outlier_filtering=pb.FILTER_NONE),
+        "sg_only": pb.Toggles(True, False, False, False),
+        "sg_align": pb.Toggles(True, True, False, False),
+        "full_unfiltered": replace(full, outlier_filtering=False),
     }
     # Seed-major, so the runs sharing a seed meet the pipeline's memos back
     # to back; each setting still lists its runs in seed order.

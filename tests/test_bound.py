@@ -258,7 +258,7 @@ def _trial_by_trial(cfg, seed, iteration=0):
     """One trial's training sets drawn alone through the public samplers."""
     m_t, m_s = cfg.risk.split_m(cfg.m_train)
     _, tgt = pb.draw_pair_process(cfg.target, cfg.strategy, m_t, pb.derive_seed(seed, 1))
-    tgt = pb.corrupt_labels(tgt, cfg.noise.model, pb.derive_seed(seed, 2, iteration))
+    tgt = pb.corrupt_labels(tgt, cfg.noise, pb.derive_seed(seed, 2, iteration))
     _, src = pb.draw_pair_process(cfg.source, cfg.strategy, m_s, pb.derive_seed(seed, 3))
     return src, tgt
 
@@ -280,7 +280,7 @@ def test_validate_theorem_blocks_equal_trial_by_trial_fits():
         for t, row in enumerate(res.rows):
             seed = pb.derive_seed(5, t)
             src, tgt = _trial_by_trial(cfg, seed)
-            h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise.model)
+            h, _ = pb.fit_source_guided(src, tgt, cfg.risk, cfg.noise)
             [eps] = pb.exact_risks([h], cfg.target, cfg.strategy, cfg.risk.big_m)
             assert row.seed == seed
             assert row.eps_t_hat == eps
@@ -298,11 +298,11 @@ def test_erm_batch_on_a_theorem_block_equals_per_trial_fits():
     cfg = pb.default_experiment_config("shifted")
     [(seeds, (src_sim, src_true, tgt_sim, _, pseudo))] = _trial_blocks(cfg, 20, 3)
     stumps = erm_batch(*_source_guided_problem(src_sim, src_true, tgt_sim, pseudo,
-                                               cfg.risk, cfg.noise.model))
+                                               cfg.risk, cfg.noise))
     assert len(stumps) == len(seeds) == 20
     for h, seed in zip(stumps, seeds):
         alone, _ = pb.fit_source_guided(*_trial_by_trial(cfg, seed), cfg.risk,
-                                        cfg.noise.model)
+                                        cfg.noise)
         assert (h.coordinate, h.threshold.hex(), h.sign) == (
             alone.coordinate, alone.threshold.hex(), alone.sign)
 
@@ -403,13 +403,13 @@ def test_lemma3_rows_equal_trial_by_trial_risks():
     center = cfg.risk.alpha * eps_t + (1.0 - cfg.risk.alpha) * eps_s
     devs = np.array([
         abs(pb.source_guided_risk(h, *_trial_by_trial(cfg, pb.derive_seed(4, t)),
-                                  cfg.risk, cfg.noise.model) - center)
+                                  cfg.risk, cfg.noise) - center)
         for t in range(trials)])
     assert len({float(d) for d in devs}) > 1
     for row in rows:
         assert row.empirical_prob == np.count_nonzero(devs >= row.mu) / trials
         assert row.hoeffding_rhs == hoeffding_rhs(row.mu, cfg.m_train, cfg.risk,
-                                                  cfg.noise.model)
+                                                  cfg.noise)
 
 
 # sha256 over the canonical JSON of validate_theorem(clean / noisy / shifted,

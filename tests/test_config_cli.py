@@ -27,23 +27,21 @@ def test_default_centers_geometry():
 
 def test_default_config_kinds():
     clean = pb.default_experiment_config("clean")
-    assert clean.noise.kind == pb.SYNTHETIC
-    assert clean.noise.model == pb.NoiseModel(0.0, 0.0)
+    assert clean.noise == pb.NoiseModel(0.0, 0.0)
     assert clean.toggles == pb.Toggles.all_off()
     assert clean.target.domain_transform == pb.AffineMap.identity(4)
 
     noisy = pb.default_experiment_config("noisy")
-    assert noisy.noise.model == pb.NoiseModel(0.1, 0.2)
+    assert noisy.noise == pb.NoiseModel(0.1, 0.2)
     assert noisy.target.domain_transform == pb.AffineMap.identity(4)
 
     shifted = pb.default_experiment_config("shifted")
-    assert shifted.noise.model == pb.NoiseModel(0.1, 0.2)
+    assert shifted.noise == pb.NoiseModel(0.1, 0.2)
     assert shifted.target.domain_transform != pb.AffineMap.identity(4)
     assert shifted.source.domain_transform == pb.AffineMap.identity(4)
 
     practice = pb.default_experiment_config("practice")
-    assert practice.noise.kind == pb.FROM_CLUSTERING
-    assert practice.noise.model is None
+    assert practice.noise is None
     assert practice.toggles == pb.Toggles()
     assert practice.iterations == 5
 
@@ -179,23 +177,16 @@ def test_config_rejects_a_refine_scale_that_is_not_positive_and_finite(bad):
         pb.ExperimentConfig.from_json(json.dumps(d))
 
 
-def test_noise_mode_constraints():
-    with pytest.raises(pb.ConfigurationError):
-        pb.NoiseMode(pb.SYNTHETIC)  # needs rates
-    with pytest.raises(pb.ConfigurationError):
-        pb.NoiseMode(pb.FROM_CLUSTERING, pb.NoiseModel(0.1, 0.1))
-    with pytest.raises(pb.ConfigurationError):
-        pb.NoiseMode("gaussian")
-    mode = pb.NoiseMode.synthetic(pb.NoiseModel(0.2, 0.1))
-    assert pb.NoiseMode.from_dict(mode.to_dict()) == mode
-
-
 def test_toggles_validation_and_round_trip():
-    t = pb.Toggles(True, False, True, pb.OFFLINE)
+    t = pb.Toggles(True, False, True, False)
     assert pb.Toggles.from_dict(t.to_dict()) == t
-    assert pb.Toggles.all_off().outlier_filtering == pb.FILTER_NONE
-    with pytest.raises(pb.ConfigurationError):
-        pb.Toggles(outlier_filtering="sometimes")
+    assert pb.Toggles.all_off() == pb.Toggles(False, False, False, False)
+    # a string, including a filter mode of the retired schema, would read
+    # as True; 0/1 are not bools either
+    for name in ("source_guided", "outlier_filtering"):
+        for bad in ("none", "offline_plus_online", 1, 0, None):
+            with pytest.raises(pb.ConfigurationError, match=f"^{name} must be a bool"):
+                pb.Toggles(**{name: bad})
     cfg = pb.default_experiment_config("clean")
     swapped = replace(cfg, toggles=t)
     assert swapped.toggles == t
@@ -281,25 +272,36 @@ def test_cli_reports_a_missing_file_on_one_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("removed", ["linear_probe", "weight_decay"])
+# (file, key, value in the retired schema, the key as the error names it)
+_RETIRED_ENTRIES = {
+    "linear_probe": ("config", None, "'linear_probe'"),
+    "weight_decay": ("grid", 0.0, "'weight_decay'"),
+    "noise": ("config", {"kind": "synthetic",
+                         "model": {"rho_neg": 0.1, "rho_pos": 0.2}}, "'kind'"),
+    "outlier_filtering": ("grid", "none", "Toggles.outlier_filtering"),
+}
+
+
+@pytest.mark.parametrize("removed", list(_RETIRED_ENTRIES))
 def test_cli_rejects_removed_keys_by_name(tmp_path, capsys, removed):
-    """Config and grid files written before the linear probe and its
-    weight-decay toggle were removed fail on the stale key."""
+    """Config and grid files written before the linear probe, its
+    weight-decay toggle, the kind-and-model noise mode and the named filter
+    modes were removed fail on one line that names the stale key."""
+    where, value, named = _RETIRED_ENTRIES[removed]
     cfg, cfg_path = small_noisy_config(tmp_path, trials=1, iterations=1)
-    if removed == "linear_probe":
-        doc = cfg.to_dict()
-        doc["linear_probe"] = None
-        Path(cfg_path).write_text(json.dumps(doc))
+    if where == "config":
+        Path(cfg_path).write_text(json.dumps(dict(cfg.to_dict(), **{removed: value})))
         argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "r.json")]
     else:
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps([dict(pb.Toggles().to_dict(), weight_decay=0.0)]))
+        grid.write_text(json.dumps([dict(pb.Toggles().to_dict(), **{removed: value})]))
         argv = ["ablate", "--config", cfg_path, "--grid", str(grid),
                 "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("pseudobound: error: ConfigurationError: ")
-    assert repr(removed) in err
+    assert len(err.splitlines()) == 1
+    assert named in err
 
 
 def test_cli_lemmas_concentration(tmp_path):
@@ -362,7 +364,7 @@ def test_cli_ablate_with_grid_file(tmp_path):
     cfg, cfg_path = small_noisy_config(tmp_path, trials=1, iterations=1)
     grid_path = tmp_path / "grid.json"
     grid = [pb.Toggles.all_off().to_dict(),
-            pb.Toggles(True, False, False, pb.FILTER_NONE).to_dict()]
+            pb.Toggles(True, False, False, True).to_dict()]
     grid_path.write_text(json.dumps(grid))
     out = tmp_path / "ablation.csv"
     code = main(["ablate", "--config", cfg_path, "--grid", str(grid_path),
@@ -374,8 +376,8 @@ def test_cli_ablate_with_grid_file(tmp_path):
                        "outlier_filtering", "trials_ok", "trials_failed",
                        "mean_final_risk"]
     assert len(rows) == 3
-    assert rows[1][:4] == ["0", "0", "0", "none"]
-    assert rows[2][:4] == ["1", "0", "0", "none"]
+    assert rows[1][:4] == ["0", "0", "0", "0"]
+    assert rows[2][:4] == ["1", "0", "0", "1"]
     assert all(r[4] == "1" and r[5] == "0" for r in rows[1:])
 
 

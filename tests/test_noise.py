@@ -83,6 +83,13 @@ def test_corrected_costs_match_pointwise_loss():
         assert cost_neg[i] == pb.corrected_loss(-1, int(yp), 1.0, model)
 
 
+@pytest.mark.parametrize("labels", [[1, pb.ABSENT, -1], [2, -1], [[1, -1], [1, 0]]])
+def test_corrected_costs_reject_a_label_other_than_plus_minus_one(labels):
+    """An ABSENT label used to get the -1 label's costs without an error."""
+    with pytest.raises(pb.DegenerateInputError, match="pseudo-labels"):
+        pb.corrected_costs(np.array(labels), 1.0, pb.NoiseModel(0.1, 0.2))
+
+
 def test_corrected_cost_unbiasedness_identity():
     """E over corruption of the corrected cost equals the clean 0-M cost.
 

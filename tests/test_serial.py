@@ -43,9 +43,9 @@ def _samples():
         pb.FilterReport(kept=3, dropped=0, fence=None),
         pb.LinearLearnerConfig(loss_kind=pb.MAE, learning_rate=0.05, epochs=77,
                                l2_penalty=0.5),
-        pb.Toggles(True, False, True, pb.OFFLINE),
-        pb.NoiseMode.synthetic(pb.NoiseModel(0.2, 0.1)),
-        pb.NoiseMode.from_clustering(),
+        pb.Toggles(True, False, True, False),
+        pb.Toggles(),
+        pb.default_experiment_config("shifted"),
         practice,
         noisy,
         _bound_inputs(),
@@ -177,10 +177,10 @@ def test_float_field_takes_only_a_json_number(value):
 
 
 def test_str_field_takes_only_a_json_string():
-    doc = pb.Toggles().to_dict()
-    doc["outlier_filtering"] = 12.5
-    with pytest.raises(pb.ConfigurationError, match="Toggles.outlier_filtering"):
-        pb.Toggles.from_dict(doc)
+    doc = pb.LinearLearnerConfig().to_dict()
+    doc["loss_kind"] = 12.5
+    with pytest.raises(pb.ConfigurationError, match="LinearLearnerConfig.loss_kind"):
+        pb.LinearLearnerConfig.from_dict(doc)
 
 
 def test_cli_ablate_rejects_a_misspelled_grid_key(tmp_path, capsys):
