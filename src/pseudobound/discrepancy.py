@@ -8,12 +8,13 @@ a region's score is then n_S*n_T times the difference of its two empirical
 probabilities, and everything stays in int64 until the final division.  The
 XOR scan cuts each coordinate pair's prefix-sum grid into blocks of about
 sqrt(k1) rows and scores a block only on the column segments its own points
-cut.  A first pass scores every block's top row; a block's rows differ from
-it by at most its points' summed |weight|, so only blocks that can beat the
-best score so far are scanned, a group at a time in one batched pass.  With
-k1, k2 distinct values per coordinate and n points it takes O(k1^1.5 +
-sqrt(k1)*k2 + n log n) time at worst (when every block must be scanned) and
-O(k2 + n) memory beyond a fixed group budget; no grid is built.
+cut.  A carry pass of every coordinate pair scores each block's top row;
+a block's rows differ from it by at most its points' summed |weight|, so one
+scan, best bound first across all pairs, visits only blocks that can beat
+the best score of any pair.  With k1, k2 distinct values per coordinate and
+n points it takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time a pair at worst
+(when every block must be scanned) and O(q^2 n) memory beyond a fixed group
+budget; no grid is built.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
 
     Same-coordinate pairs disagree on a value slab, cross-coordinate pairs
     on a half-space XOR; complements score identically because the total
-    signed weight is zero, so slabs and XORs cover every case.
+    signed weight is zero, so slabs and XORs cover every case.  numpy's
+    default argsort may order ties either way; the scans read only distinct-
+    value ranks and integer sums over whole runs of ties, so no tie order
+    changes the integer.  All pairs' carry passes precede one joint scan.
     """
     n_s, n_t = len(source_feats), len(target_feats)
     pooled = np.vstack([source_feats, target_feats])
@@ -55,11 +59,11 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     ])
     n, q = pooled.shape
 
-    orders = []      # per coordinate: stable value order of the points
+    orders = []      # per coordinate: a value order of the points
     ranks = []       # per coordinate: distinct-value rank of every point
     best = 0
     for j in range(q):
-        order = np.argsort(pooled[:, j], kind="stable")
+        order = np.argsort(pooled[:, j])
         xs = pooled[order, j]
         step = xs[1:] > xs[:-1]
         prefix = np.concatenate(([0], np.cumsum(weights[order])))
@@ -69,14 +73,13 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
         orders.append(order)
         ranks.append(rank)
         best = max(best, int(sums.max() - sums.min()))
-
-    work = np.empty(_GROUP_CELLS, dtype=np.int64)   # every pair's D scratch
+    carries = []
     for j1 in range(q):
         for j2 in range(j1 + 1, q):
             order = orders[j1]
-            best = _xor_best(ranks[j1][order], ranks[j2][order],
-                             weights[order], work, best)
-    return best
+            best, blocks = _xor_carry(ranks[j1][order], ranks[j2][order], weights[order], best)
+            carries.append(blocks)
+    return _xor_best(carries, best) if carries else best
 
 
 def _block_rows(k1: int) -> int:
@@ -86,30 +89,24 @@ def _block_rows(k1: int) -> int:
     return max(_MIN_BLOCK_ROWS, math.isqrt(k1))
 
 
-def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
-              work: np.ndarray, floor: int) -> int:
-    """max(floor, max over cuts (a, b) of |weight(rank1 < a XOR rank2 < b)|).
+def _xor_carry(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
+               floor: int) -> tuple[int, tuple]:
+    """Carry pass of one coordinate pair: (max(floor, its top rows' best),
+    the blocks that may still beat that, for ``_xor_best``).
 
     rank1 is sorted.  With G[a, b] the signed weight below both cuts, the XOR
     region weighs F(a, b) = G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come in
     blocks of B = _block_rows(k1).  In a block G[a, .] is the carry row above
     it plus D[a, s], a step function of b that steps only at the block's own
-    columns, so F(a, b) = F(top, b) + D[a, -1] - 2 D[a, s]: F along the top
-    row is reduced to its max and min on each segment those columns start,
-    and each row is scored per segment.
-
-    The carry pass spreads each block's last D row, summed from its points
-    per segment, into the carry rows and scores each block's top row, a real
-    cut.  Each block point below cut a moves F(a, .) by +-|w| from the top
-    row, so no row beats the top score plus S, the block's summed |w|.  Only
-    blocks whose bound beats the best so far (``floor``, every top row
-    included) get F's per-segment extremes and a scan in ``_block_pass``,
-    best bound first, so pruning is exact.  If the samples are alike every
-    block is scanned: O(k1/B * k2 + k1 * B + n log n) time for n points, as
-    without pruning.  A group of either pass is one block or as many as keep
-    a carry group's rows plus a scan group's D within _GROUP_CELLS cells:
-    O(_GROUP_CELLS + k2 + n) memory.  D lives in ``work``, int64 scratch
-    that the caller passes to every coordinate pair.
+    columns, so F(a, b) = F(top, b) + D[a, -1] - 2 D[a, s].  V = G[-1, .] -
+    2 G is carried down the top rows a group of blocks at a time (their rows
+    and a scan of theirs within _GROUP_CELLS cells) by spreading each block's
+    last D row over its segments.  Each top row, a real cut, is scored; each
+    block point below cut a moves F(a, .) by +-|w| from it, so no row beats
+    the top score plus S, the block's summed |w|: its reach.  F = V +
+    G[top, -1] enters only through F's extremes per top-row segment, which
+    with the group size, each block's point and segment counts and reach, and
+    each point's row, segment and -2 w are kept for blocks with reach > floor.
     """
     k1 = int(rank1[-1]) + 1
     width = int(rank2.max()) + 2                # grid columns b = 0..k2
@@ -143,8 +140,8 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
     np.cumsum(last, out=last)
     last -= np.repeat(last[at[:-1]], n_seg)     # segment 0 holds no point
 
-    # S of each block, then its top score plus S
-    reach = np.add.reduceat(np.abs(weights), np.searchsorted(rank1, np.arange(n_blocks) * rows))
+    size = np.diff(np.searchsorted(rank1, np.arange(n_blocks + 1) * rows))
+    reach = np.add.reduceat(np.abs(weights), np.cumsum(size) - size)   # S
     f_hi, f_lo = np.empty((2, at[-1]), dtype=np.int64)   # top row's F per segment
     most = max(1, _GROUP_CELLS // (width + rows * int(n_seg.max())))
     group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
@@ -153,9 +150,9 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
         g1 = min(g0 + group, n_blocks)
         nb = g1 - g0
         cut = starts[at[g0]:at[g1]] - g0 * width
-        # v[i] is V = G[-1, .] - 2 G at the top row of block g0 + i: the carry
-        # row above it plus every earlier block's last D row spread over its
-        # segments; v[nb] tops the next group.
+        # v[i] is V at the top row of block g0 + i: the carry row above it
+        # plus every earlier block's last D row spread over its segments;
+        # v[nb] tops the next group.
         v = np.repeat(np.concatenate((carry, last[at[g0]:at[g1]])),
                       np.concatenate((np.ones(width, dtype=np.int64),
                                       np.diff(cut, append=nb * width)))
@@ -163,29 +160,51 @@ def _xor_best(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
         for i in range(1, nb + 1):
             v[i] += v[i - 1]
         carry, v = v[nb].copy(), v[:nb]
-        v += v[:, -1:] // -2                    # F = V + G[top, -1], as col[-1] = 0
-        score = np.maximum(v.max(axis=1), -v.min(axis=1))
+        shift = v[:, -1] // -2                  # G[top, -1], as col[-1] = 0
+        score = np.maximum(v.max(axis=1) + shift, -(v.min(axis=1) + shift))
         floor = max(floor, int(score.max()))
         reach[g0:g1] += score
         kept = reach[g0:g1] > floor             # the blocks still worth a scan
         sel = np.repeat(kept, n_seg[g0:g1])
         cut = (cut - np.repeat(np.cumsum(~kept) * width, n_seg[g0:g1]))[sel]
+        shift = np.repeat(shift[kept], n_seg[g0:g1][kept])
         for j, i in enumerate(np.flatnonzero(kept)):   # moved up in place, not copied
             v[j] = v[i]
         v = v[:kept.sum()].ravel()
-        f_hi[at[g0]:at[g1]][sel] = np.maximum.reduceat(v, cut)
-        f_lo[at[g0]:at[g1]][sel] = np.minimum.reduceat(v, cut)
+        f_hi[at[g0]:at[g1]][sel] = np.maximum.reduceat(v, cut) + shift
+        f_lo[at[g0]:at[g1]][sel] = np.minimum.reduceat(v, cut) + shift
         del v                                   # before the next group's rows
+    keep = reach > floor
+    pts, segs = np.repeat(keep, size), np.repeat(keep, n_seg)
+    return floor, (group, size[keep], n_seg[keep], reach[keep], f_hi[segs],
+                   f_lo[segs], rank1[pts] % rows, seg[pts], neg2w[pts])
 
-    scan = np.argsort(-reach, kind="stable")    # best bound first
+
+def _xor_best(carries: list, floor: int) -> int:
+    """max(floor, max |F| over the blocks of every pair's carry pass).
+
+    Blocks are scanned in ``_block_pass`` best reach first, whatever their
+    pair, as many at once as the smallest group of any pair, while their
+    reach beats the best score so far, so pruning is exact: O(k1/B * k2 +
+    k1 * B + n log n) time a pair when alike samples leave every block.  One
+    buffer of _GROUP_CELLS cells, made once the carry rows are freed, holds D.
+    """
+    group = min(blocks[0] for blocks in carries)
+    size, n_seg, reach, f_hi, f_lo, row, seg, neg2w = (
+        np.concatenate(parts) for parts in zip(*(blocks[1:] for blocks in carries)))
+    carries.clear()                             # before the scan's buffer
+    block = np.repeat(np.arange(len(size)), size)   # each point's block
+    at = np.cumsum(n_seg) - n_seg                   # each block's first segment
+    work = np.empty(_GROUP_CELLS, dtype=np.int64)   # every group's D
+    scan = np.argsort(-reach, kind="stable")    # best reach first
     while (scan := scan[reach[scan] > floor]).size:
         take, scan = np.sort(scan[:group]), scan[group:]
         pts = np.flatnonzero(np.isin(block, take))
         s_max = int(n_seg[take].max())
         pick = at[take, None] + np.minimum(np.arange(s_max), n_seg[take, None] - 1)
-        cells = ((rank1[pts] % rows) * len(take) + np.searchsorted(take, block[pts])) * s_max
-        floor = max(floor, _block_pass(work, rows, cells + seg[pts], neg2w[pts],
-                                       f_hi[pick], f_lo[pick]))
+        cells = (row[pts] * len(take) + np.searchsorted(take, block[pts])) * s_max
+        floor = max(floor, _block_pass(work, int(row[pts].max()) + 1, cells + seg[pts],
+                                       neg2w[pts], f_hi[pick], f_lo[pick]))
     return floor
 
 
@@ -193,7 +212,8 @@ def _block_pass(work: np.ndarray, rows: int, cells: np.ndarray, neg2w: np.ndarra
                 f_hi: np.ndarray, f_lo: np.ndarray) -> int:
     """max |F| over a group of blocks.  neg2w[p] lands at flat cell cells[p] of
     d, (rows, blocks, segments); summed, d is each block's -2 D, and d, f_hi and
-    f_lo (F's extremes per segment of the top row) pad with the last segment."""
+    f_lo (F's extremes per segment of the top row) pad with the last segment,
+    and a block of fewer rows with its last row, the next block's top."""
     size = rows * f_hi.size
     d = (work[:size] if size <= len(work) else np.empty(size, dtype=np.int64))
     d = d.reshape((rows,) + f_hi.shape)
@@ -202,11 +222,11 @@ def _block_pass(work: np.ndarray, rows: int, cells: np.ndarray, neg2w: np.ndarra
     np.cumsum(d, axis=2, out=d)
     for r in range(1, rows):
         d[r] += d[r - 1]
-    d += (d[:, :, -1] // -2)[:, :, None]    # F(a, b) = F(top, b) + D[a, -1] - 2 D[a, b]
+    shift = d[:, :, -1] // -2               # F(a, b) = F(top, b) + D[a, -1] - 2 D[a, b]
     d += f_hi
-    hi = int(d.max())
+    hi = int((d.max(axis=2) + shift).max())
     d += f_lo - f_hi
-    return max(hi, -int(d.min()))
+    return max(hi, -int((d.min(axis=2) + shift).min()))
 
 
 def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
@@ -215,19 +235,19 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
 
     Candidate thresholds are midpoints of consecutive distinct pooled values
     plus +-inf, where the empirical supremum is attained; the value is exact
-    for the two empirical distributions.  For n pooled points in q
-    coordinates with k1, k2 distinct values per coordinate it takes
-    O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n)) time at worst, less when the XOR
-    sweep's exact bound skips row blocks (as on shifted samples), and, per
-    coordinate pair, O(k2 + n) memory beyond a fixed 1 MB group budget,
-    never an (n+1)^2 grid.
+    for the two empirical distributions, and no row or coordinate order
+    changes it.  For n pooled points in q coordinates with k1, k2 distinct
+    values per coordinate it takes O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n))
+    time at worst, less when the XOR sweep's exact bound skips row blocks
+    (as on shifted samples), and O(q^2 n) memory beyond a fixed 1 MB group
+    budget, never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)
     if len(sf) == 0 or len(tf) == 0:
         raise EmptyInputError("h_delta_h_distance needs nonempty feature sets")
-    if sf.ndim != 2 or tf.ndim != 2 or sf.shape[1] != tf.shape[1]:
-        raise ConfigurationError("feature sets must be (n, q) with equal q")
+    if sf.ndim != 2 or tf.ndim != 2 or not 0 < sf.shape[1] == tf.shape[1]:
+        raise ConfigurationError("feature sets must be (n, q) with equal q >= 1")
     if not (np.isfinite(sf).all() and np.isfinite(tf).all()):
         raise ConfigurationError("h_delta_h_distance inputs must be finite")
     best = _h_delta_h_best(sf, tf)
@@ -336,8 +356,8 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
     y = np.atleast_2d(np.asarray(y_feats, float))
     if len(x) == 0 or len(y) == 0:
         raise EmptyInputError("mmd_squared needs nonempty feature sets")
-    if x.shape[1] != y.shape[1]:
-        raise ConfigurationError("feature sets must share a dimension")
+    if not 0 < x.shape[1] == y.shape[1]:
+        raise ConfigurationError("feature sets must share a dimension q >= 1")
     median = isinstance(bandwidth, str) and bandwidth == MEDIAN_HEURISTIC
     if not (median or isinstance(bandwidth, numbers.Real)
             and not isinstance(bandwidth, bool) and math.isfinite(bandwidth)):

@@ -93,8 +93,8 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     sums, and hence its stump, are bit-identical to fitting it alone.
     """
     x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
-    if x.ndim != 3:
-        raise ConfigurationError("feats must be a (b, n, q) array")
+    if x.ndim != 3 or x.shape[2] == 0:
+        raise ConfigurationError("feats must be a (b, n, q) array with q >= 1")
     b, n, q = x.shape
     if n == 0:
         raise EmptyInputError("erm needs at least one point")

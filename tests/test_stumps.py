@@ -133,6 +133,15 @@ def test_erm_input_validation():
         pb.erm(np.array([[np.nan]]), np.zeros(1), np.zeros(1))
 
 
+def test_erm_rejects_zero_width_features():
+    """q = 0 has no stump: both entry points fail typed, not with a
+    coordinate-0 stump or an IndexError."""
+    with pytest.raises(pb.ConfigurationError, match="q >= 1"):
+        erm_batch(np.zeros((2, 3, 0)), np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(pb.ConfigurationError, match="q >= 1"):
+        pb.erm(np.zeros((3, 0)), np.zeros(3), np.zeros(3))
+
+
 def test_random_stump_is_seeded_and_in_range():
     h = pb.random_stump(3, 4)
     assert h == pb.random_stump(3, 4)
