@@ -30,14 +30,14 @@ from .domains import (
     DomainSpec,
     PairSet,
     PairStrategy,
+    _member_differences,
     _pairs_from_draws,
     _raw_pair_draws,
     derive_seed,
     draw_pair_process,
-    map_members,
     rngs_from_states,
     seed_states,
-    similarity_from_members,
+    unit_normalize,
 )
 from .errors import ConfigurationError
 from .noise import NO_NOISE, NoiseModel, _flip_labels
@@ -314,14 +314,16 @@ class TheoremValidation(Serializable):
 
 def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
                   align_map=None, normalize: bool = False) -> PairSet:
-    """n pairs drawn from spec, similarities formed after the member maps;
-    mapped pairs keep no member indices, as their members are not kept."""
+    """n pairs drawn from spec, similarities formed after the member maps on
+    the draw's own members (rows 2i, 2i + 1); no member indices are kept."""
     samples, pairs = draw_pair_process(spec, config.strategy, n, seed)
     if align_map is None and not normalize:
         return pairs
-    feats = map_members(samples.features, align_map, normalize)
-    return PairSet(similarity_from_members(feats, pairs.member_indices),
-                   pairs.true_labels)
+    labels, feats = pairs.true_labels, samples.features
+    del samples, pairs      # frees the draw's similarities, member indices and ids
+    feats = feats if align_map is None else align_map.apply(feats)
+    feats = unit_normalize(feats) if normalize else feats
+    return PairSet(_member_differences(feats.reshape(n, 2, -1)), labels)
 
 
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,

@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
 )
 from .noise import zero_m_costs
-from .stumps import StumpHypothesis, erm
+from .stumps import StumpHypothesis, _exact_sum, erm
 
 MEDIAN_HEURISTIC = "median"
 _MIN_BLOCK_ROWS = 8          # fewest grid rows in an XOR sweep block
@@ -320,24 +320,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
             np.subtract.outer(a[:, k], b[:, k], out=diff[:, :, k])
         diff = diff.reshape(-1, a.shape[1])
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms.tolist()) bit for bit.  With sigma = 2^(M+e), 2^M > n,
-    2^e > max|p|, q = (sigma + p) - sigma and p - q are exact, and so is
-    sum(q) in any order (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput.
-    31(1)); p - q goes round again until it is zero, then one fsum rounds."""
-    p = np.array(terms, float).ravel()
-    parts, m = [], len(p).bit_length()
-    while p.size:
-        mu = float(np.max(np.abs(p)))      # shrinks round by round
-        if not (math.isfinite(mu) and math.frexp(mu)[1] + m <= 1023):
-            return math.fsum(p.tolist())    # first round: p is still terms
-        sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
-        q = (p + sigma) - sigma
-        parts.append(float(q.sum()))
-        p = (p - q)[p != q]
-    return math.fsum(parts)
 
 
 def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,

@@ -411,6 +411,14 @@ def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     return ids, noise
 
 
+def _member_differences(feats: np.ndarray) -> np.ndarray:
+    """(..., q) |a - b| of (..., 2, q) members, one coordinate per subtract."""
+    sim = np.empty(feats.shape[:-2] + feats.shape[-1:])
+    for k in range(feats.shape[-1]):
+        np.subtract(feats[..., 0, k], feats[..., 1, k], out=sim[..., k])
+    return np.abs(sim, out=sim)
+
+
 def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features (..., n, 2, q), similarities (..., n, q) and int8 +-1 labels
@@ -422,8 +430,7 @@ def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
     amap = spec.domain_transform
     if not amap.is_identity():
         feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)
-    sim = np.subtract(feats[..., 0, :], feats[..., 1, :])
-    np.abs(sim, out=sim)
+    sim = _member_differences(feats)
     labels = (ids[..., 0] == ids[..., 1]).view(np.int8)   # 1 or 0, then 1 or -1
     labels += labels - 1
     return feats, sim, labels
@@ -449,17 +456,17 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
 
 
 def unit_normalize(features: np.ndarray) -> np.ndarray:
-    """Project member feature vectors onto the unit sphere (rows of zero norm
-    are left untouched)."""
+    """Project member feature vectors onto the unit sphere in place (rows of
+    zero norm are left untouched): a float array is divided and returned."""
     feats = np.asarray(features, float)
-    norms = np.linalg.norm(feats, axis=-1, keepdims=True)
-    return feats / np.maximum(norms, 1e-12)
+    feats /= np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-12)
+    return feats
 
 
 def map_members(features: np.ndarray, align_map: AffineMap | None = None,
                 normalize: bool = False) -> np.ndarray:
     """Member features as a deployed model sees them: the target alignment
     map, if any, then unit normalization, if asked.  Source members take no
-    alignment map."""
+    alignment map.  features is never written; a mapped result is new."""
     out = features if align_map is None else align_map.apply(features)
-    return unit_normalize(out) if normalize else out
+    return unit_normalize(np.array(out, float) if out is features else out) if normalize else out

@@ -20,7 +20,7 @@ from .domains import DomainSpec, PairSet, PairStrategy, draw_pair_process
 from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
 from .noise import NoiseModel, corrected_costs, zero_m_costs
 from .serial import Serializable
-from .stumps import StumpHypothesis, erm
+from .stumps import StumpHypothesis, _exact_sum, erm
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def corrected_empirical_risk_target(hypothesis, pairs: PairSet, big_m: float,
     pred = hypothesis.predict(pairs.similarity)
     cost_pos, cost_neg = corrected_costs(pairs.pseudo_labels, big_m, model)
     losses = np.where(pred == 1, cost_pos, cost_neg)
-    return math.fsum(losses.tolist()) / len(pairs)
+    return _exact_sum(losses) / len(pairs)
 
 
 def source_guided_risk(hypothesis, source_pairs: PairSet, target_pairs: PairSet,

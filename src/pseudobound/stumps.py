@@ -72,13 +72,13 @@ def erm(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     the lower value where the midpoint rounds up to the upper one or
     overflows.  Ties break toward the smallest coordinate, then the smallest
     threshold, then sign +1.  The winner's cost, which ``erm_batch`` skips,
-    is summed exactly, so the reported value does not depend on scan order.
+    is summed exactly (``_exact_sum``), so it does not depend on scan order.
     """
     x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
     if x.ndim != 2:
         raise ConfigurationError("feats must be a (n, q) array")
     [h] = erm_batch(x[None], cp[None], cn[None])
-    return h, math.fsum(np.where(h.predict(x) == 1, cp, cn).tolist())
+    return h, _exact_sum(np.where(h.predict(x) == 1, cp, cn))
 
 
 def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
@@ -90,7 +90,8 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     row with a tie, +-0.0 included, is sorted again stably, so every row is
     in its unique stable order on any CPU (a tie-free scan does no tie
     work).  cumsum accumulates every row in order, so each problem's prefix
-    sums, and hence its stump, are bit-identical to fitting it alone.
+    sums, and hence its stump, are bit-identical to fitting it alone.  Two
+    (b, n + 1) buffers, prefix and suffix, price sign +1 and then sign -1.
     """
     x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
     if x.ndim != 3 or x.shape[2] == 0:
@@ -107,7 +108,7 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     row_start = rows[:, None] * n
     # Cut k puts the sorted points [0, k) below the threshold and [k, n)
     # above; prefix and suffix sums of cp and cn price either side.
-    pre_cp, pre_cn, suf_cp, suf_cn = np.zeros((4, b, n + 1))
+    pre, suf = np.zeros((2, b, n + 1))
     # (cut, sign) costs interleaved with sign +1 first, so argmin's first
     # occurrence realizes the threshold-then-sign tie-break.
     costs = np.empty((b, n + 1, 2))
@@ -131,13 +132,11 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
             xs[redo] = xj.take(order[redo])
         cpj = cp.take(order)
         cnj = cn.take(order)
-        np.cumsum(cpj, axis=1, out=pre_cp[:, 1:])
-        np.cumsum(cnj, axis=1, out=pre_cn[:, 1:])
-        np.cumsum(cpj[:, ::-1], axis=1, out=suf_cp[:, n - 1::-1])
-        np.cumsum(cnj[:, ::-1], axis=1, out=suf_cn[:, n - 1::-1])
         # sign +1: below the cut predicts -1 (pays cn), above predicts +1.
-        np.add(pre_cn, suf_cp, out=costs[:, :, 0])
-        np.add(pre_cp, suf_cn, out=costs[:, :, 1])
+        for below, above, out in ((cnj, cpj, costs[:, :, 0]), (cpj, cnj, costs[:, :, 1])):
+            np.cumsum(below, axis=1, out=pre[:, 1:])
+            np.cumsum(above[:, ::-1], axis=1, out=suf[:, n - 1::-1])
+            np.add(pre, suf, out=out)
         if len(redo):  # a cut between equal values is not realizable
             costs[:, 1:n][tied] = np.inf
         k = np.argmin(flat, axis=1)
@@ -161,6 +160,25 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     signs = np.where(best_k % 2 == 0, 1, -1)
     return [StumpHypothesis(j, t, s) for j, t, s in zip(
         best_j.tolist(), thresholds.tolist(), signs.tolist())]
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms.tolist()) bit for bit, without the list; terms is only
+    read.  With sigma = 2^(M+e), 2^M > n, 2^e > max|p|, q = (sigma + p) -
+    sigma and p - q are exact, and so is sum(q) in any order (Rump, Ogita &
+    Oishi 2008, SIAM J. Sci. Comput. 31(1)); p - q goes round again until
+    it is zero, then one fsum rounds."""
+    p = np.asarray(terms, float).ravel()
+    parts, m = [], len(p).bit_length()
+    while p.size:
+        mu = float(np.max(np.abs(p)))      # shrinks round by round
+        if not (math.isfinite(mu) and math.frexp(mu)[1] + m <= 1023):
+            return math.fsum(p.tolist())    # first round: p is still terms
+        sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
+        q = (p + sigma) - sigma
+        parts.append(float(q.sum()))
+        p = (p - q)[p != q]
+    return math.fsum(parts)
 
 
 def random_stump(rng_seed: int, feature_dim: int,

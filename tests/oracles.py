@@ -302,3 +302,17 @@ def brute_force_min_exact_risk(specs, strategy, big_m: float,
                 best = min(best, sum(exact_risk(h, spec, strategy, big_m)
                                      for spec in specs))
     return best
+
+
+def mapped_similarity_reference(features: np.ndarray, member_indices: np.ndarray,
+                                matrix: np.ndarray | None, offset: np.ndarray | None,
+                                normalize: bool) -> np.ndarray:
+    """Mapped pair similarities as the oracle formed them from copies: the
+    members' alignment map (x @ matrix.T + offset) if given, then a divided
+    copy onto the unit sphere if asked, then |a - b| from two row gathers."""
+    feats = np.asarray(features, float)
+    if matrix is not None:
+        feats = feats @ matrix.T + offset
+    if normalize:
+        feats = feats / np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-12)
+    return np.abs(feats[member_indices[:, 0]] - feats[member_indices[:, 1]])

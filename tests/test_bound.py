@@ -3,11 +3,14 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pseudobound as pb
+from oracles import mapped_similarity_reference
 
 
 def worked_inputs(**overrides):
@@ -133,6 +136,54 @@ def test_no_trial_scores_below_the_optimal_target_risk():
         assert min(r.eps_t_hat for r in v.rows) >= eps_star
 
 
+def _practice_align_map(cfg, seed):
+    """The alignment map a practice run at ``seed`` fits on its pools."""
+    target = pb.generate_domain(cfg.target, cfg.n_target_samples, pb.derive_seed(seed, 20))
+    source = pb.generate_domain(cfg.source, cfg.n_source_samples, pb.derive_seed(seed, 21))
+    return pb.align_moments(source, target)[1]
+
+
+@pytest.mark.parametrize("use_map, normalize",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_mapped_pairs_equal_mapped_copies_bit_for_bit(use_map, normalize):
+    """``_mapped_pairs`` maps the draw's own members and subtracts them in
+    place of the copies and row gathers it replaced; every bit agrees."""
+    from pseudobound.bound import _mapped_pairs
+
+    cfg = pb.default_experiment_config("practice")
+    amap = _practice_align_map(cfg, 3) if use_map else None
+    matrix, offset = (amap.matrix, amap.offset) if use_map else (None, None)
+    for spec, n, seed in ((cfg.target, 3000, 11), (cfg.source, 1, 12), (cfg.target, 2, 13)):
+        samples, drawn = pb.draw_pair_process(spec, cfg.strategy, n, seed)
+        pairs = _mapped_pairs(cfg, spec, n, seed, amap, normalize)
+        expected = mapped_similarity_reference(
+            samples.features, drawn.member_indices, matrix, offset, normalize)
+        assert pairs.similarity.tobytes() == expected.tobytes()
+        assert np.array_equal(pairs.true_labels, drawn.true_labels)
+
+
+@pytest.mark.parametrize("use_map", [False, True])
+def test_normalized_oracle_call_peaks_under_10_mb(use_map):
+    """One normalized oracle call on practice.json's 30 000 pairs a domain
+    allocates only what it keeps or scans: under 1.0e7 traced bytes after a
+    warm-up call (10.78e6 when the draws' throwaway arrays, a copy per
+    normalization and four ERM sum buffers were held)."""
+    from pseudobound.bound import oracle_bound_inputs
+
+    cfg = pb.ExperimentConfig.load(str(Path(__file__).resolve().parent.parent
+                                       / "configs" / "practice.json"))
+    assert cfg.oracle_pairs == 30_000
+    for seed in (0, 3):
+        amap = _practice_align_map(cfg, seed) if use_map else None
+        oracle_bound_inputs(cfg, seed, amap, normalize=True)
+        tracemalloc.start()
+        try:
+            oracle_bound_inputs(cfg, seed, amap, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e7, (seed, peak)
+
 def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
     """The oracle's exact target risks under a non-diagonal align_moments
     map from the practice pools, which they compose into the target
@@ -142,9 +193,7 @@ def test_aligned_target_exact_risk_within_4_se_of_a_million_mapped_pairs():
 
     cfg = pb.default_experiment_config("practice")
     seed = cfg.master_seed
-    target = pb.generate_domain(cfg.target, cfg.n_target_samples, pb.derive_seed(seed, 20))
-    source = pb.generate_domain(cfg.source, cfg.n_source_samples, pb.derive_seed(seed, 21))
-    amap = pb.align_moments(source, target)[1]
+    amap = _practice_align_map(cfg, seed)
     assert np.count_nonzero(amap.matrix - np.diag(np.diag(amap.matrix))) == 12
     _, target_risks = oracle_bound_inputs(cfg, seed, amap)
     stumps = [pb.StumpHypothesis(0, 1.0, 1), pb.StumpHypothesis(1, 0.8, -1),

@@ -13,7 +13,8 @@ from oracles import (
     sq_dists_by_column,
 )
 import pseudobound.discrepancy as discrepancy
-from pseudobound.discrepancy import _block_rows, _exact_sum, _h_delta_h_best, _sq_dists
+from pseudobound.discrepancy import _block_rows, _h_delta_h_best, _sq_dists
+from pseudobound.stumps import _exact_sum
 
 
 def test_h_delta_h_identical_sets_zero():
@@ -506,6 +507,24 @@ def test_exact_sum_random_arrays_equal_fsum():
             terms = rng.choice(rng.standard_normal(4), n)
         _assert_fsum_equal(terms)
 
+
+def test_exact_sum_negative_corrected_losses_equal_fsum():
+    """The corrected loss is negative on a pseudo-label's own side; the
+    corrected target risk sums those losses with ``_exact_sum``."""
+    rng = np.random.default_rng(29)
+    for rho_neg, rho_pos, big_m in ((0.1, 0.2, 1.0), (0.3, 0.05, 2.5), (0.45, 0.45, 1e-3)):
+        model = pb.NoiseModel(rho_neg, rho_pos)
+        for n in (1, 2, 3, 1000, 30_000):
+            pseudo = rng.choice(np.array([-1, 1], np.int8), n)
+            cost_pos, cost_neg = pb.corrected_costs(pseudo, big_m, model)
+            assert (np.minimum(cost_pos, cost_neg) < 0).any()
+            losses = np.where(rng.random(n) < 0.5, cost_pos, cost_neg)
+            _assert_fsum_equal(losses)
+            h = pb.StumpHypothesis(0, 0.5, 1)
+            pairs = pb.PairSet(rng.random((n, 1)), pseudo, pseudo)
+            losses = np.where(h.predict(pairs.similarity) == 1, cost_pos, cost_neg)
+            assert pb.corrected_empirical_risk_target(h, pairs, big_m, model) == \
+                math.fsum(losses.tolist()) / n
 
 def _mmd_draw(rng, t):
     """Case t of the pinned mmd_squared draws: (x, y, bandwidth)."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,22 @@ def test_erm_cost_is_exact_for_returned_stump():
     direct = math.fsum(np.where(h.predict(feats) == 1, cp, cn).tolist())
     assert cost == direct
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 60_000])
+def test_erm_cost_is_fsum_of_the_winners_costs(n):
+    """The winner's cost, summed by ``_exact_sum``, is fsum's bit for bit:
+    on ideal_joint's 0-M costs over two halves and on mixed-sign costs."""
+    rng = np.random.default_rng(n)
+    feats = np.abs(rng.standard_normal((n, 4)))
+    labels = rng.choice([-1, 1], n)
+    half = max(n // 2, 1)
+    joint = [c / np.where(np.arange(n) < half, half, max(n - half, 1))
+             for c in pb.zero_m_costs(labels, 1.0)]
+    for cp, cn in (joint, rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 8, (2, n))):
+        h, cost = pb.erm(feats, cp, cn)
+        direct = math.fsum(np.where(h.predict(feats) == 1, cp, cn).tolist())
+        assert cost.hex() == direct.hex()
 
 def test_erm_matches_grid_oracle_with_corrected_costs():
     """40 random points, corrected-loss costs under NoiseModel(0.1, 0.2)."""
