@@ -6,15 +6,18 @@ an axis-aligned XOR of two half-spaces, so the supremum reduces to integer
 prefix-sum scans.  Source points carry weight +n_T and target points -n_S;
 a region's score is then n_S*n_T times the difference of its two empirical
 probabilities, and everything stays in int64 until the final division.  The
-XOR scan cuts each coordinate pair's prefix-sum grid into blocks of about
-sqrt(k1) rows and scores a block only on the column segments its own points
-cut.  A carry pass of every coordinate pair scores each block's top row;
-a block's rows differ from it by at most its points' summed |weight|, so one
-scan, best bound first across all pairs, visits only blocks that can beat
-the best score of any pair.  With k1, k2 distinct values per coordinate and
-n points it takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time a pair at worst
-(when every block must be scanned) and O(q^2 n) memory beyond a fixed group
-budget; no grid is built.
+XOR scan cuts each coordinate's distinct values into blocks of about
+sqrt(k), so each coordinate pair's prefix-sum grid falls into row blocks
+and column blocks, and it narrows the row blocks in three steps.  A corner
+grid per pair gives the grid at every block corner: those cuts score, and
+they bound every row block.  Then, best bound first across all pairs, only
+the blocks the corners cannot rule out get their full-width top row, which
+scores and tightens the bound.  Last, only blocks whose bound still beats
+the best score of any pair are scanned, on the column segments their own
+points cut.  With k1, k2 distinct values per coordinate and n points it
+takes O(k1^1.5 + sqrt(k1)*k2 + n log n) time a pair at worst (when every
+block must be scanned) and O(q^2 n) memory beyond a fixed group budget; no
+grid is built.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     signed weight is zero, so slabs and XORs cover every case.  numpy's
     default argsort may order ties either way; the scans read only distinct-
     value ranks and integer sums over whole runs of ties, so no tie order
-    changes the integer.  All pairs' carry passes precede one joint scan.
+    changes the integer.  Every coordinate pair's corner grid precedes one
+    joint pass over the row blocks of all pairs.
     """
     n_s, n_t = len(source_feats), len(target_feats)
     pooled = np.vstack([source_feats, target_feats])
@@ -59,8 +63,8 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
     ])
     n, q = pooled.shape
 
-    orders = []      # per coordinate: a value order of the points
-    ranks = []       # per coordinate: distinct-value rank of every point
+    orders = np.empty((q, n), dtype=np.int64)   # per coordinate: a value order
+    ranks = np.empty((q, n), dtype=np.int64)    # per coordinate: distinct-value ranks
     best = 0
     for j in range(q):
         order = np.argsort(pooled[:, j])
@@ -68,144 +72,194 @@ def _h_delta_h_best(source_feats: np.ndarray, target_feats: np.ndarray) -> int:
         step = xs[1:] > xs[:-1]
         prefix = np.concatenate(([0], np.cumsum(weights[order])))
         sums = prefix[np.concatenate(([0], np.flatnonzero(step) + 1, [n]))]
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.concatenate(([0], np.cumsum(step)))
-        orders.append(order)
-        ranks.append(rank)
+        orders[j] = order
+        ranks[j, order] = np.concatenate(([0], np.cumsum(step)))
         best = max(best, int(sums.max() - sums.min()))
-    carries = []
-    for j1 in range(q):
-        for j2 in range(j1 + 1, q):
-            order = orders[j1]
-            best, blocks = _xor_carry(ranks[j1][order], ranks[j2][order], weights[order], best)
-            carries.append(blocks)
-    return _xor_best(carries, best) if carries else best
+    return _xor_best(orders, ranks, weights, best) if q > 1 else best
 
 
 def _block_rows(k1: int) -> int:
-    """Grid rows per block, about sqrt(k1): a sweep spends k1/B * k2 cells on
-    carry rows and about k1 * B on in-block sums, whose total is least near
-    B = sqrt(k2), and k1 and k2 are alike.  Small pools take one block."""
+    """Grid rows per block, about sqrt(k1): at worst a sweep spends k1/B * k2
+    cells on top rows and about k1 * B on in-block sums, whose total is least
+    near B = sqrt(k2), and k1 and k2 are alike.  A coordinate's row blocks
+    are its column blocks too, so a corner grid has about k1/B * k2/B cells.
+    Small pools take one block."""
     return max(_MIN_BLOCK_ROWS, math.isqrt(k1))
 
 
-def _xor_carry(rank1: np.ndarray, rank2: np.ndarray, weights: np.ndarray,
-               floor: int) -> tuple[int, tuple]:
-    """Carry pass of one coordinate pair: (max(floor, its top rows' best),
-    the blocks that may still beat that, for ``_xor_best``).
+def _xor_corners(blocks: np.ndarray, j1: np.ndarray, j2: np.ndarray, weights: np.ndarray,
+                 floor: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Corner grids of the coordinate pairs (j1, j2): (max(floor, their best
+    corner), each pair's reach per row block, each coordinate's S per block,
+    its points' summed |w|).
 
-    rank1 is sorted.  With G[a, b] the signed weight below both cuts, the XOR
-    region weighs F(a, b) = G[a, -1] + G[-1, b] - 2 G[a, b].  Rows come in
-    blocks of B = _block_rows(k1).  In a block G[a, .] is the carry row above
-    it plus D[a, s], a step function of b that steps only at the block's own
-    columns, so F(a, b) = F(top, b) + D[a, -1] - 2 D[a, s].  V = G[-1, .] -
-    2 G is carried down the top rows a group of blocks at a time (their rows
-    and a scan of theirs within _GROUP_CELLS cells) by spreading each block's
-    last D row over its segments.  Each top row, a real cut, is scored; each
-    block point below cut a moves F(a, .) by +-|w| from it, so no row beats
-    the top score plus S, the block's summed |w|: its reach.  F = V +
-    G[top, -1] enters only through F's extremes per top-row segment, which
-    with the group size, each block's point and segment counts and reach, and
-    each point's row, segment and -2 w are kept for blocks with reach > floor.
+    blocks[j] is every point's block of coordinate j.  With G[a, b] the
+    signed weight below both cuts, the XOR region weighs F(a, b) = G[a, -1] +
+    G[-1, b] - 2 G[a, b].  One histogram of the points by (j1 block, j2
+    block), cumulated both ways, is G at every block corner, where F is a
+    real cut and scores.  A cell of row block i and column block c differs
+    from each of the four corners by at most the |w| of the row block's
+    points between their rows plus that of the column block's points between
+    their columns; the four add to 2 S_i + 2 S_c, so |F| there is at most
+    the mean of the corners' |F| plus (S_i + S_c) / 2.  A row block's reach
+    is the largest of these over its column blocks.  Grids pad to the most
+    blocks of any coordinate; a padded corner repeats the last real one, and
+    a padded column block, of S_c = 0, bounds no more than the last real one.
     """
-    k1 = int(rank1[-1]) + 1
-    width = int(rank2.max()) + 2                # grid columns b = 0..k2
-    b_idx = rank2 + 1
-    col = np.zeros(width, dtype=np.int64)       # G[-1, b]
-    np.add.at(col, b_idx, weights)
-    np.cumsum(col, out=col)
+    q = len(blocks)
+    side = int(blocks.max()) + 2                # corners per grid side
+    g = np.zeros((len(j1), side, side), dtype=np.int64)
+    cell = (np.arange(len(j1))[:, None] * side + blocks[j1] + 1) * side + blocks[j2] + 1
+    np.add.at(g.ravel(), cell.ravel(), np.broadcast_to(weights, cell.shape).ravel())
+    np.cumsum(g, axis=1, out=g)
+    np.cumsum(g, axis=2, out=g)
+    f = np.abs(g[:, :, -1:] + g[:, -1:, :] - 2 * g)   # |F| at each corner
+    floor = max(floor, int(f.max()))
+    s_abs = np.zeros((q, side - 1), dtype=np.int64)
+    np.add.at(s_abs.ravel(), (np.arange(q)[:, None] * (side - 1) + blocks).ravel(),
+              np.broadcast_to(np.abs(weights), blocks.shape).ravel())
+    f[:, :-1] += f[:, 1:]                       # |F| of corner rows i and i + 1
+    reach = (f[:, :-1, :-1] + f[:, :-1, 1:] + 2 * s_abs[j2, None]).max(axis=2)
+    reach += 2 * s_abs[j1]
+    reach //= 4
+    return floor, reach, s_abs
 
-    rows = _block_rows(k1)
-    n_blocks = -(-k1 // rows)
-    block = rank1 // rows
-    key = block * width + b_idx                 # (block, column) of each point
+
+def _xor_best(orders: np.ndarray, ranks: np.ndarray, weights: np.ndarray, floor: int
+              ) -> int:
+    """max(floor, max |F| over the XOR regions of every coordinate pair).
+
+    Each pair's points are taken in its row coordinate's order, so a row
+    block's points are one run.  Row blocks are taken best reach first,
+    whatever their pair, while their reach beats the best score so far, as
+    many at once as _GROUP_CELLS holds their full-width top rows or their
+    scan.  ``_top_rows`` builds a group's top rows, which are real cuts and
+    score.  A block's rows differ from its top row by at most its S, so its
+    exact top score plus S may lower its reach, and only the blocks whose
+    reach still beats the best are scanned, in ``_block_pass``.  So pruning
+    is exact.  In a block G[a, .] is G at its top row plus D[a, .], a step
+    function of b that steps only at the block's own columns, so on segment
+    s between them F(a, b) = F(top, b) + D[a, -1] - 2 D[a, s], and a scan
+    needs only F's extremes on each segment of the top row.
+
+    A pair's corner grid takes O(n + k1/B * k2/B) time, a top row O(k2) plus
+    its pair's points above it, a scanned block O(B^2): at worst, when alike
+    samples leave every block, O(k1/B * k2 + k1 * B + n log n) time a pair.
+    One buffer of _GROUP_CELLS cells, made on every call (it keeps glibc's
+    mmap threshold raised for the callers' later arrays), holds a group's
+    top rows, then its D.
+    """
+    q, n = ranks.shape
+    k = ranks.max(axis=1) + 1                   # distinct values per coordinate
+    rows = np.array([_block_rows(int(kj)) for kj in k])
+    blocks = ranks // rows[:, None]
+    j1, j2 = np.array([(a, b) for a in range(q) for b in range(a + 1, q)]).T
+    floor, reach, s_abs = _xor_corners(blocks, j1, j2, weights, floor)
+    count = np.zeros_like(s_abs)                # points per block, per coordinate
+    np.add.at(count.ravel(), (np.arange(q)[:, None] * s_abs.shape[1] + blocks).ravel(), 1)
+    real = np.arange(s_abs.shape[1]) < -(-k[j1, None] // rows[j1, None])
+    reach, s_row, size = reach[real], s_abs[j1][real], count[j1][real]
+    pair = np.repeat(np.arange(len(j1)), real.sum(axis=1))
+    start = np.cumsum(size) - size              # each block's first point
+    # each pair's points by row: column b = rank2 + 1, row in block, -2 w
+    order = orders[j1]
+    column = ranks[j2[:, None], order]
+    column += 1
+    row = np.take_along_axis(ranks - blocks * rows[:, None], orders, axis=1)[j1]
+    neg2w = weights[order]                      # w until G[-1, .] is built
+    width = int(k[j2].max()) + 1
+    bottom = np.zeros((len(j1), width), dtype=np.int64)    # G[-1, .]'s steps per pair
+    np.add.at(bottom.ravel(), (np.arange(len(j1))[:, None] * width + column).ravel(),
+              neg2w.ravel())
+    neg2w *= -2
+    column, row, neg2w = column.ravel(), row.ravel(), neg2w.ravel()
+    del order
+
+    def scan(take, floor):                      # one group of blocks, sorted
+        v = _top_rows(work, start[take], pair[take], n, bottom, column, neg2w)
+        pos = np.repeat(np.arange(len(take)), size[take])   # each point's block
+        pts = np.arange(len(pos)) + (start[take] - np.cumsum(size[take]) + size[take])[pos]
+        seg, n_seg, f_hi, f_lo = _segment_extremes(v, pos, column[pts])
+        del v                                   # before the scan's D
+        at = np.cumsum(n_seg) - n_seg           # each block's first segment
+        score = np.maximum.reduceat(np.maximum(f_hi, -f_lo), at)
+        floor = max(floor, int(score.max()))
+        kept = np.minimum(reach[take], score + s_row[take]) > floor
+        if not kept.any():
+            return floor
+        kb = np.flatnonzero(kept)
+        s_max = int(n_seg[kb].max())
+        pick = at[kb, None] + np.minimum(np.arange(s_max), n_seg[kb, None] - 1)
+        sel = kept[pos]
+        r = row[pts[sel]]
+        cells = (r * len(kb) + (np.cumsum(kept) - 1)[pos[sel]]) * s_max + seg[sel]
+        return max(floor, _block_pass(work, int(r.max()) + 1, cells, neg2w[pts[sel]],
+                                      f_hi[pick], f_lo[pick]))
+
+    work = np.empty(_GROUP_CELLS, dtype=np.int64)   # every group's top rows, then D
+    segments = min(int(size.max()), width - 1) + 1  # most a block can have
+    # a group's top rows and its D together fit the buffer, so each touches
+    # only part of it: touched pages stay resident after the call
+    group = max(1, _GROUP_CELLS // (width + int(rows[j1].max()) * segments))
+    queue = np.argsort(-reach, kind="stable")       # best reach first
+    while (queue := queue[reach[queue] > floor]).size:
+        floor = scan(np.sort(queue[:group]), floor)
+        queue = queue[group:]
+    return floor
+
+
+def _top_rows(work: np.ndarray, tops: np.ndarray, pairs: np.ndarray, n: int,
+              bottom: np.ndarray, column: np.ndarray, neg2w: np.ndarray) -> np.ndarray:
+    """V = G[-1, .] - 2 G[top, .], one full-width row a top.
+
+    tops are the flat first points of blocks, ascending; pairs their pairs.
+    Row i first holds, by column, -2 w of its pair's points from the last
+    top before it (or the pair's first point) to its own, and a pair's first
+    row also G[-1, .]'s steps; cumulated down each pair and then across, row
+    i is V at its top.  The rows are built in ``work`` when they fit."""
+    m, width = len(tops), bottom.shape[1]
+    v = (work[:m * width] if m * width <= len(work)
+         else np.empty(m * width, dtype=np.int64)).reshape(m, width)
+    v.fill(0)
+    heads = np.flatnonzero(np.diff(pairs, prepend=-1))
+    for i0, i1 in zip(heads, [*heads[1:], m]):
+        base, end = pairs[i0] * n, tops[i1 - 1]
+        v[i0] = bottom[pairs[i0]]
+        cell = np.repeat(np.arange(i0 * width, i1 * width, width),
+                         np.diff(tops[i0:i1], prepend=base))
+        cell += column[base:end]
+        np.add.at(v.ravel(), cell, neg2w[base:end])
+    for i in np.flatnonzero(pairs[1:] == pairs[:-1]) + 1:
+        v[i] += v[i - 1]
+    np.cumsum(v, axis=1, out=v)
+    return v
+
+
+def _segment_extremes(v: np.ndarray, pos: np.ndarray, column: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(each point's segment, each block's segment count, F's max and min on
+    every segment of every top row, block by block).
+
+    Block i's top row is V = v[i]; its points are those with pos == i, in
+    the given columns.  Segment 0 lies left of the block's columns, and
+    segment s runs from its s-th distinct column to the next."""
+    m, width = v.shape
+    key = pos * width + column
     order = np.argsort(key)
     sorted_key = key[order]
     new = np.empty(len(key), dtype=bool)        # first point of each key
     new[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
     ukey = sorted_key[new]                      # each block's columns, in order
-    firsts = np.searchsorted(ukey, np.arange(n_blocks + 1) * width)
-    seg = np.empty(len(key), dtype=np.int64)    # 1-based segment in its block
+    firsts = np.searchsorted(ukey, np.arange(m + 1) * width)
+    seg = np.empty(len(key), dtype=np.int64)
     seg[order] = np.cumsum(new)
-    seg -= firsts[block]
-    n_seg = np.diff(firsts) + 1                 # segment 0 lies left of them
-    # Block i's segments are at[i]..at[i+1] - 1 of one flat list; segment s
-    # starts at column starts[at[i] + s] of the (block, column) flattening.
-    at = firsts + np.arange(n_blocks + 1)
-    starts = np.insert(ukey, firsts[:-1], np.arange(n_blocks) * width)
-    neg2w = -2 * weights
-    last = np.zeros(at[-1], dtype=np.int64)     # -2 D at each block's last row
-    np.add.at(last, at[block] + seg, neg2w)
-    np.cumsum(last, out=last)
-    last -= np.repeat(last[at[:-1]], n_seg)     # segment 0 holds no point
-
-    size = np.diff(np.searchsorted(rank1, np.arange(n_blocks + 1) * rows))
-    reach = np.add.reduceat(np.abs(weights), np.cumsum(size) - size)   # S
-    f_hi, f_lo = np.empty((2, at[-1]), dtype=np.int64)   # top row's F per segment
-    most = max(1, _GROUP_CELLS // (width + rows * int(n_seg.max())))
-    group = -(-n_blocks // -(-n_blocks // most))   # groups as equal as may be
-    carry = col                                 # V at the group's top row
-    for g0 in range(0, n_blocks, group):
-        g1 = min(g0 + group, n_blocks)
-        nb = g1 - g0
-        cut = starts[at[g0]:at[g1]] - g0 * width
-        # v[i] is V at the top row of block g0 + i: the carry row above it
-        # plus every earlier block's last D row spread over its segments;
-        # v[nb] tops the next group.
-        v = np.repeat(np.concatenate((carry, last[at[g0]:at[g1]])),
-                      np.concatenate((np.ones(width, dtype=np.int64),
-                                      np.diff(cut, append=nb * width)))
-                      ).reshape(nb + 1, width)
-        for i in range(1, nb + 1):
-            v[i] += v[i - 1]
-        carry, v = v[nb].copy(), v[:nb]
-        shift = v[:, -1] // -2                  # G[top, -1], as col[-1] = 0
-        score = np.maximum(v.max(axis=1) + shift, -(v.min(axis=1) + shift))
-        floor = max(floor, int(score.max()))
-        reach[g0:g1] += score
-        kept = reach[g0:g1] > floor             # the blocks still worth a scan
-        sel = np.repeat(kept, n_seg[g0:g1])
-        cut = (cut - np.repeat(np.cumsum(~kept) * width, n_seg[g0:g1]))[sel]
-        shift = np.repeat(shift[kept], n_seg[g0:g1][kept])
-        for j, i in enumerate(np.flatnonzero(kept)):   # moved up in place, not copied
-            v[j] = v[i]
-        v = v[:kept.sum()].ravel()
-        f_hi[at[g0]:at[g1]][sel] = np.maximum.reduceat(v, cut) + shift
-        f_lo[at[g0]:at[g1]][sel] = np.minimum.reduceat(v, cut) + shift
-        del v                                   # before the next group's rows
-    keep = reach > floor
-    pts, segs = np.repeat(keep, size), np.repeat(keep, n_seg)
-    return floor, (group, size[keep], n_seg[keep], reach[keep], f_hi[segs],
-                   f_lo[segs], rank1[pts] % rows, seg[pts], neg2w[pts])
-
-
-def _xor_best(carries: list, floor: int) -> int:
-    """max(floor, max |F| over the blocks of every pair's carry pass).
-
-    Blocks are scanned in ``_block_pass`` best reach first, whatever their
-    pair, as many at once as the smallest group of any pair, while their
-    reach beats the best score so far, so pruning is exact: O(k1/B * k2 +
-    k1 * B + n log n) time a pair when alike samples leave every block.  One
-    buffer of _GROUP_CELLS cells, made once the carry rows are freed, holds D.
-    """
-    group = min(blocks[0] for blocks in carries)
-    size, n_seg, reach, f_hi, f_lo, row, seg, neg2w = (
-        np.concatenate(parts) for parts in zip(*(blocks[1:] for blocks in carries)))
-    carries.clear()                             # before the scan's buffer
-    block = np.repeat(np.arange(len(size)), size)   # each point's block
-    at = np.cumsum(n_seg) - n_seg                   # each block's first segment
-    work = np.empty(_GROUP_CELLS, dtype=np.int64)   # every group's D
-    scan = np.argsort(-reach, kind="stable")    # best reach first
-    while (scan := scan[reach[scan] > floor]).size:
-        take, scan = np.sort(scan[:group]), scan[group:]
-        pts = np.flatnonzero(np.isin(block, take))
-        s_max = int(n_seg[take].max())
-        pick = at[take, None] + np.minimum(np.arange(s_max), n_seg[take, None] - 1)
-        cells = (row[pts] * len(take) + np.searchsorted(take, block[pts])) * s_max
-        floor = max(floor, _block_pass(work, int(row[pts].max()) + 1, cells + seg[pts],
-                                       neg2w[pts], f_hi[pick], f_lo[pick]))
-    return floor
+    seg -= firsts[pos]
+    n_seg = np.diff(firsts) + 1
+    cuts = np.insert(ukey, firsts[:-1], np.arange(m) * width)   # flat segment starts
+    shift = np.repeat(v[:, -1] // -2, n_seg)    # F = V + G[top, -1], as G[-1, -1] = 0
+    return (seg, n_seg, np.maximum.reduceat(v.ravel(), cuts) + shift,
+            np.minimum.reduceat(v.ravel(), cuts) + shift)
 
 
 def _block_pass(work: np.ndarray, rows: int, cells: np.ndarray, neg2w: np.ndarray,
@@ -213,7 +267,9 @@ def _block_pass(work: np.ndarray, rows: int, cells: np.ndarray, neg2w: np.ndarra
     """max |F| over a group of blocks.  neg2w[p] lands at flat cell cells[p] of
     d, (rows, blocks, segments); summed, d is each block's -2 D, and d, f_hi and
     f_lo (F's extremes per segment of the top row) pad with the last segment,
-    and a block of fewer rows with its last row, the next block's top."""
+    and a block of fewer rows with its last row, the next block's top.  It
+    takes O(rows * blocks * segments) time: about B (B + 1) cells a block
+    when its B rows hold B points of distinct columns."""
     size = rows * f_hi.size
     d = (work[:size] if size <= len(work) else np.empty(size, dtype=np.int64))
     d = d.reshape((rows,) + f_hi.shape)
@@ -238,9 +294,10 @@ def h_delta_h_distance(source_feats: np.ndarray, target_feats: np.ndarray
     for the two empirical distributions, and no row or coordinate order
     changes it.  For n pooled points in q coordinates with k1, k2 distinct
     values per coordinate it takes O(q^2 (k1^1.5 + sqrt(k1) k2 + n log n))
-    time at worst, less when the XOR sweep's exact bound skips row blocks
-    (as on shifted samples), and O(q^2 n) memory beyond a fixed 1 MB group
-    budget, never an (n+1)^2 grid.
+    time at worst, when every row block of the XOR sweep needs its top row
+    and a scan.  It takes less when the corner grids rule blocks out: on
+    shifted samples about a tenth of the blocks get a top row.  Memory is
+    O(q^2 n) beyond a fixed 1 MB group budget, never an (n+1)^2 grid.
     """
     sf = np.asarray(source_feats, float)
     tf = np.asarray(target_feats, float)
@@ -351,14 +408,18 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
         raise ConfigurationError(f"kernel bandwidth must be positive, got {sigma}")
     scale = -0.5 / (sigma * sigma)
 
+    def kernel(sq):                     # exp(scale * sq), in place
+        sq *= scale
+        return np.exp(sq, out=sq)
+
     def self_mean(feats, sq):           # twice the triangle plus the diagonal,
         d = feats - feats               # which is NaN where feats are not finite
-        diag = np.exp(scale * np.einsum("ij,ij->i", d, d))
-        terms = np.concatenate([2.0 * np.exp(scale * sq), diag])
-        return _exact_sum(terms) / len(feats) ** 2
+        triangle = kernel(sq)
+        triangle *= 2.0
+        return _exact_sum(triangle, kernel(np.einsum("ij,ij->i", d, d))) / len(feats) ** 2
 
     value = (self_mean(x, sq_xx) + self_mean(y, sq_yy)
-             - 2.0 * _exact_sum(np.exp(scale * sq_xy)) / (len(x) * len(y)))
+             - 2.0 * _exact_sum(kernel(sq_xy)) / (len(x) * len(y)))
     return max(value, 0.0)
 
 

@@ -14,6 +14,7 @@ up or overflows, so a stump always realizes the cut it was scored on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,22 +163,26 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         best_j.tolist(), thresholds.tolist(), signs.tolist())]
 
 
-def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms.tolist()) bit for bit, without the list; terms is only
-    read.  With sigma = 2^(M+e), 2^M > n, 2^e > max|p|, q = (sigma + p) -
-    sigma and p - q are exact, and so is sum(q) in any order (Rump, Ogita &
-    Oishi 2008, SIAM J. Sci. Comput. 31(1)); p - q goes round again until
-    it is zero, then one fsum rounds."""
-    p = np.asarray(terms, float).ravel()
-    parts, m = [], len(p).bit_length()
-    while p.size:
-        mu = float(np.max(np.abs(p)))      # shrinks round by round
+def _exact_sum(*arrays: np.ndarray) -> float:
+    """math.fsum over the terms of every array in turn, bit for bit, without
+    a list; the arrays are only read.  With sigma = 2^(M+e), 2^M > n, 2^e >
+    max|p|, q = (sigma + p) - sigma and p - q are exact, and so is sum(q) in
+    any order (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput. 31(1)); p - q,
+    a copy of the terms after the first round and then updated in place,
+    goes round again until it is all zero, then one fsum rounds."""
+    ps = [np.asarray(a, float).ravel() for a in arrays]
+    parts, m, first = [], sum(map(len, ps)).bit_length(), True
+    while mu := float(np.max([max(p.max(), -p.min()) for p in ps if p.size], initial=0.0)):
         if not (math.isfinite(mu) and math.frexp(mu)[1] + m <= 1023):
-            return math.fsum(p.tolist())    # first round: p is still terms
+            # only in the first round, where ps are still the terms
+            return math.fsum(itertools.chain.from_iterable(p.tolist() for p in ps))
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
-        q = (p + sigma) - sigma
-        parts.append(float(q.sum()))
-        p = (p - q)[p != q]
+        for i, p in enumerate(ps):
+            q = p + sigma
+            q -= sigma
+            parts.append(float(q.sum()))
+            ps[i] = p - q if first else np.subtract(p, q, out=p)
+        first = False
     return math.fsum(parts)
 
 

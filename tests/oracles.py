@@ -172,6 +172,29 @@ def h_delta_h_grid_oracle(source_feats: np.ndarray,
     return best
 
 
+def xor_block_maxima(source_feats: np.ndarray, target_feats: np.ndarray,
+                     j1: int, j2: int, rows: int) -> np.ndarray:
+    """Per row block of coordinate j1, the largest |F(a, b)| of the XOR of
+    cut a of j1 and cut b of j2 over the block's rows a (its top row iB to
+    the next block's top, or the last cut k1) and every column b.
+
+    F is the signed weight (source +n_T, target -n_S) in the XOR region, read
+    off the whole (k1+1) x (k2+1) prefix-sum grid, as in
+    ``h_delta_h_grid_oracle``; rows come in blocks of ``rows`` cuts.
+    """
+    n_s, n_t = len(source_feats), len(target_feats)
+    pooled = np.vstack([source_feats, target_feats])
+    weights = np.concatenate([np.full(n_s, n_t), np.full(n_t, -n_s)]).astype(np.int64)
+    _, rank1 = np.unique(pooled[:, j1], return_inverse=True)
+    _, rank2 = np.unique(pooled[:, j2], return_inverse=True)
+    k1, k2 = rank1.max() + 1, rank2.max() + 1
+    grid = np.zeros((k1 + 1, k2 + 1), dtype=np.int64)
+    np.add.at(grid, (rank1 + 1, rank2 + 1), weights)
+    grid = grid.cumsum(axis=0).cumsum(axis=1)
+    xor = np.abs(grid[:, -1][:, None] + grid[-1, :][None, :] - 2 * grid)
+    return np.array([xor[top:top + rows + 1].max() for top in range(0, k1, rows)])
+
+
 def dbscan_oracle(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density-connectivity closure, written set-theoretically.
 

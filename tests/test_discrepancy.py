@@ -11,6 +11,7 @@ from oracles import (
     h_delta_h_oracle,
     mmd_oracle,
     sq_dists_by_column,
+    xor_block_maxima,
 )
 import pseudobound.discrepancy as discrepancy
 from pseudobound.discrepancy import _block_rows, _h_delta_h_best, _sq_dists
@@ -209,28 +210,25 @@ def _count_scans(monkeypatch):
 
 def test_h_delta_h_sweep_in_several_block_groups(monkeypatch):
     """6000 continuous rows against 50 integer columns need more than one
-    group of blocks in both passes at the module's cell budget; the grid
-    stays small.  Membership is a fair coin, so the samples are alike, the
-    bound prunes little and the block pass too runs in several groups."""
+    group of blocks at the module's cell budget; the grid stays small.
+    Membership is a fair coin, so the samples are alike, the bounds prune
+    little and the block pass too runs in several groups."""
     rng = np.random.default_rng(21)
     pooled = 6000
     x = np.column_stack([rng.standard_normal(pooled),
                          rng.integers(0, 50, pooled)]).astype(float)
     is_source = rng.random(pooled) < 0.5
     rows = _block_rows(pooled)
-    blocks = np.argsort(np.argsort(x[:, 0])) // rows
-    n_blocks = blocks.max() + 1
-    segments = 1 + max(len(np.unique(x[blocks == i, 1])) for i in range(n_blocks))
-    # a carry group's rows and a scan group's D share the budget: groups of
-    # either pass have at most _GROUP_CELLS // (k2 + 1 + rows * segments)
-    # blocks, as equal in size as may be
-    most = discrepancy._GROUP_CELLS // (51 + rows * segments)
+    n_blocks = -(-pooled // rows)
+    # a group's full-width top rows (k2 + 1 cells each) and its D (rows by
+    # at most 1 + min(rows, k2) segments a block) share the budget, so a
+    # group has at most _GROUP_CELLS // (k2 + 1 + rows * segments) blocks
+    most = discrepancy._GROUP_CELLS // (51 + rows * (1 + min(rows, 50)))
     assert n_blocks > most
-    group = -(-n_blocks // -(-n_blocks // most))
     scans = _count_scans(monkeypatch)
     _assert_sweep_exact(x[is_source], x[~is_source])
     # at least four scan groups over the two argument orders, full ones among them
-    assert len(scans) >= 4 and max(scans) == group
+    assert len(scans) >= 4 and max(scans) == most
 
 
 def _inside_block_xor(n_rows, inside, seed):
@@ -265,12 +263,10 @@ def test_h_delta_h_best_cut_strictly_inside_a_block(n_rows, inside):
     assert _h_delta_h_best(x, y) == len(x) * len(y)
 
 
-def test_h_delta_h_sweep_scans_few_blocks_on_shifted_draws(monkeypatch):
-    """On the lemma-2 gap check's shifted draws (1024 pairs a side) the
-    bound, against the best top row of every coordinate pair, leaves at
-    most 15 % of the row blocks to scan."""
+def _shifted_gap_blocks():
+    """Run the sweep on three of the lemma-2 gap check's shifted draws (1024
+    pairs a side); return their row blocks summed over coordinate pairs."""
     cfg = pb.default_experiment_config("shifted")
-    scans = _count_scans(monkeypatch)
     total = 0
     for unit in range(3):
         seed = pb.derive_seed(0, 92, unit)
@@ -281,7 +277,63 @@ def test_h_delta_h_sweep_scans_few_blocks_on_shifted_draws(monkeypatch):
         for j in range(q - 1):
             k1 = len(np.unique(np.concatenate([x[:, j], y[:, j]])))
             total += (q - 1 - j) * -(-k1 // _block_rows(k1))
+    return total
+
+
+def test_h_delta_h_sweep_scans_few_blocks_on_shifted_draws(monkeypatch):
+    """On the lemma-2 gap check's shifted draws (1024 pairs a side) the
+    bounds, against the best cut found in any coordinate pair, leave at
+    most 15 % of the row blocks to scan."""
+    scans = _count_scans(monkeypatch)
+    total = _shifted_gap_blocks()
     assert 0 < sum(scans) <= 0.15 * total
+
+
+def test_h_delta_h_sweep_builds_few_top_rows_on_shifted_draws(monkeypatch):
+    """On the same draws the corner grids rule out all but at most 30 % of
+    the row blocks before any full-width top row is built."""
+    built = []
+    top_rows = discrepancy._top_rows
+
+    def counting(*args):
+        rows = top_rows(*args)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(discrepancy, "_top_rows", counting)
+    total = _shifted_gap_blocks()
+    assert 0 < sum(built) <= 0.30 * total
+
+
+def _corner_reach(x, y):
+    """Each row block's reach from its pair's corner grid, as the sweep bounds
+    it: (pairs (j1, j2), row blocks of each coordinate, reach per pair and
+    block), and the best corner."""
+    pooled = np.vstack([x, y])
+    weights = np.concatenate([np.full(len(x), len(y)), np.full(len(y), -len(x))])
+    ranks = np.array([np.unique(c, return_inverse=True)[1] for c in pooled.T])
+    rows = np.array([_block_rows(int(r.max()) + 1) for r in ranks])
+    j1, j2 = np.triu_indices(pooled.shape[1], 1)
+    corner, reach, _ = discrepancy._xor_corners(ranks // rows[:, None], j1, j2,
+                                                weights.astype(np.int64), 0)
+    return list(zip(j1, j2)), rows, reach, corner
+
+
+@pytest.mark.parametrize("pooled", [65, 257, 581])
+def test_h_delta_h_corner_reach_never_undercuts(pooled):
+    """No cell of a row block, over all its rows and every column, beats the
+    reach its corner grid gives it, and every corner is a real cut."""
+    cases = [(feats[:n_s], feats[n_s:]) for feats, n_s in _xor_pools(pooled, 4, pooled)]
+    cases += [(feats[is_source], feats[~is_source])
+              for feats, is_source in _segment_cases(pooled, pooled)]
+    cases += [_inside_block_xor(n_rows, inside, pooled)
+              for n_rows, inside in ((200, 0.85), (1000, 0.95))]
+    for x, y in cases:
+        pairs, rows, reach, corner = _corner_reach(x, y)
+        assert corner <= h_delta_h_grid_oracle(x, y)
+        for p, (j1, j2) in enumerate(pairs):
+            most = xor_block_maxima(x, y, j1, j2, rows[j1])
+            assert (reach[p, :len(most)] >= most).all()
 
 
 @pytest.mark.parametrize("cells", [1, 600])
@@ -506,6 +558,20 @@ def test_exact_sum_random_arrays_equal_fsum():
         else:            # few distinct values, many exact repeats
             terms = rng.choice(rng.standard_normal(4), n)
         _assert_fsum_equal(terms)
+
+
+def test_exact_sum_of_several_arrays_equals_fsum_of_all_terms():
+    """Several arrays sum as their terms in turn would, specials included."""
+    rng = np.random.default_rng(31)
+    kernel = np.exp(-rng.uniform(0, 745, 3000))
+    cases = [(2.0 * kernel, rng.random(300)), (kernel, -kernel[::-1], rng.random(5)),
+             ([], [1.0, 2.0 ** -53]), ([], []), ([-0.0], [0.0]), ([1e308], [1e308]),
+             ([1.0], [math.nan]), ([math.inf], [1.0]), ([1e16, 1.0], [-1e16])]
+    for arrays in cases:
+        arrays = [np.asarray(a, float) for a in arrays]
+        everything = np.concatenate(arrays)
+        assert _fsum_outcome(lambda _: _exact_sum(*arrays), everything) == \
+            _fsum_outcome(lambda t: math.fsum(t.tolist()), everything)
 
 
 def test_exact_sum_negative_corrected_losses_equal_fsum():
