@@ -35,7 +35,6 @@ from .config import (
     default_toggle_grid,
 )
 from .discrepancy import (
-    MEDIAN_HEURISTIC,
     align_moments,
     h_delta_h_distance,
     ideal_joint,
@@ -43,7 +42,6 @@ from .discrepancy import (
     mmd_squared,
 )
 from .domains import (
-    ABSENT,
     AffineMap,
     DomainSpec,
     PairSet,

@@ -40,7 +40,7 @@ from .domains import (
     unit_normalize,
 )
 from .errors import ConfigurationError
-from .noise import NO_NOISE, NoiseModel, _flip_labels
+from .noise import NO_NOISE, NoiseModel, _flip_labels, corrected_costs
 from .risk import (
     RiskConfig,
     _source_guided_problem,
@@ -48,10 +48,9 @@ from .risk import (
     exact_risks,
     fit_plain,
     min_exact_risk,
-    source_guided_risk,
 )
 from .serial import Serializable
-from .stumps import StumpHypothesis, erm_batch, vc_dimension
+from .stumps import StumpHypothesis, _exact_sum, erm_batch, vc_dimension
 
 TRIAL_CSV_COLUMNS = ("seed", "N", "C", "DD", "rhs", "eps_T_hat", "violated",
                      "slack")
@@ -253,16 +252,6 @@ def _trial_blocks(config: ExperimentConfig, trials: int, rng_seed: int,
         yield trial[rows].tolist(), (src_sim, src_true, tgt_sim, tgt_true, pseudo)
 
 
-def _trial_pairs(config: ExperimentConfig, trials: int, rng_seed: int,
-                 iteration: int = 0):
-    """``_trial_blocks``' draws as one (source, target) pair-set tuple per trial."""
-    for seeds, (src_sim, src_true, tgt_sim, tgt_true, pseudo) in _trial_blocks(
-            config, trials, rng_seed, iteration):
-        for i in range(len(seeds)):
-            yield (PairSet(src_sim[i], src_true[i]),
-                   PairSet(tgt_sim[i], tgt_true[i], pseudo[i]))
-
-
 def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
                                trials: int = 5000, rng_seed: int = 0
                                ) -> list[ConcentrationRow]:
@@ -270,7 +259,8 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
 
     h stays fixed; each trial redraws the m-sample training set (target
     labels freshly corrupted) and evaluates the alpha-mix empirical risk.
-    Draws come from ``validate_theorem``'s block sampler and seed chain.
+    Draws come from ``validate_theorem``'s block sampler and seed chain; a
+    block's trials are scored at once, each as ``source_guided_risk`` does.
     The population center alpha eps_T(h) + (1-alpha) eps_S(h) is exact
     (``exact_risks``); sub-seeds 1 and 2 of rng_seed, which seeded the two
     2^17-pair draws that estimated it before, are retired, and the trials
@@ -286,8 +276,17 @@ def check_lemma3_concentration(h, config: ExperimentConfig, mu_grid=None,
     eps_t, eps_s = (exact_risks([h], spec, config.strategy, cfg.big_m)[0]
                     for spec in (config.target, config.source))
     center = cfg.alpha * eps_t + (1.0 - cfg.alpha) * eps_s
-    devs = np.array([abs(source_guided_risk(h, src, tgt, cfg, model) - center)
-                     for src, tgt in _trial_pairs(config, trials, rng_seed)])
+    devs = []
+    for _, (src_sim, src_true, tgt_sim, _, pseudo) in _trial_blocks(config, trials, rng_seed):
+        cost_pos, cost_neg = corrected_costs(pseudo, cfg.big_m, model)
+        losses = np.where((tgt_sim[..., h.coordinate] > h.threshold) == (h.sign == 1),
+                          cost_pos, cost_neg)
+        target = np.array([_exact_sum(row) for row in losses]) / losses.shape[1]
+        misses = np.count_nonzero((src_sim[..., h.coordinate] > h.threshold)
+                                  != (src_true == h.sign), axis=1)
+        source = cfg.big_m * misses / src_true.shape[1]
+        devs.append(np.abs(cfg.alpha * target + (1.0 - cfg.alpha) * source - center))
+    devs = np.concatenate(devs)
     rows = []
     for mu in mu_grid:
         empirical = float(np.count_nonzero(devs >= mu) / trials)

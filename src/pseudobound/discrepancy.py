@@ -38,7 +38,6 @@ from .errors import (
 from .noise import zero_m_costs
 from .stumps import StumpHypothesis, _exact_sum, erm
 
-MEDIAN_HEURISTIC = "median"
 _MIN_BLOCK_ROWS = 8          # fewest grid rows in an XOR sweep block
 _GROUP_CELLS = 1 << 17       # int64 cells of one XOR block group (1 MB)
 _CACHED_TRIANGLE_N = 1024   # largest n whose upper-triangle pairs are cached
@@ -379,9 +378,9 @@ def _sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
-                bandwidth=MEDIAN_HEURISTIC) -> float:
-    """Biased V-statistic MMD^2 with a Gaussian kernel.
+def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray, bandwidth=None) -> float:
+    """Biased V-statistic MMD^2 with a Gaussian kernel of the given positive,
+    finite bandwidth, or of the median heuristic's when it is None.
 
     Squared distances of the xx and yy strict upper triangles and the xy
     block give the median bandwidth and the three kernel means.  A mean is
@@ -397,12 +396,11 @@ def mmd_squared(x_feats: np.ndarray, y_feats: np.ndarray,
         raise EmptyInputError("mmd_squared needs nonempty feature sets")
     if not 0 < x.shape[1] == y.shape[1]:
         raise ConfigurationError("feature sets must share a dimension q >= 1")
-    median = isinstance(bandwidth, str) and bandwidth == MEDIAN_HEURISTIC
-    if not (median or isinstance(bandwidth, numbers.Real)
+    if not (bandwidth is None or isinstance(bandwidth, numbers.Real)
             and not isinstance(bandwidth, bool) and math.isfinite(bandwidth)):
-        raise ConfigurationError(f"kernel bandwidth must be 'median' or finite, got {bandwidth!r}")
+        raise ConfigurationError(f"kernel bandwidth must be None or finite, got {bandwidth!r}")
     sq_xx, sq_yy, sq_xy = _sq_dists(x), _sq_dists(y), _sq_dists(x, y)
-    sigma = (_median_distance(np.concatenate([sq_xx, sq_yy, sq_xy])) if median
+    sigma = (_median_distance(np.concatenate([sq_xx, sq_yy, sq_xy])) if bandwidth is None
              else float(bandwidth))
     if not sigma > 0:
         raise ConfigurationError(f"kernel bandwidth must be positive, got {sigma}")

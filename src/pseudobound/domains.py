@@ -15,10 +15,6 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, EmptyInputError
 from .serial import Serializable
 
-#: integer placeholder meaning "no pseudo-label assigned".
-ABSENT = 0
-
-
 def _entropy(entropy) -> list[int]:
     """The entropy tuple as ints, each checked to be non-negative."""
     ints = [int(e) for e in entropy]
@@ -278,21 +274,23 @@ class SampleSet:
 class PairStrategy(Serializable):
     """Which identity pairs the pair process draws.
 
-    ``all``       both identities uniform and independent.
-    ``balanced``  positive with probability 1/(1 + k_neg_per_pos); negatives
-                  draw two distinct uniform identities.
+    ``all``       both identities uniform and independent; ``k_neg_per_pos``
+                  is None.
+    ``balanced``  positive with probability 1/(1 + k_neg_per_pos), an int
+                  >= 1; negatives draw two distinct uniform identities.
     """
 
     kind: str
-    k_neg_per_pos: int = 3
+    k_neg_per_pos: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("all", "balanced"):
             raise ConfigurationError(f"unknown pair strategy {self.kind!r}")
-        if self.kind == "balanced" and self.k_neg_per_pos < 1:
-            raise ConfigurationError("k_neg_per_pos must be >= 1")
-        if self.kind == "all" and self.k_neg_per_pos != PairStrategy.k_neg_per_pos:
+        if self.kind == "all" and self.k_neg_per_pos is not None:
             raise ConfigurationError("an 'all' pair strategy takes no k_neg_per_pos")
+        if self.kind == "balanced" and (self.k_neg_per_pos is None or self.k_neg_per_pos < 1):
+            raise ConfigurationError(
+                f"a 'balanced' pair strategy needs k_neg_per_pos >= 1, got {self.k_neg_per_pos}")
 
     @staticmethod
     def all_pairs() -> "PairStrategy":
@@ -302,44 +300,37 @@ class PairStrategy(Serializable):
     def balanced(k_neg_per_pos: int = 3) -> "PairStrategy":
         return PairStrategy("balanced", k_neg_per_pos)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "balanced":
-            d["k_neg_per_pos"] = self.k_neg_per_pos
-        return d
 
+def _signs(labels, name: str) -> np.ndarray:
+    """labels as int8, each checked to be +1 or -1."""
+    labels = np.asarray(labels)
+    if not ((labels == 1) | (labels == -1)).all():
+        raise ConfigurationError(f"{name} must be +1 or -1")
+    return labels.astype(np.int8, copy=False)
 
 
 class PairSet:
     """Column-oriented batch of verification pairs.
 
-    ``true_labels`` are +-1; ``pseudo_labels`` are +-1 or ABSENT (0), and
-    stay ABSENT until labels are assigned.  Without ``member_indices`` every
-    row reads (0, 0) from one shared, read-only zero row.
+    ``true_labels`` are +-1.  ``pseudo_labels`` are +-1, or None until labels
+    are assigned; ``member_indices`` are the (n, 2) sample rows of each pair,
+    or None when the pairs keep no members.
     """
 
     def __init__(self, similarity, true_labels, pseudo_labels=None, member_indices=None):
         self.similarity = np.asarray(similarity, dtype=float)
-        true_labels = np.asarray(true_labels)
-        if not ((true_labels == 1) | (true_labels == -1)).all():
-            raise ConfigurationError("true_labels must be +1 or -1")
-        self.true_labels = true_labels.astype(np.int8, copy=False)
-        n = len(self.similarity)
-        if pseudo_labels is None:
-            pseudo_labels = np.full(n, ABSENT, dtype=np.int8)
-        pseudo_labels = np.asarray(pseudo_labels)
-        if not ((pseudo_labels == 1) | (pseudo_labels == -1)
-                | (pseudo_labels == ABSENT)).all():
-            raise ConfigurationError("pseudo_labels must be +1, -1 or ABSENT")
-        self.pseudo_labels = pseudo_labels.astype(np.int8, copy=False)
-        if member_indices is None:
-            member_indices = np.broadcast_to(np.zeros(2, dtype=np.int64), (n, 2))
-        self.member_indices = np.asarray(member_indices, dtype=np.int64)
         if self.similarity.ndim != 2:
             raise ConfigurationError("similarity must be a (n, q) array")
-        if not (len(self.true_labels) == n and len(self.pseudo_labels) == n
-                and len(self.member_indices) == n):
-            raise ConfigurationError("pair columns disagree on length")
+        n = len(self.similarity)
+        self.true_labels = _signs(true_labels, "true_labels")
+        self.pseudo_labels = (None if pseudo_labels is None
+                              else _signs(pseudo_labels, "pseudo_labels"))
+        self.member_indices = (None if member_indices is None
+                               else np.asarray(member_indices, dtype=np.int64))
+        shapes = ((self.true_labels, (n,)), (self.pseudo_labels, (n,)),
+                  (self.member_indices, (n, 2)))
+        if any(c is not None and c.shape != shape for c, shape in shapes):
+            raise ConfigurationError("pair columns must be shaped (n,), (n,) and (n, 2)")
 
     def __len__(self) -> int:
         return len(self.similarity)
@@ -350,18 +341,14 @@ class PairSet:
 
     @property
     def has_pseudo(self) -> bool:
-        return bool(len(self)) and bool((self.pseudo_labels != ABSENT).all())
+        return bool(len(self)) and self.pseudo_labels is not None
 
     def with_pseudo_labels(self, pseudo) -> "PairSet":
         return PairSet(self.similarity, self.true_labels, pseudo, self.member_indices)
 
     def subset(self, index) -> "PairSet":
-        return PairSet(
-            self.similarity[index],
-            self.true_labels[index],
-            self.pseudo_labels[index],
-            self.member_indices[index],
-        )
+        return PairSet(*(None if c is None else c[index] for c in (
+            self.similarity, self.true_labels, self.pseudo_labels, self.member_indices)))
 
 
 def generate_domain(spec: DomainSpec, n: int, rng_seed: int) -> SampleSet:

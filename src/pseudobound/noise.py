@@ -87,8 +87,8 @@ def corrected_loss(y_pred, y_pseudo, big_m: float, model: NoiseModel):
 def corrected_costs(pseudo_labels, big_m: float, model: NoiseModel
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (cost if predicted +1, cost if predicted -1) under the
-    corrected loss, each value computed once and picked by the +-1 label.
-    Any other label (ABSENT) raises DegenerateInputError."""
+    corrected loss, each value computed once and picked by the +-1 label,
+    for labels of any shape.  Any other label raises DegenerateInputError."""
     labels = np.asarray(pseudo_labels)
     pos = labels == 1
     if not (pos | (labels == -1)).all():

@@ -19,7 +19,7 @@ import numpy as np
 from .bound import (
     BoundReport,
     _mapped_pairs,
-    _trial_pairs,
+    _trial_blocks,
     assemble_bound,
     oracle_bound_inputs,
 )
@@ -249,7 +249,9 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
                     keep_noise_as_singletons=not toggles.outlier_filtering,
                 ), config, it)
             else:
-                source_pairs, target_pairs = next(_trial_pairs(config, 1, seed, it))
+                [(_, (src_sim, src_true, *target))] = _trial_blocks(config, 1, seed, it)
+                source_pairs = PairSet(src_sim[0], src_true[0])
+                target_pairs = PairSet(*(column[0] for column in target))
             rho_before = estimate_noise_rates(target_pairs)
             model = rho_before.as_model() if practice else config.noise
             h, kept, rho_after, filter_report, model = _train(

@@ -14,6 +14,9 @@ import pytest
 
 import pseudobound as pb
 from oracles import dbscan_oracle, erm_grid_oracle
+from pseudobound.domains import rngs_from_states, seed_states
+from pseudobound.noise import _flip_labels
+from pseudobound.stumps import _exact_sum
 
 
 @pytest.fixture
@@ -58,12 +61,19 @@ def test_criterion_02_correction_is_unbiased(report):
         model = pb.NoiseModel(*rates)
         for j, h in enumerate(stumps):
             clean = pb.empirical_risk_true(h, pairs, 1.0)
-            vals = np.array([
-                pb.corrected_empirical_risk_target(
-                    h, pb.corrupt_labels(pairs, model, pb.derive_seed(2, 2, k, j, r)),
-                    1.0, model)
-                for r in range(trials)
-            ])
+            # Corruption r draws what corrupt_labels(pairs, model,
+            # derive_seed(2, 2, k, j, r)) draws; all r at once.
+            seeds = seed_states([2, 2, k, j, np.arange(trials)], 1)[:, 0]
+            uniforms = np.empty((trials, len(pairs)))
+            for row, rng in zip(uniforms, rngs_from_states(seed_states([seeds], 4))):
+                rng.random(out=row)
+            pseudo = _flip_labels(pairs.true_labels, uniforms, model)
+            cost_pos, cost_neg = pb.corrected_costs(pseudo, 1.0, model)
+            losses = np.where(h.predict(pairs.similarity) == 1, cost_pos, cost_neg)
+            vals = np.array([_exact_sum(row) for row in losses]) / len(pairs)
+            for r in (0, trials - 1):       # block rows equal lone public calls
+                lone = pb.corrupt_labels(pairs, model, pb.derive_seed(2, 2, k, j, r))
+                assert vals[r] == pb.corrected_empirical_risk_target(h, lone, 1.0, model)
             se = vals.std(ddof=1) / math.sqrt(trials)
             max_z = max(max_z, abs(vals.mean() - clean) / se)
     elapsed = time.perf_counter() - t0

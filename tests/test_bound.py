@@ -160,6 +160,7 @@ def test_mapped_pairs_equal_mapped_copies_bit_for_bit(use_map, normalize):
             samples.features, drawn.member_indices, matrix, offset, normalize)
         assert pairs.similarity.tobytes() == expected.tobytes()
         assert np.array_equal(pairs.true_labels, drawn.true_labels)
+        assert (pairs.member_indices is None) == (use_map or normalize)
 
 
 @pytest.mark.parametrize("use_map", [False, True])

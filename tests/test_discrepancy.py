@@ -463,13 +463,14 @@ def test_mmd_separated_exceeds_matched():
 def test_mmd_validation():
     with pytest.raises(pb.ConfigurationError):
         pb.mmd_squared(np.zeros((2, 1)), np.zeros((2, 1)), bandwidth=0.0)
-    # a bandwidth is "median" or a positive finite number; an infinite one
-    # would make every kernel value 1 and the MMD silently 0
-    for bad in ("auto", np.array([1.0, 2.0]), np.array(1.0), math.inf, -math.inf,
-                math.nan, -1.0, True, None):
+    # a bandwidth is None (the median heuristic) or a positive finite number;
+    # an infinite one would make every kernel value 1 and the MMD silently 0.
+    # The retired "median" string is refused like any other string.
+    for bad in ("median", "auto", np.array([1.0, 2.0]), np.array(1.0), math.inf,
+                -math.inf, math.nan, -1.0, True):
         with pytest.raises(pb.ConfigurationError, match="bandwidth"):
             pb.mmd_squared(np.zeros((2, 1)), np.ones((2, 1)), bandwidth=bad)
-    for good in (1, np.float32(0.5), 2.0, "median"):
+    for good in (1, np.float32(0.5), 2.0, None):
         assert pb.mmd_squared(np.zeros((2, 1)), np.ones((2, 1)), bandwidth=good) > 0
     with pytest.raises(pb.EmptyInputError):
         pb.mmd_squared(np.zeros((0, 1)), np.zeros((2, 1)))
@@ -598,7 +599,7 @@ def _mmd_draw(rng, t):
     nx, ny = (int(np.exp(rng.uniform(0, np.log(320.5)))) for _ in range(2))
     x = rng.standard_normal((nx, q))
     y = rng.standard_normal((ny, q)) * rng.uniform(0.5, 2) + rng.uniform(-1, 1)
-    kind, bandwidth = t % 6, pb.MEDIAN_HEURISTIC
+    kind, bandwidth = t % 6, None
     if kind == 1:                    # rounded: tied distances
         x, y = np.round(x, 1), np.round(y, 1)
     elif kind == 2:                  # permuted copy: exactly 0.0

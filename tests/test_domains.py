@@ -137,17 +137,53 @@ def test_pair_set_subset_and_pseudo():
 
 
 def test_pair_set_rejects_labels_outside_their_alphabet():
-    """True labels are +-1 and pseudo-labels +-1 or ABSENT; anything else
-    (which would miscount risks or rates, or wrap in the int8 cast) is refused."""
+    """True and pseudo-labels are +-1; anything else, 0 included (which would
+    miscount risks or rates, or wrap in the int8 cast) is refused.  No
+    pseudo-labels is None, not a column of zeros."""
     sim = np.array([[0.0], [1.0]])
     with pytest.raises(pb.ConfigurationError, match="true_labels"):
         pb.PairSet(sim, [0, 2])
-    with pytest.raises(pb.ConfigurationError, match="pseudo_labels"):
-        pb.PairSet(sim, [1, -1], pseudo_labels=[3, -1])
+    for bad in ([3, -1], [0, -1], [0, 0]):
+        with pytest.raises(pb.ConfigurationError, match="pseudo_labels"):
+            pb.PairSet(sim, [1, -1], pseudo_labels=bad)
     with pytest.raises(pb.ConfigurationError, match="true_labels"):
         pb.PairSet(sim, [255, 1])
-    ok = pb.PairSet(sim, [1, -1], pseudo_labels=[pb.ABSENT, -1])
-    assert ok.pseudo_labels.dtype == np.int8 and not ok.has_pseudo
+    ok = pb.PairSet(sim, [1, -1], pseudo_labels=[1, -1])
+    assert ok.pseudo_labels.dtype == np.int8 and ok.has_pseudo
+
+
+def test_a_pseudo_label_column_holding_one_zero_is_refused():
+    """One 0 among 65 flipped pseudo-labels used to mark the whole column
+    absent: train_linear then fit the true labels and estimated no noise
+    rates.  The set is now refused when it is built."""
+    _, pairs = pb.draw_pair_process(small_spec(), pb.PairStrategy.balanced(2), 200, 5)
+    pseudo = pairs.true_labels.copy()
+    pseudo[:65] *= -1
+    pseudo[7] = 0
+    with pytest.raises(pb.ConfigurationError, match="pseudo_labels"):
+        pairs.with_pseudo_labels(pseudo)
+    with pytest.raises(pb.ConfigurationError, match="pseudo_labels"):
+        pb.PairSet(pairs.similarity, pairs.true_labels, pseudo, pairs.member_indices)
+
+
+def test_pair_set_optional_columns_are_none_and_stay_none():
+    sim = np.arange(8.0).reshape(4, 2)
+    pairs = pb.PairSet(sim, [1, -1, -1, 1])
+    assert pairs.pseudo_labels is None and pairs.member_indices is None
+    assert not pairs.has_pseudo
+    sub = pairs.subset(np.array([0, 2]))
+    assert sub.pseudo_labels is None and sub.member_indices is None
+    assert np.array_equal(sub.similarity, sim[[0, 2]])
+    assert sub.true_labels.tolist() == [1, -1]
+    tagged = pairs.with_pseudo_labels([-1, -1, 1, 1]).subset(np.array([3, 1]))
+    assert tagged.pseudo_labels.tolist() == [1, -1] and tagged.member_indices is None
+    # a member column of any other shape used to fail later, untyped, in
+    # similarity_from_members
+    for bad in (np.zeros((3, 2)), np.arange(4), np.zeros((4, 3))):
+        with pytest.raises(pb.ConfigurationError, match="shaped"):
+            pb.PairSet(sim, [1, -1, -1, 1], member_indices=bad)
+    with pytest.raises(pb.ConfigurationError, match="shaped"):
+        pb.PairSet(sim, [1, -1, 1])
 
 
 def test_unit_normalize():

@@ -38,12 +38,14 @@ def test_package_import_loads_neither_numpy_random_nor_numpy_ma():
 
 
 def test_exact_risk_left_the_namespace():
-    """The scalar exact_risk, HypothesisClassInfo, FilterRule, the noise mode
-    and the named filter modes stay retired."""
+    """The scalar exact_risk, HypothesisClassInfo, FilterRule, the noise mode,
+    the named filter modes and the placeholder values ABSENT and
+    MEDIAN_HEURISTIC stay retired."""
     config_names = ("NoiseMode", "SYNTHETIC", "FROM_CLUSTERING", "FILTER_NONE",
                     "OFFLINE", "OFFLINE_PLUS_ONLINE", "_FILTER_MODES")
     for module, name in (("risk", "exact_risk"), ("stumps", "HypothesisClassInfo"),
-                         ("practice", "FilterRule"),
+                         ("practice", "FilterRule"), ("domains", "ABSENT"),
+                         ("discrepancy", "MEDIAN_HEURISTIC"),
                          *(("config", name) for name in config_names)):
         assert not hasattr(pb, name)
         assert not hasattr(importlib.import_module(f"pseudobound.{module}"), name)

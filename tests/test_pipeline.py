@@ -491,7 +491,7 @@ def test_benchmark_selflearn_units_make_four_oracle_calls_per_trial(monkeypatch)
                          [(False, False), (False, True), (True, False), (True, True)])
 def test_target_memo_hit_scores_as_a_fresh_target(use_map, normalize):
     """The stored scorer scores any stumps as a fresh build does; a
-    pair-backed target keeps no member indices."""
+    pair-backed target keeps no member indices (None, not a stand-in row)."""
     cfg = replace(_small_practice(), iterations=1, master_seed=47,
                   toggles=replace(pb.Toggles(), domain_alignment=use_map,
                                   bounded_loss=normalize))
@@ -507,7 +507,7 @@ def test_target_memo_hit_scores_as_a_fresh_target(use_map, normalize):
                          for f in (target_risks, fresh_risks))
         assert np.array_equal(target.similarity, fresh.similarity)
         assert np.array_equal(target.true_labels, fresh.true_labels)
-        assert target.member_indices.strides[0] == 0   # one shared zero row
+        assert target.member_indices is None
     else:
         assert target_risks.keywords["spec"] == fresh_risks.keywords["spec"]
 

@@ -86,21 +86,34 @@ def test_json_round_trip_is_exact_and_byte_stable(obj):
     assert json.dumps(back.to_dict(), indent=2) == text
 
 
-def test_pair_strategy_all_omits_negative_ratio():
-    assert pb.PairStrategy.all_pairs().to_dict() == {"kind": "all"}
+def test_pair_strategy_all_writes_a_null_ratio():
+    """An ``all`` strategy has no ratio: it writes null, and loads with the
+    key null or omitted."""
+    strategy = pb.PairStrategy.all_pairs()
+    assert strategy.to_dict() == {"kind": "all", "k_neg_per_pos": None}
+    assert json.dumps(strategy.to_dict()) == '{"kind": "all", "k_neg_per_pos": null}'
+    for d in (strategy.to_dict(), {"kind": "all"}, {"kind": "all", "k_neg_per_pos": None}):
+        assert pb.PairStrategy.from_dict(d) == strategy
     assert pb.PairStrategy.balanced(2).to_dict() == {"kind": "balanced",
                                                      "k_neg_per_pos": 2}
+    assert pb.PairStrategy.balanced().k_neg_per_pos == 3
 
 
 def test_pair_strategy_all_rejects_a_negative_ratio():
-    """A ratio on an ``all`` strategy would be dropped by ``to_dict`` and
-    reload as the default, so it is refused on construction."""
+    """A ratio on an ``all`` strategy would mean nothing, so it is refused on
+    construction."""
     with pytest.raises(pb.ConfigurationError, match="k_neg_per_pos"):
         pb.PairStrategy.from_dict({"kind": "all", "k_neg_per_pos": 5})
     with pytest.raises(pb.ConfigurationError):
         pb.PairStrategy("all", 5)
-    strategy = pb.PairStrategy.all_pairs()
-    assert pb.PairStrategy.from_dict(strategy.to_dict()) == strategy
+
+
+@pytest.mark.parametrize("d", [{"kind": "balanced"}, {"kind": "balanced", "k_neg_per_pos": None},
+                               {"kind": "balanced", "k_neg_per_pos": 0}])
+def test_balanced_strategy_needs_a_ratio_of_at_least_one(d):
+    """A ``balanced`` strategy names its ratio; a missing one used to load as 3."""
+    with pytest.raises(pb.ConfigurationError, match="k_neg_per_pos"):
+        pb.PairStrategy.from_dict(d)
 
 
 def test_noise_estimate_reports_degenerate_and_recomputes_it():
@@ -118,7 +131,7 @@ def test_numpy_scalars_serialize_as_python_scalars():
 
 def test_missing_keys_fall_back_to_field_defaults():
     assert pb.Toggles.from_dict({}) == pb.Toggles()
-    assert pb.PairStrategy.from_dict({"kind": "balanced"}) == pb.PairStrategy.balanced(3)
+    assert pb.PairStrategy.from_dict({"kind": "all"}) == pb.PairStrategy.all_pairs()
 
 
 def test_unknown_key_is_rejected_by_name():
