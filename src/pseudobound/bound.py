@@ -30,14 +30,12 @@ from .domains import (
     DomainSpec,
     PairSet,
     PairStrategy,
-    _member_differences,
     _pairs_from_draws,
     _raw_pair_draws,
     derive_seed,
     draw_pair_process,
     rngs_from_states,
     seed_states,
-    unit_normalize,
 )
 from .errors import ConfigurationError
 from .noise import NO_NOISE, NoiseModel, _flip_labels, corrected_costs
@@ -312,17 +310,12 @@ class TheoremValidation(Serializable):
 
 
 def _mapped_pairs(config: ExperimentConfig, spec: DomainSpec, n: int, seed: int,
-                  align_map=None, normalize: bool = False) -> PairSet:
-    """n pairs drawn from spec, similarities formed after the member maps on
-    the draw's own members (rows 2i, 2i + 1); no member indices are kept."""
-    samples, pairs = draw_pair_process(spec, config.strategy, n, seed)
-    if align_map is None and not normalize:
-        return pairs
-    labels, feats = pairs.true_labels, samples.features
-    del samples, pairs      # frees the draw's similarities, member indices and ids
-    feats = feats if align_map is None else align_map.apply(feats)
-    feats = unit_normalize(feats) if normalize else feats
-    return PairSet(_member_differences(feats.reshape(n, 2, -1)), labels)
+                  align_map=None, normalize: bool = False,
+                  out: np.ndarray | None = None) -> PairSet:
+    """n pairs drawn from spec, similarities (into ``out`` if given) formed
+    after the member maps on the draw's own members; mapped pairs keep no
+    member indices."""
+    return draw_pair_process(spec, config.strategy, n, seed, align_map, normalize, out)[1]
 
 
 def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
@@ -353,17 +346,24 @@ def oracle_bound_inputs(config: ExperimentConfig, rng_seed: int,
     cfg = config.risk
     big_m = cfg.big_m
 
-    def draw(spec, amap, n, sub):
-        return _mapped_pairs(config, spec, n, derive_seed(rng_seed, sub), amap, normalize)
+    def draw(spec, amap, n, sub, out=None):
+        return _mapped_pairs(config, spec, n, derive_seed(rng_seed, sub), amap,
+                             normalize, out)
 
     gap_t = draw(config.target, align_map, config.discrepancy_sample, 6)
     gap_s = draw(config.source, None, config.discrepancy_sample, 7)
     d_hat = h_delta_h_distance(gap_s.similarity, gap_t.similarity)
     if normalize:
-        pairs = draw(config.target, align_map, config.oracle_pairs, 4)
+        # Both draws fill one buffer, source rows first as ideal_joint
+        # stacks them, so no stacked copy is made; the scorer keeps a copy
+        # of the target half only.
+        n = config.oracle_pairs
+        sims = np.empty((2 * n, config.target.feature_dim))
+        source = draw(config.source, None, n, 5, sims[:n])
+        pairs = draw(config.target, align_map, n, 4, sims[n:])
         _, eps_star = fit_plain(pairs, big_m)
-        _, lam = ideal_joint(draw(config.source, None, config.oracle_pairs, 5),
-                             pairs, big_m)
+        _, lam = ideal_joint(source, pairs, big_m)
+        pairs = PairSet(pairs.similarity.copy(), pairs.true_labels)
 
         def target_risks(hypotheses):
             return [empirical_risk_true(h, pairs, big_m) for h in hypotheses]

@@ -315,18 +315,34 @@ def ideal_joint(source_pairs, target_pairs, big_m: float
     """Stump minimizing the summed source + target empirical risks.
 
     Returns (stump, achieved sum); the sum is the joint-error estimate
-    entering the bound's domain-divergence term.
+    entering the bound's domain-divergence term.  The ERM runs on the
+    source rows, then the target rows; where the two similarity arrays
+    already are the halves of one array, in that order, it runs on that
+    array instead of a stacked copy.
     """
-    if len(source_pairs) == 0 or len(target_pairs) == 0:
+    n_s, n_t = len(source_pairs), len(target_pairs)
+    if n_s == 0 or n_t == 0:
         raise EmptyInputError("ideal_joint needs pairs from both domains")
-    # the per-domain cost arrays are freed before the ERM, which sets the
-    # peak memory
-    cost_pos, cost_neg = (
-        np.concatenate([s / len(source_pairs), t / len(target_pairs)])
-        for s, t in zip(zero_m_costs(source_pairs.true_labels, big_m),
-                        zero_m_costs(target_pairs.true_labels, big_m)))
-    feats = np.vstack([source_pairs.similarity, target_pairs.similarity])
-    return erm(feats, cost_pos, cost_neg)
+    cost_pos, cost_neg = np.empty((2, n_s + n_t))
+    for pairs, rows in ((source_pairs, slice(0, n_s)), (target_pairs, slice(n_s, None))):
+        for out, cost in zip((cost_pos, cost_neg), zero_m_costs(pairs.true_labels, big_m)):
+            np.divide(cost, len(pairs), out=out[rows])
+    return erm(_stacked(source_pairs.similarity, target_pairs.similarity),
+               cost_pos, cost_neg)
+
+
+def _stacked(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """np.vstack([top, bottom]), or without a copy the C-contiguous array
+    whose first and last rows top and bottom are."""
+    whole = top.base
+    if (isinstance(whole, np.ndarray) and bottom.base is whole
+            and whole.flags.c_contiguous and whole.shape[1:] == top.shape[1:]
+            and len(whole) == len(top) + len(bottom)):
+        halves = whole[:len(top)], whole[len(top):]
+        if all(h.__array_interface__ == v.__array_interface__
+               for h, v in zip(halves, (top, bottom))):
+            return whole
+    return np.vstack([top, bottom])
 
 
 def median_heuristic_bandwidth(pooled_feats: np.ndarray) -> float:

@@ -398,33 +398,49 @@ def _raw_pair_draws(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     return ids, noise
 
 
-def _member_differences(feats: np.ndarray) -> np.ndarray:
-    """(..., q) |a - b| of (..., 2, q) members, one coordinate per subtract."""
-    sim = np.empty(feats.shape[:-2] + feats.shape[-1:])
+def _member_differences(feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., q) |a - b| of (..., 2, q) members, one coordinate per subtract,
+    into ``out`` if given."""
+    sim = np.empty(feats.shape[:-2] + feats.shape[-1:]) if out is None else out
     for k in range(feats.shape[-1]):
         np.subtract(feats[..., 0, k], feats[..., 1, k], out=sim[..., k])
     return np.abs(sim, out=sim)
 
 
+def _member_features(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Features (..., n, 2, q) of raw draws, any leading shape, built in
+    ``noise``'s array, which this consumes: each coordinate adds its own
+    column of centers, so no (..., n, 2, q) gather of them is built.  An
+    identity transform is skipped: it could only turn -0.0 into +0.0, as
+    the similarities' abs does."""
+    noise *= spec.within_identity_stddev
+    for k in range(spec.feature_dim):
+        noise[..., k] += np.take(spec.identity_centers[:, k], ids)
+    amap = spec.domain_transform
+    if amap.is_identity():
+        return noise
+    return amap.apply(noise.reshape(-1, spec.feature_dim)).reshape(noise.shape)
+
+
+def _pair_labels(ids: np.ndarray) -> np.ndarray:
+    """int8 +-1 labels of (..., 2) identity pairs, built in one array."""
+    labels = (ids[..., 0] == ids[..., 1]).view(np.int8)   # 1 or 0, then 1 or -1
+    labels += labels - 1
+    return labels
+
+
 def _pairs_from_draws(spec: DomainSpec, ids: np.ndarray, noise: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features (..., n, 2, q), similarities (..., n, q) and int8 +-1 labels
-    from raw draws, any leading shape, each built in place in one array (the
-    features first in ``noise``'s, which this consumes).  An identity
-    transform is skipped: it could only turn -0.0 into +0.0, as abs does."""
-    noise *= spec.within_identity_stddev
-    feats = np.add(noise, np.take(spec.identity_centers, ids, axis=0), out=noise)
-    amap = spec.domain_transform
-    if not amap.is_identity():
-        feats = amap.apply(feats.reshape(-1, spec.feature_dim)).reshape(feats.shape)
-    sim = _member_differences(feats)
-    labels = (ids[..., 0] == ids[..., 1]).view(np.int8)   # 1 or 0, then 1 or -1
-    labels += labels - 1
-    return feats, sim, labels
+    from raw draws, any leading shape (``noise`` is consumed)."""
+    feats = _member_features(spec, ids, noise)
+    return feats, _member_differences(feats), _pair_labels(ids)
 
 
 def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
-                      rng_seed: int) -> tuple[SampleSet, PairSet]:
+                      rng_seed: int, align_map: AffineMap | None = None,
+                      normalize: bool = False, out: np.ndarray | None = None
+                      ) -> tuple[SampleSet, PairSet]:
     """Draw n_pairs independent pairs whose marginals match the strategy.
 
     Each pair gets two fresh member samples, so pairs are i.i.d. draws from
@@ -432,21 +448,45 @@ def draw_pair_process(spec: DomainSpec, strategy: PairStrategy, n_pairs: int,
     uniform and independent; under ``balanced`` the pair is positive with
     probability 1/(1 + k_neg_per_pos), negatives draw two distinct uniform
     identities.  It is the b = 1 case of the block sampler behind the bound
-    trials (``_raw_pair_draws``, then ``_pairs_from_draws``).
+    trials (``_raw_pair_draws``, then ``_member_features``).  Members are
+    rows 2i and 2i + 1 of the sample set.
+
+    ``align_map`` and ``normalize`` are member maps, as ``map_members``
+    applies them, but on the draw's own features, which are normalized in
+    place; the similarities are formed after them, the sample set holds the
+    mapped features, and mapped pairs keep no member indices.  ``out``, an
+    (n_pairs, q) float array, receives the similarities.
     """
     ids, noise = _raw_pair_draws(spec, strategy, n_pairs,
                                  [make_rng(spec.seed, rng_seed, 1)])
-    feats, sim, labels = _pairs_from_draws(spec, ids[0], noise[0])
-    member = np.arange(2 * n_pairs, dtype=np.int64).reshape(-1, 2)
-    return (SampleSet(feats.reshape(-1, spec.feature_dim), ids[0].reshape(-1)),
-            PairSet(sim, labels, member_indices=member))
+    ids = ids[0]
+    feats = _member_features(spec, ids, noise[0]).reshape(-1, spec.feature_dim)
+    del noise       # a transformed draw no longer needs its normals
+    if align_map is not None:
+        feats = align_map.apply(feats)
+    if normalize:
+        unit_normalize(feats)
+    mapped = align_map is not None or normalize
+    member = None if mapped else np.arange(2 * n_pairs, dtype=np.int64).reshape(-1, 2)
+    sim = _member_differences(feats.reshape(n_pairs, 2, -1), out)
+    return (SampleSet(feats, ids.reshape(-1)),
+            PairSet(sim, _pair_labels(ids), member_indices=member))
+
+
+_NORM_ROWS = 8192   # rows per block of unit_normalize
 
 
 def unit_normalize(features: np.ndarray) -> np.ndarray:
     """Project member feature vectors onto the unit sphere in place (rows of
-    zero norm are left untouched): a float array is divided and returned."""
+    zero norm are left untouched): a float array is divided and returned.
+    Rows go in blocks of _NORM_ROWS, so the squares that np.linalg.norm
+    forms are never the whole array's; a row's norm does not depend on the
+    rows around it."""
     feats = np.asarray(features, float)
-    feats /= np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-12)
+    blocks = [feats] if feats.ndim < 2 else [
+        feats[i:i + _NORM_ROWS] for i in range(0, len(feats), _NORM_ROWS)]
+    for block in blocks:
+        block /= np.maximum(np.linalg.norm(block, axis=-1, keepdims=True), 1e-12)
     return feats
 
 

@@ -74,11 +74,24 @@ class _Memo:
 
 # Per-process memos.  One trial of the 16-cell grid on practice.json needs 4
 # oracle results (bound inputs and target risk scorer; 2 of the targets are
-# 30 000-pair draws) and 62 MMD values; 256 MMD values hold 4 trials.  So
-# ``ablate`` on practice.json makes 4 oracle calls per seed and computes
-# 1 240 of its 3 520 MMD values; criterion 11 makes 3 oracle calls per seed
-# and computes 640 of its 1 120 MMD values.
+# 30 000-pair draws) and 62 MMD values; 256 MMD values hold 4 trials.  The
+# oracle memo holds one (config, seed) at a time: a run of another seed
+# empties it first, so a seed's 30 000-pair oracle never runs next to the
+# last seed's pair-backed targets.  That costs no hit, because the memo's
+# callers run every run of a seed back to back: ``ablate`` and the
+# benchmark trial-major, criterion 11 seed-major.  So ``ablate`` on
+# practice.json makes 4 oracle calls per seed and computes 1 240 of its
+# 3 520 MMD values; criterion 11, which logs no MMD, makes 3 oracle calls
+# per seed.
 _oracles, _mmd_values = _Memo(4), _Memo(256)
+
+
+def _oracle(args: tuple):
+    """``oracle_bound_inputs(*args)`` through ``_oracles``, emptied first
+    when it holds another (config, seed)."""
+    if any(key[:2] != args[:2] for key in _oracles.values):
+        _oracles.values.clear()
+    return _oracles(oracle_bound_inputs, args, *args)
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,8 @@ def _mmd(x_feats: np.ndarray, y_feats: np.ndarray) -> float:
                        x_feats, y_feats)
 
 
-def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
+def run_self_learning(config: ExperimentConfig, diagnostics: bool = True
+                      ) -> ExperimentResult:
     """Run the configured self-learning loop and measure each iteration.
 
     Every iteration trains on (source pairs, pseudo-labeled target pairs),
@@ -208,8 +222,11 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
     ``oracle_bound_inputs`` call through a per-process ``_Memo`` keyed by
     that call's own arguments: the config with its toggles at their
     defaults, the seed and the member maps, the only way toggles reach the
-    oracle.  The practice MMD diagnostics are keyed by input content.  The
-    module comment above ``_oracles`` and the README count the traffic.
+    oracle; it holds one (config, seed) at a time.  The practice MMD
+    diagnostics are keyed by input content; ``diagnostics=False`` skips
+    them, leaving the four ``mmd_*`` fields of every record None, for
+    callers that read only risks and rates.  The module comment above
+    ``_oracles`` and the README count the traffic.
     """
     started = time.perf_counter()
     seed = config.master_seed
@@ -225,8 +242,9 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         mmd_sample = (None, None)
         if toggles.domain_alignment:
             aligned_pool, align_map = align_moments(source_pool, target_pool)
-            mmd_sample = (_mmd(source_pool.features, target_pool.features),
-                          _mmd(source_pool.features, aligned_pool.features))
+            if diagnostics:
+                mmd_sample = (_mmd(source_pool.features, target_pool.features),
+                              _mmd(source_pool.features, aligned_pool.features))
         normalize = toggles.bounded_loss
         sim_pool = target_pool.replace_features(
             map_members(aligned_pool.features, normalize=normalize))
@@ -235,8 +253,8 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
         weights = np.ones(config.target.feature_dim)
     # The member maps are fixed for the run, so the deployed model's oracle
     # quantities and target risk scorer are too.
-    args = (replace(config, toggles=Toggles()), seed, align_map, normalize)
-    inputs, target_risks = _oracles(oracle_bound_inputs, args, *args)
+    inputs, target_risks = _oracle(
+        (replace(config, toggles=Toggles()), seed, align_map, normalize))
 
     records = []
     for it in range(config.iterations):
@@ -270,7 +288,8 @@ def run_self_learning(config: ExperimentConfig) -> ExperimentResult:
             record.n_clusters = len(set(cluster_labels.tolist()) - {NOISE})
             record.n_noise_points = int(np.count_nonzero(cluster_labels == NOISE))
             record.mmd_sample_before, record.mmd_sample_after = mmd_sample
-            _log_similarity_mmd(record, source_pairs, target_pairs, target_pool)
+            if diagnostics:
+                _log_similarity_mmd(record, source_pairs, target_pairs, target_pool)
             weights = np.ones(config.target.feature_dim)
             weights[h.coordinate] = config.refine_scale
         records.append(record)
@@ -345,7 +364,8 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
     a seed meet the pipeline's memos (``_Memo``: oracle results, MMD
     values) back to back; each cell still lists its results and failures in
     trial order.  A failing run marks its cell
-    instead of aborting the table.
+    instead of aborting the table.  Only final risks are read, so the runs
+    skip their MMD diagnostics.
     """
     grid = list(toggle_grid)
     if not grid:
@@ -358,7 +378,7 @@ def run_ablation(base: ExperimentConfig, toggle_grid) -> AblationTable:
         for i, toggles in enumerate(grid):
             cfg = replace(base, toggles=toggles, master_seed=s)
             try:
-                finals[i].append(run_self_learning(cfg).final_risk)
+                finals[i].append(run_self_learning(cfg, diagnostics=False).final_risk)
             except PseudoboundError as err:
                 failures[i].append({"trial": t, "error": str(err)})
     return AblationTable(

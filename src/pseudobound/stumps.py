@@ -91,8 +91,13 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     row with a tie, +-0.0 included, is sorted again stably, so every row is
     in its unique stable order on any CPU (a tie-free scan does no tie
     work).  cumsum accumulates every row in order, so each problem's prefix
-    sums, and hence its stump, are bit-identical to fitting it alone.  Two
-    (b, n + 1) buffers, prefix and suffix, price sign +1 and then sign -1.
+    sums, and hence its stump, are bit-identical to fitting it alone.
+
+    Beyond its inputs a scan holds, per coordinate, the (b, n) sort order,
+    sorted values and tie mask, one (b, n) gathered cost row at a time, and
+    two (b, n + 1) buffers, prefix and suffix, that price sign +1 and then
+    sign -1.  Each sign keeps its first cheapest cut, and the two are
+    compared in (cut, sign) order, sign +1 first at a cut.
     """
     x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
     if x.ndim != 3 or x.shape[2] == 0:
@@ -108,14 +113,12 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
     rows = np.arange(b)
     row_start = rows[:, None] * n
     # Cut k puts the sorted points [0, k) below the threshold and [k, n)
-    # above; prefix and suffix sums of cp and cn price either side.
+    # above; prefix and suffix sums of cp and cn price either side.  A
+    # sign's costs are summed into suf, so its last column is reset first.
     pre, suf = np.zeros((2, b, n + 1))
-    # (cut, sign) costs interleaved with sign +1 first, so argmin's first
-    # occurrence realizes the threshold-then-sign tie-break.
-    costs = np.empty((b, n + 1, 2))
-    flat = costs.reshape(b, 2 * (n + 1))
     best_cost = np.full(b, np.inf)
-    best_j, best_k = np.zeros((2, b), dtype=int)
+    best_j, best_cut = np.zeros((2, b), dtype=int)
+    best_sign = np.ones(b, dtype=int)
     best_lo, best_hi = np.zeros((2, b))
     for j in range(q):
         xj = x[:, :, j]
@@ -131,36 +134,40 @@ def erm_batch(feats: np.ndarray, cost_pos: np.ndarray, cost_neg: np.ndarray
         if len(redo):
             order[redo] = np.argsort(xj[redo], axis=1, kind="stable") + row_start[redo]
             xs[redo] = xj.take(order[redo])
-        cpj = cp.take(order)
-        cnj = cn.take(order)
-        # sign +1: below the cut predicts -1 (pays cn), above predicts +1.
-        for below, above, out in ((cnj, cpj, costs[:, :, 0]), (cpj, cnj, costs[:, :, 1])):
-            np.cumsum(below, axis=1, out=pre[:, 1:])
-            np.cumsum(above[:, ::-1], axis=1, out=suf[:, n - 1::-1])
-            np.add(pre, suf, out=out)
-        if len(redo):  # a cut between equal values is not realizable
-            costs[:, 1:n][tied] = np.inf
-        k = np.argmin(flat, axis=1)
-        cost_j = flat[rows, k]
+        # sign +1: below the cut predicts -1 (pays cn), above predicts +1;
+        # each sign's first cheapest cut and its cost.
+        scans = []
+        for below, above in ((cn, cp), (cp, cn)):
+            suf[:, n] = 0.0
+            np.cumsum(below.take(order), axis=1, out=pre[:, 1:])
+            np.cumsum(above.take(order)[:, ::-1], axis=1, out=suf[:, n - 1::-1])
+            np.add(pre, suf, out=suf)
+            if len(redo):  # a cut between equal values is not realizable
+                suf[:, 1:n][tied] = np.inf
+            k = np.argmin(suf, axis=1)
+            scans.append((k, suf[rows, k]))
+        (k_pos, c_pos), (k_neg, c_neg) = scans
+        # np.minimum keeps a NaN cost (an overflowed sum), never better.
+        cost_j = np.minimum(c_pos, c_neg)
         better = cost_j < best_cost
         if better.any():
-            cut = k[better] // 2
+            neg = ((c_neg < c_pos) | ((c_neg == c_pos) & (k_neg < k_pos)))[better]
+            cut = np.where(neg, k_neg[better], k_pos[better])
             best_cost[better] = cost_j[better]
             best_j[better] = j
-            best_k[better] = k[better]
+            best_cut[better] = cut
+            best_sign[better] = np.where(neg, -1, 1)
             best_lo[better] = xs[better, np.maximum(cut - 1, 0)]
             best_hi[better] = xs[better, np.minimum(cut, n - 1)]
 
-    cut = best_k // 2
     with np.errstate(over="ignore"):
         mid = 0.5 * (best_lo + best_hi)
     # The midpoint can round up to hi or overflow; lo then still splits.
     thresholds = np.where((best_lo <= mid) & (mid < best_hi), mid, best_lo)
-    thresholds[cut == 0] = -np.inf
-    thresholds[cut == n] = np.inf
-    signs = np.where(best_k % 2 == 0, 1, -1)
+    thresholds[best_cut == 0] = -np.inf
+    thresholds[best_cut == n] = np.inf
     return [StumpHypothesis(j, t, s) for j, t, s in zip(
-        best_j.tolist(), thresholds.tolist(), signs.tolist())]
+        best_j.tolist(), thresholds.tolist(), best_sign.tolist())]
 
 
 def _exact_sum(*arrays: np.ndarray) -> float:

@@ -3,12 +3,16 @@ against.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 double loops, and exact summation.  None of it imports the modules under
-test beyond plain data types.
+test beyond plain data types.  ``erm_batch_interleaved`` is the batched
+stump ERM as it stood before it priced one sign at a time, kept as the
+bit-for-bit reference of its successor; ``_traced_peak`` is the memory
+tests' one tracemalloc helper.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -339,3 +343,67 @@ def mapped_similarity_reference(features: np.ndarray, member_indices: np.ndarray
     if normalize:
         feats = feats / np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-12)
     return np.abs(feats[member_indices[:, 0]] - feats[member_indices[:, 1]])
+
+
+def erm_batch_interleaved(feats: np.ndarray, cost_pos: np.ndarray,
+                          cost_neg: np.ndarray) -> list:
+    """``erm_batch``'s stumps as it found them from one (b, n + 1, 2) cost
+    array of (cut, sign) pairs, sign +1 first at each cut, whose first
+    minimum argmin took (inputs are not validated)."""
+    x, cp, cn = (np.asarray(a, float) for a in (feats, cost_pos, cost_neg))
+    b, n, q = x.shape
+    rows = np.arange(b)
+    row_start = rows[:, None] * n
+    pre, suf = np.zeros((2, b, n + 1))
+    costs = np.empty((b, n + 1, 2))
+    flat = costs.reshape(b, 2 * (n + 1))
+    best_cost = np.full(b, np.inf)
+    best_j, best_k = np.zeros((2, b), dtype=int)
+    best_lo, best_hi = np.zeros((2, b))
+    for j in range(q):
+        xj = x[:, :, j]
+        order = np.argsort(xj, axis=1)
+        order += row_start
+        xs = xj.take(order)
+        tied = xs[:, 1:] <= xs[:, :-1]
+        redo = np.flatnonzero(tied.any(axis=1))
+        if len(redo):
+            order[redo] = np.argsort(xj[redo], axis=1, kind="stable") + row_start[redo]
+            xs[redo] = xj.take(order[redo])
+        cpj = cp.take(order)
+        cnj = cn.take(order)
+        for below, above, out in ((cnj, cpj, costs[:, :, 0]), (cpj, cnj, costs[:, :, 1])):
+            np.cumsum(below, axis=1, out=pre[:, 1:])
+            np.cumsum(above[:, ::-1], axis=1, out=suf[:, n - 1::-1])
+            np.add(pre, suf, out=out)
+        if len(redo):
+            costs[:, 1:n][tied] = np.inf
+        k = np.argmin(flat, axis=1)
+        cost_j = flat[rows, k]
+        better = cost_j < best_cost
+        if better.any():
+            cut = k[better] // 2
+            best_cost[better] = cost_j[better]
+            best_j[better] = j
+            best_k[better] = k[better]
+            best_lo[better] = xs[better, np.maximum(cut - 1, 0)]
+            best_hi[better] = xs[better, np.minimum(cut, n - 1)]
+    cut = best_k // 2
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (best_lo + best_hi)
+    thresholds = np.where((best_lo <= mid) & (mid < best_hi), mid, best_lo)
+    thresholds[cut == 0] = -np.inf
+    thresholds[cut == n] = np.inf
+    signs = np.where(best_k % 2 == 0, 1, -1)
+    return [StumpHypothesis(j, t, s) for j, t, s in zip(
+        best_j.tolist(), thresholds.tolist(), signs.tolist())]
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc traces over one ``fn(*args)`` call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,12 +1,12 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import pseudobound as pb
 from oracles import (
+    _traced_peak,
     h_delta_h_grid_oracle,
     h_delta_h_oracle,
     mmd_oracle,
@@ -354,13 +354,7 @@ def test_h_delta_h_memory_at_gap_size():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((1024, 4))
     b = rng.standard_normal((1024, 4)) + 0.3
-    tracemalloc.start()
-    try:
-        pb.h_delta_h_distance(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5e6
+    assert _traced_peak(pb.h_delta_h_distance, a, b) < 2.5e6
 
 
 def test_h_delta_h_memory_stays_linear():
@@ -368,13 +362,7 @@ def test_h_delta_h_memory_stays_linear():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2048, 4))
     b = rng.standard_normal((2048, 4)) + 0.3
-    tracemalloc.start()
-    try:
-        pb.h_delta_h_distance(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    assert _traced_peak(pb.h_delta_h_distance, a, b) < 32e6
 
 
 def test_h_delta_h_validation():
@@ -428,6 +416,52 @@ def test_ideal_joint_minimality_over_random_stumps():
         joint = pb.empirical_risk_true(h, src, 1.0) + \
             pb.empirical_risk_true(h, tgt, 1.0)
         assert lam <= joint + 1e-12
+
+
+def _oracle_size_pairs(one_buffer: bool):
+    """practice.json's 30 000 normalized pairs a domain, source then target,
+    drawn into one buffer as the oracle draws them, or into two arrays."""
+    cfg = pb.default_experiment_config("practice")
+    n = 30_000
+    sims = np.empty((2 * n, cfg.target.feature_dim)) if one_buffer else None
+    return [pb.draw_pair_process(spec, cfg.strategy, n, sub, None, True,
+                                 None if sims is None else sims[rows])[1]
+            for spec, sub, rows in ((cfg.source, 5, slice(0, n)),
+                                    (cfg.target, 4, slice(n, None)))]
+
+
+def test_ideal_joint_on_one_buffer_equals_the_stacked_copy():
+    """Halves of one array, in order, are scanned in place and give the
+    stacked copy's stump and sum bit for bit; halves out of order, or
+    arrays that are not halves, are stacked."""
+    from pseudobound.discrepancy import _stacked
+
+    rng = np.random.default_rng(12)
+    whole = np.round(rng.random((600, 3)), 1)   # ties across both domains
+    labels = rng.choice([-1, 1], size=600)
+    top, bottom = whole[:250], whole[250:]
+    assert _stacked(top, bottom) is whole
+    for a, b in ((bottom, top), (top, whole[300:]), (top.copy(), bottom),
+                 (whole[:250, :2], whole[250:, :2])):
+        stacked = _stacked(a, b)
+        assert stacked is not whole and np.array_equal(stacked, np.vstack([a, b]))
+    halves = pair_set(top, labels[:250]), pair_set(bottom, labels[250:])
+    copies = pair_set(top.copy(), labels[:250]), pair_set(bottom.copy(), labels[250:])
+    for big_m in (1.0, 0.3):
+        (h, lam), (h_ref, lam_ref) = (pb.ideal_joint(*sets, big_m) for sets in (halves, copies))
+        assert (h.coordinate, h.threshold.hex(), h.sign, lam.hex()) == \
+            (h_ref.coordinate, h_ref.threshold.hex(), h_ref.sign, lam_ref.hex())
+
+
+@pytest.mark.parametrize("one_buffer, bound", [(True, 4.6e6), (False, 6.6e6)])
+def test_ideal_joint_peak_memory_at_the_oracle_size(one_buffer, bound):
+    """The joint-error ERM on 30 000 + 30 000 pairs holds its two cost
+    arrays and the ERM's working set, plus a stacked copy of the pairs only
+    where they are two arrays: measured 4.15e6 and 6.07e6 traced bytes
+    (7.75e6 for two arrays with the (b, n + 1, 2) ERM cost array)."""
+    source, target = _oracle_size_pairs(one_buffer)
+    pb.ideal_joint(source, target, 1.0)
+    assert _traced_peak(pb.ideal_joint, source, target, 1.0) < bound
 
 
 def test_mmd_identical_multisets_exact_zero():

@@ -114,6 +114,50 @@ def test_draw_pair_process_matches_reference_bytewise(kind, strategy):
         assert np.array_equal(samples.features, feats)  # equal up to the sign of 0
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("into_buffer", [False, True])
+def test_mapped_draw_equals_the_member_maps_on_the_plain_draw(normalize, into_buffer):
+    """A draw given member maps forms its similarities, into ``out`` if
+    given, from the mapped members as the plain draw's members mapped by
+    copy give them, bit for bit (10 000 members: two normalization blocks),
+    and keeps no member rows."""
+    from oracles import mapped_similarity_reference
+
+    cfg = pb.default_experiment_config("practice")
+    spec, n = cfg.target, 5000
+    amap = pb.AffineMap(np.array([[1.1, 0.2, 0.0, -0.1], [0.0, 0.9, 0.3, 0.0],
+                                  [-0.2, 0.0, 1.2, 0.1], [0.1, 0.1, 0.0, 0.8]]),
+                        np.array([0.3, -0.2, 0.0, 0.5]))
+    samples, plain = pb.draw_pair_process(spec, cfg.strategy, n, 9)
+    expected = mapped_similarity_reference(samples.features, plain.member_indices,
+                                           amap.matrix, amap.offset, normalize)
+    out = np.empty((n, spec.feature_dim)) if into_buffer else None
+    mapped_samples, mapped = pb.draw_pair_process(spec, cfg.strategy, n, 9, amap,
+                                                  normalize, out)
+    assert mapped.similarity.tobytes() == expected.tobytes()
+    assert np.array_equal(mapped.true_labels, plain.true_labels)
+    assert mapped.member_indices is None
+    assert np.array_equal(mapped_samples.identities, samples.identities)
+    assert (mapped.similarity is out) == into_buffer
+
+
+def test_unit_normalize_blocks_equal_one_whole_array_norm():
+    """Row blocks of _NORM_ROWS give each row the bits of one norm over the
+    whole array, across magnitudes, +-0.0 and zero rows; a single vector is
+    one row."""
+    from pseudobound.domains import _NORM_ROWS
+
+    rng = np.random.default_rng(6)
+    feats = rng.standard_normal((3 * _NORM_ROWS + 5, 4))
+    feats *= 10.0 ** rng.integers(-150, 150, size=feats.shape)
+    feats[rng.random(feats.shape) < 0.1] = -0.0
+    feats[::997] = 0.0
+    expected = feats / np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), 1e-12)
+    assert pb.unit_normalize(feats) is feats
+    assert feats.tobytes() == expected.tobytes()
+    assert pb.unit_normalize(np.array([3.0, 4.0])).tolist() == [0.6, 0.8]
+
+
 def test_draw_pair_process_mixes_labels():
     """The i.i.d. pair stream must contain both classes for risk work."""
     spec = small_spec()

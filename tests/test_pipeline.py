@@ -296,11 +296,11 @@ def test_ablation_runs_trial_major_and_matches_a_cell_major_loop(monkeypatch):
     real = pipeline.run_self_learning
     order = []
 
-    def run(cfg):
+    def run(cfg, **options):
         order.append((cfg.master_seed, cfg.toggles))
         if cfg.toggles == failing:
             raise pb.PipelineError(f"seed {cfg.master_seed} fails")
-        return real(cfg)
+        return real(cfg, **options)
 
     monkeypatch.setattr(pipeline, "run_self_learning", run)
     table = pb.run_ablation(base, grid)
@@ -475,6 +475,44 @@ def test_target_memo_builds_four_targets_per_seed_and_keeps_its_bound(monkeypatc
     assert sorted(normalize for _, normalize in calls) == [False] * 4 + [True] * 4
 
 
+@pytest.mark.parametrize("toggles", [pb.Toggles(), pb.Toggles.all_off()])
+def test_a_run_without_diagnostics_differs_only_in_its_mmd_fields(toggles):
+    """diagnostics=False computes no MMD and leaves the four mmd_* fields
+    None; every other field, risks and rates included, is the full run's."""
+    cfg = replace(_small_practice(), iterations=2, master_seed=51, toggles=toggles)
+    full = json.loads(_canonical(pb.run_self_learning(cfg)))
+    _empty_memos()
+    bare = json.loads(_canonical(pb.run_self_learning(cfg, diagnostics=False)))
+    assert len(pipeline._mmd_values.values) == 0
+    mmd = ("mmd_sample_before", "mmd_sample_after", "mmd_sim_before", "mmd_sim_after")
+    for record, bare_record in zip(full["iterations"], bare["iterations"]):
+        assert all(bare_record.pop(f) is None for f in mmd)
+        assert (record.pop("mmd_sim_before") is not None) and \
+            (record.pop("mmd_sim_after") is not None)
+        assert (record.pop("mmd_sample_before") is None) == (not toggles.domain_alignment)
+        del record["mmd_sample_after"]
+    assert bare == full
+
+
+def test_oracle_memo_holds_one_seed_at_a_time(monkeypatch):
+    """Every oracle call of two seeds of the 16-cell grid finds no result
+    of another seed in the memo, so no 30 000-pair oracle runs next to the
+    last seed's pair-backed targets; the grid still makes 4 calls a seed."""
+    seen = []
+
+    def counted(config, seed, align_map, normalize):
+        seen.append((seed, {key[1] for key in pipeline._oracles.values}))
+        return oracle_bound_inputs(config, seed, align_map, normalize)
+
+    monkeypatch.setattr(pipeline, "oracle_bound_inputs", counted)
+    base = replace(_small_practice(), iterations=1)
+    for seed in (49, 50):
+        for toggles in pb.default_toggle_grid():
+            pb.run_self_learning(replace(base, toggles=toggles, master_seed=seed))
+    assert [seed for seed, _ in seen] == [49] * 4 + [50] * 4
+    assert all(held <= {seed} for seed, held in seen)
+
+
 def test_benchmark_selflearn_units_make_four_oracle_calls_per_trial(monkeypatch):
     """The first 64 selflearn units (4 trials of ``ablate`` on practice.json,
     the practice default, at seed 0, trial-major) make 16
@@ -519,9 +557,9 @@ def test_a_new_binding_starts_the_target_memo_cold(monkeypatch):
     pb.run_self_learning(cfg)
     sizes = []
 
-    def draw(spec, strategy, n_pairs, rng_seed):
+    def draw(spec, strategy, n_pairs, rng_seed, *maps):
         sizes.append(n_pairs)
-        return pb.draw_pair_process(spec, strategy, n_pairs, rng_seed)
+        return pb.draw_pair_process(spec, strategy, n_pairs, rng_seed, *maps)
 
     def inputs(*args):
         return oracle_bound_inputs(*args)
